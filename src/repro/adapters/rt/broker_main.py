@@ -2,13 +2,16 @@
 
 This is the rt substrate's analogue of the simulator's single-broker
 topology: one process hosts a :class:`PublisherHostingBroker` and a
-:class:`SubscriberHostingBroker` sharing a :class:`Node` on an
+:class:`SubscriberHostingBroker` sharing one executor on an
 :class:`~repro.adapters.rt.clock.AsyncioClock`, joined by an in-process
 loopback link.  The *protocol* classes are the exact ones the
-simulation runs — only the three ports differ:
+simulation runs — only the four ports differ:
 
 * **Clock** — the asyncio event loop (epoch milliseconds, so event
   timestamps and release epochs stay monotone across restarts),
+* **Executor** — a :class:`~repro.adapters.rt.executor.LoopExecutor`:
+  jobs run back to back on the loop and their busy time is measured;
+  the simulator's ``CostModel`` service times are not slept,
 * **Transport** — TCP on localhost; each accepted connection's first
   message routes it (``PublishRequest`` → PHB, anything else → SHB),
 * **StableStorage** — a :class:`~repro.adapters.rt.storage.RealDisk`
@@ -39,11 +42,20 @@ from ...broker.base import Broker
 from ...broker.phb import PublisherHostingBroker
 from ...broker.shb import SubscriberHostingBroker
 from ...core import messages as M
-from ...net.node import Node
 from ...storage.logvolume import LogVolume
 from .clock import AsyncioClock
+from .executor import LoopExecutor
 from .storage import RealDisk
 from .transport import TcpConnection, TcpListener
+
+
+#: Events one nack reply may carry.  The cap bounds a reply's size, and
+#: what it leaves out waits for the requester's next nack, 250–500 ms
+#: later; the protocol default (375) is the value that gives the
+#: simulated 2003 testbed the recovery slope of the paper's Figure 7.
+#: Here a reply crosses an in-process link, so the cap only has to keep
+#: one reply from holding the loop for long.
+NACK_REPLY_MAX_EVENTS = 8192
 
 
 class BrokerProcess:
@@ -65,13 +77,14 @@ class BrokerProcess:
         for volume in (self.phb_journal, self.shb_journal, self.pfs_volume):
             self.disk.attach_volume(volume)
 
-        # Both roles share one node, as in the paper's 1-broker
+        # Both roles share one executor, as in the paper's 1-broker
         # topology; the loopback link between them carries knowledge
         # down and nacks/acks/subscriptions up.
-        node = Node(self.clock, "broker")
+        node = LoopExecutor(self.clock, "broker")
         self.phb = PublisherHostingBroker(
             self.clock, "phb", node=node, disk=self.disk,
             journal_volume=self.phb_journal,
+            nack_reply_max_events=NACK_REPLY_MAX_EVENTS,
         )
         for pubend in sorted(pubends):  # sorted: journal stream order is fixed
             self.phb.create_pubend(pubend)
@@ -88,7 +101,18 @@ class BrokerProcess:
         # a restarted broker must re-announce the recovered registry
         # before any event flows, or the downstream knowledge filter
         # turns D ticks into silence (events the PFS then never logs).
+        # Until that announcement the union is cold (knowledge passes
+        # unfiltered), as after a simulated crash: a registry that lost
+        # rows uncommitted in the kill is suspect and holds its tongue,
+        # and an empty union taken for warm would silence every event
+        # published before the lost subscribers re-register.
+        self.phb.child_filter_ready[self.shb.name] = False
         self.shb.resync_upstream()
+        # ... and learn how far the recovered event logs reach, so that
+        # the tail it missed is nacked now rather than once the clock
+        # has caught up with the log's newest timestamp.
+        for pubend in self.phb.pubends.values():
+            pubend.announce_head()
         self.listener = TcpListener()
         self.listener.on_connection(self._route)
 

@@ -92,6 +92,16 @@ class AsyncioClock:
     def post(self, time_ms: float, fn: Callable[..., None], *args: Any) -> None:
         self._schedule(self._when(time_ms), fn, args)
 
+    def soon(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn`` on the next loop turn, with no timer.
+
+        Not part of the Clock port (virtual time has no "turn"); the rt
+        executor drains its job queue through it.  The loop polls its
+        sockets and due timers between turns, so a callback that keeps
+        re-arming itself here starves neither.
+        """
+        self._loop.call_soon(fn, *args)
+
     def every(
         self,
         interval: float,

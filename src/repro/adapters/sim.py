@@ -5,6 +5,8 @@ satisfies the port contracts:
 
 * :class:`~repro.net.simtime.Scheduler` is the sim **Clock** (virtual
   milliseconds, ``(time, seq)`` determinism),
+* :class:`~repro.net.node.Node` is the sim **Executor** (a FIFO CPU
+  whose jobs complete after their ``CostModel`` service time),
 * :class:`~repro.storage.disk.SimDisk` is the sim **StableStorage**
   (group commit with modelled sync latency and crash epochs),
 * a :class:`~repro.net.link.Link` provides the two directed ends a
@@ -23,10 +25,11 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..net.link import Link, LinkEnd
+from ..net.node import Node
 from ..net.simtime import Scheduler
 from ..storage.disk import SimDisk
 
-__all__ = ["Scheduler", "SimDisk", "Link", "LinkEnd", "SimChannel", "channel_pair"]
+__all__ = ["Scheduler", "Node", "SimDisk", "Link", "LinkEnd", "SimChannel", "channel_pair"]
 
 
 class SimChannel:

@@ -28,6 +28,7 @@ from ..metrics.trace import event_tracer
 from ..net.link import Link, LinkEnd
 from ..net.node import Node
 from ..net.simtime import Scheduler
+from ..port.executor import Executor
 from ..util.errors import ConfigurationError
 from .costs import DEFAULT_COSTS, CostModel
 
@@ -41,14 +42,15 @@ class Broker:
         name: str,
         cost_model: Optional[CostModel] = None,
         speed: float = 1.0,
-        node: Optional[Node] = None,
+        node: Optional[Executor] = None,
     ) -> None:
         self.scheduler = scheduler
         self.name = name
         self.costs = cost_model if cost_model is not None else DEFAULT_COSTS
-        #: Brokers may share a Node (the paper's 1-broker topology runs
-        #: PHB and SHB roles on the same machine).
-        self.node = node if node is not None else Node(scheduler, name, speed=speed)
+        #: Brokers may share an executor (the paper's 1-broker topology
+        #: runs PHB and SHB roles on the same machine).  The default is
+        #: the simulator's costed FIFO node; ``speed`` only scales that.
+        self.node: Executor = node if node is not None else Node(scheduler, name, speed=speed)
         self.parent_name: Optional[str] = None
         self._parent_send: Optional[LinkEnd] = None
         self._child_sends: Dict[str, LinkEnd] = {}

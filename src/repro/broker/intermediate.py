@@ -22,8 +22,8 @@ from ..core.curiosity import NackConsolidator
 from ..metrics.trace import SPAN_INTERMEDIATE_FORWARD
 from ..core.release import ReleaseAggregator
 from ..core.tickmap import TickMap
-from ..net.node import Node
 from ..net.simtime import Scheduler
+from ..port.executor import Executor
 from ..util.intervals import IntervalSet
 from .base import Broker
 from .costs import CostModel
@@ -72,7 +72,7 @@ class IntermediateBroker(Broker):
         name: str,
         cost_model: Optional[CostModel] = None,
         speed: float = 1.0,
-        node: Optional[Node] = None,
+        node: Optional[Executor] = None,
         cache_span_ms: int = 30_000,
         subscription_refresh_ms: float = 2_000.0,
         release_resend_ms: float = 1_000.0,

@@ -21,8 +21,8 @@ from ..core.pubend import Pubend
 from ..metrics.trace import SPAN_PHB_FORWARD
 from ..core.release import EarlyReleasePolicy
 from ..net.link import Link, LinkEnd
-from ..net.node import Node
 from ..net.simtime import Scheduler
+from ..port.executor import Executor
 from ..storage.disk import SimDisk
 from ..storage.table import PersistentTable
 from ..util.errors import ConfigurationError
@@ -40,7 +40,7 @@ class PublisherHostingBroker(Broker):
         name: str,
         cost_model: Optional[CostModel] = None,
         speed: float = 1.0,
-        node: Optional[Node] = None,
+        node: Optional[Executor] = None,
         disk: Optional[SimDisk] = None,
         nack_reply_max_events: int = 375,
         journal_volume: Optional[object] = None,
@@ -165,7 +165,7 @@ class PublisherHostingBroker(Broker):
     # ------------------------------------------------------------------
     # Reliable publishing (exactly-once from publisher to pubend)
     # ------------------------------------------------------------------
-    def attach_publisher(self, link: Link, client_node: Node) -> None:
+    def attach_publisher(self, link: Link, client_node: Executor) -> None:
         """Wire a reliable publisher's link (see ReliablePublisher)."""
         recv_end = link.end_for_sender(client_node)
         send_end = link.end_for_sender(self.node)

@@ -33,9 +33,9 @@ from ..core.subscription import SubscriptionRegistry
 from ..core.tickmap import TickMap
 from ..matching.engine import MatchingEngine
 from ..net.link import Link, LinkEnd
-from ..net.node import Node
 from ..net.simtime import PeriodicHandle, Scheduler
 from ..pfs.pfs import PersistentFilteringSubsystem
+from ..port.executor import Executor
 from ..sim.crashpoints import HOOKS
 from ..storage.disk import SimDisk
 from ..storage.logvolume import LogVolume
@@ -56,7 +56,7 @@ class SubscriberHostingBroker(Broker):
         pubend_names: List[str],
         cost_model: Optional[CostModel] = None,
         speed: float = 1.0,
-        node: Optional[Node] = None,
+        node: Optional[Executor] = None,
         disk: Optional[SimDisk] = None,
         commit_interval_ms: float = 250.0,
         release_report_interval_ms: float = 250.0,
@@ -298,7 +298,7 @@ class SubscriberHostingBroker(Broker):
     # ------------------------------------------------------------------
     # Client attachment
     # ------------------------------------------------------------------
-    def attach_client(self, link: Link, client_node: Node) -> LinkEnd:
+    def attach_client(self, link: Link, client_node: Executor) -> LinkEnd:
         """Wire a client's link; returns the client's send end."""
         recv_end = link.end_for_sender(client_node)
         send_end = link.end_for_sender(self.node)

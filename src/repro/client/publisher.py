@@ -24,8 +24,8 @@ from ..broker.phb import PublisherHostingBroker
 from ..core import messages as M
 from ..core.events import PAPER_PAYLOAD_BYTES
 from ..net.link import Link, LinkEnd
-from ..net.node import Node
 from ..net.simtime import PeriodicHandle, Scheduler
+from ..port.executor import Executor
 
 AttributeFn = Callable[[int], Dict[str, object]]
 
@@ -92,7 +92,7 @@ class ReliablePublisher:
         self,
         scheduler: Scheduler,
         phb: Optional[PublisherHostingBroker],
-        node: Optional[Node],
+        node: Optional[Executor],
         name: str,
         pubend: str,
         window: int = 64,

@@ -28,8 +28,8 @@ from ..core.checkpoint import CheckpointToken
 from ..matching.predicates import Predicate
 from ..metrics.trace import event_tracer
 from ..net.link import Link, LinkEnd
-from ..net.node import Node
 from ..net.simtime import PeriodicHandle, Scheduler
+from ..port.executor import Executor
 from ..util.errors import NotConnectedError
 
 
@@ -52,7 +52,7 @@ class DurableSubscriber:
         self,
         scheduler: Scheduler,
         sub_id: str,
-        node: Node,
+        node: Optional[Executor],
         predicate: Predicate,
         ack_interval_ms: float = 250.0,
         commit_every: int = 1,

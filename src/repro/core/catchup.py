@@ -216,8 +216,11 @@ class CatchupStream:
             return
         self.pfs_reads += 1
         # Update the event-rate estimate from the read's Q-tick density
-        # (timestamps are milliseconds, so density × 1000 = events/s).
-        span = result.covered_to - result.after
+        # (timestamps are milliseconds, so density × 1000 = events/s),
+        # over the ticks the log could hold a record for: a subscriber
+        # with no checkpoint reads from tick 0, and on an epoch-ms
+        # clock the first logged tick is 1.8e12 ticks above that.
+        span = result.covered_to - max(result.after, result.logged_from - 1)
         if span > 200 and result.q_ticks:
             self._rate_eps = len(result.q_ticks) * 1000.0 / span
         cursor = self.knowledge.consumed
@@ -233,9 +236,18 @@ class CatchupStream:
         # PFS record matched nobody — silence for this subscriber as
         # well.  (The *current* cursor must not be used: Q ticks may
         # have been written between the snapshot and this callback.)
+        #
+        # The span never extends past the snapshot cursor either.  A
+        # recovered SHB's PFS runs ahead of its committed cursor (the
+        # constream rewrites those records as it re-delivers), and a
+        # nack for a tick above the cursor is answered into the
+        # constream, not into this stream — whose curiosity would then
+        # sit out a full retry window (1–2 s) for knowledge that has
+        # already gone by.  Those ticks are read again once the cursor
+        # has passed them.
         span_end = result.covered_to
-        if result.reached_last_timestamp:
-            span_end = max(span_end, target_at_read)
+        if result.reached_last_timestamp or span_end > target_at_read:
+            span_end = target_at_read
         # Within the covered span: q_ticks are Q, the rest S.
         span_start = max(cursor + 1, result.known_from)
         if span_end >= span_start:
@@ -265,7 +277,7 @@ class CatchupStream:
         )
         if room <= 0 or not self._unrequested:
             return
-        room = self._take_tokens(room)
+        room = self._take_tokens(min(room, len(self._unrequested)))
         if room <= 0:
             return
         batch, self._unrequested = self._unrequested[:room], self._unrequested[room:]
@@ -292,9 +304,12 @@ class CatchupStream:
         granted = min(wanted, int(self._tokens))
         self._tokens -= granted
         if granted < wanted and not self._resume_scheduled:
-            deficit = max(1.0, wanted - granted)
+            # Resume once the bucket can cover what is still wanted; it
+            # never holds more than the burst, so waiting longer than
+            # that takes to refill buys nothing.
+            need = min(wanted - granted, self._burst)
             self._resume_scheduled = True
-            self.scheduler.after(deficit * 1000.0 / rate, self._resume_after_tokens)
+            self.scheduler.after(need * 1000.0 / rate, self._resume_after_tokens)
         return granted
 
     def _resume_after_tokens(self) -> None:

@@ -183,6 +183,20 @@ class Pubend:
             self._disseminated = bound
             self._emit(update)
 
+    def announce_head(self) -> None:
+        """Disseminate the newest logged event again.
+
+        Timestamps run ahead of the clock under a burst (one tick per
+        event), so a pubend restarted on a recovered log says nothing
+        until the clock passes its newest timestamp — and until it
+        does, a downstream broker that missed the tail of the log has
+        no gap to nack.  Knowledge is idempotent: repeating the newest
+        event moves every downstream frontier to the head at once.
+        """
+        newest = self.log.max_timestamp
+        if newest is not None:  # the log holds only what is not released
+            self._emit(KnowledgeUpdate(self.name, d_events=[self.log.get(newest)]))
+
     def _emit(self, update: KnowledgeUpdate) -> None:
         if self.on_knowledge is not None and not update.is_empty():
             self.on_knowledge(update)

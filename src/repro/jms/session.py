@@ -29,9 +29,9 @@ from typing import Callable, Deque, Optional
 from ..core import messages as M
 from ..client.subscriber import DurableSubscriber
 from ..matching.predicates import Predicate
-from ..net.node import Node
 from ..net.simtime import Scheduler
 from .messages import JMSCommitDone, JMSCommitRequest, JMSCTLookup, JMSCTLookupReply
+from ..port.executor import Executor
 
 AUTO_ACKNOWLEDGE = "auto"
 DUPS_OK_ACKNOWLEDGE = "dups_ok"
@@ -48,7 +48,7 @@ class JMSDurableSubscriber(DurableSubscriber):
         self,
         scheduler: Scheduler,
         sub_id: str,
-        node: Node,
+        node: Executor,
         predicate: Predicate,
         ack_mode: str = AUTO_ACKNOWLEDGE,
         dups_ok_batch: int = 20,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from ..core.messages import Frame
-from .node import Node
+from ..port.executor import Executor
 from .simtime import Scheduler
 
 
@@ -128,7 +128,7 @@ def link_stats(scheduler: Scheduler) -> LinkStats:
 class LinkEnd:
     """One direction of a :class:`Link` (sender's view)."""
 
-    def __init__(self, link: "Link", sender: Node, receiver: Node) -> None:
+    def __init__(self, link: "Link", sender: Executor, receiver: Executor) -> None:
         self._link = link
         self.sender = sender
         self.receiver = receiver
@@ -188,9 +188,9 @@ class LinkEnd:
         """Transmit ``msg``; it arrives after the link latency, in order.
 
         Messages sent while either endpoint is down are dropped, as are
-        messages whose receiver crashes while they are in flight (the
-        crash bumps the receiver's epoch, so their completion callbacks
-        never run — see :class:`repro.net.node.Node`).
+        messages whose receiver crashes while they are in flight (a
+        crash discards the receiver's queued work, so their completion
+        callbacks never run — see :class:`repro.port.executor.Executor`).
         """
         self.sent += 1
         if self._link.down or self.sender.is_down or self.receiver.is_down:
@@ -356,8 +356,8 @@ class Link:
     def __init__(
         self,
         scheduler: Scheduler,
-        a: Node,
-        b: Node,
+        a: Executor,
+        b: Executor,
         latency_ms: float = 1.0,
         batch_window_ms: float = 0.0,
     ) -> None:
@@ -379,7 +379,7 @@ class Link:
         a.on_crash(self._endpoint_crashed)
         b.on_crash(self._endpoint_crashed)
 
-    def end_for_sender(self, node: Node) -> LinkEnd:
+    def end_for_sender(self, node: Executor) -> LinkEnd:
         """The directed end whose sender is ``node``."""
         if node is self.a_to_b.sender:
             return self.a_to_b

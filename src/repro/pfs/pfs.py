@@ -145,6 +145,10 @@ class PFSReadResult:
     it, ``q_ticks`` are Q *for ticks >= known_from* and every other
     tick is S.  Ticks below ``known_from`` were chopped (released);
     the PFS knows nothing about them (the pubend will answer L).
+    ``logged_from`` is the oldest tick the log can hold a record for —
+    the later of ``known_from`` and the first tick ever logged for the
+    pubend: silence below it is inferred, not observed, so a density
+    taken from this read must not count those ticks.
     ``reached_last_timestamp`` is True when the read consumed the chain
     all the way to the newest record (87% of reads do in the paper's
     failure experiment); False means the ring buffer overflowed.
@@ -156,6 +160,7 @@ class PFSReadResult:
     known_from: int
     reached_last_timestamp: bool
     records_visited: int
+    logged_from: int = 0
 
     @property
     def q_count(self) -> int:
@@ -166,6 +171,7 @@ class PFSReadResult:
 class _PubendState:
     stream: LogStream
     last_timestamp: int = 0                 # newest Q tick written
+    first_timestamp: int = 0                # oldest Q tick the live log held (0: none)
     #: sub_num -> index of the newest record carrying that subscriber,
     #: sharded by num range (see :class:`_ShardedIndex`).
     last_index: _ShardedIndex = field(default_factory=_ShardedIndex)
@@ -255,6 +261,8 @@ class PersistentFilteringSubsystem:
         for num in subs:
             state.last_index[num] = index
         state.last_timestamp = timestamp
+        if not state.first_timestamp:
+            state.first_timestamp = timestamp
         self.writes += 1
         self.bytes_written += record.size_bytes
         if HOOKS.enabled:
@@ -332,6 +340,8 @@ class PersistentFilteringSubsystem:
         for num, _prev in batch.sub_table:
             state.last_index[num] = index
         state.last_timestamp = batch.newest_timestamp
+        if not state.first_timestamp:
+            state.first_timestamp = fresh[0][0]
         self.writes += len(fresh)
         self.bytes_written += batch.logical_size_bytes
         self.batch_appends += 1
@@ -500,6 +510,7 @@ class PersistentFilteringSubsystem:
             known_from=known_from,
             reached_last_timestamp=not overflowed,
             records_visited=visited,
+            logged_from=max(known_from, state.first_timestamp),
         )
 
     # ------------------------------------------------------------------
@@ -561,14 +572,16 @@ class PersistentFilteringSubsystem:
         for state in self._pubends.values():
             state.last_index.clear()
             state.last_timestamp = state.chopped_from_ts
+            state.first_timestamp = 0
             stream = state.stream
             for index in range(stream.chopped_below, stream.next_index):
                 record = decode_record(stream.read(index))
-                newest = (
-                    record.newest_timestamp
-                    if type(record) is PFSRecordBatch
-                    else record.timestamp
-                )
+                if type(record) is PFSRecordBatch:
+                    oldest, newest = record.oldest_timestamp, record.newest_timestamp
+                else:
+                    oldest = newest = record.timestamp
+                if not state.first_timestamp:
+                    state.first_timestamp = oldest
                 for num in record.subscribers():
                     state.last_index[num] = index
                 state.last_timestamp = max(state.last_timestamp, newest)

@@ -279,7 +279,7 @@ def scale_topology(n_subscribers: int) -> Dict[str, object]:
         return {"n_trees": 2, "fanout": (2,), "shbs_per_leaf": 8,
                 "spares_per_level": 1}
     if n_subscribers <= 50_000:
-        # 2 trees x (2 x 2 levels) x 8 SHBs = 128 SHBs.
+        # 2 trees x (2 x 2 leaf intermediates) x 8 SHBs = 64 SHBs.
         return {"n_trees": 2, "fanout": (2, 2), "shbs_per_leaf": 8,
                 "spares_per_level": 1}
     # 2 trees x (2 x 3 levels) x 17 SHBs = 204 SHBs.

@@ -1,0 +1,105 @@
+"""Import lint for the Executor seam (an AST walk, nothing is imported).
+
+Two things must stay true for the real broker to measure its CPU
+instead of sleeping the simulator's model of one:
+
+* nothing under ``adapters/rt/`` builds the costed ``net.node.Node`` or
+  reaches for ``broker.costs`` — the ``CostModel`` lives only in the
+  sim adapter family;
+* ``broker/``, ``client/`` and ``jms/`` name the ``Executor`` port, not
+  ``net.node.Node``, wherever a signature takes a machine.
+
+The ``Scheduler`` imports that remain in protocol packages are a
+separate, open ROADMAP item and are not checked here.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+from typing import Iterator, Tuple
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Protocol-package modules allowed to import the sim node, and why.
+SIM_NODE_IMPORTERS = {
+    "broker/base.py": "default executor of a broker built without one (the sim's)",
+    "broker/topology.py": "the simulator's topology builders construct sim machines",
+}
+
+
+def _modules(*packages: str) -> Iterator[Tuple[str, ast.Module]]:
+    for package in packages:
+        for path in sorted((SRC / package).rglob("*.py")):
+            yield str(path.relative_to(SRC)), ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_modules(tree: ast.Module) -> Iterator[Tuple[str, Tuple[str, ...]]]:
+    """(dotted module as written, imported names) of every import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node.module or "", tuple(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, ()
+
+
+def _imports_sim_node(tree: ast.Module) -> bool:
+    return any(
+        module.endswith("net.node") or (module.endswith("net") and "node" in names)
+        for module, names in _imported_modules(tree)
+    )
+
+
+def test_rt_adapters_never_build_the_costed_node_or_import_the_cost_model():
+    offences = []
+    for name, tree in _modules("adapters/rt"):
+        for module, names in _imported_modules(tree):
+            if module.endswith("broker.costs") or (module.endswith("broker") and "costs" in names):
+                offences.append(f"{name}: imports the CostModel module")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in ("Node", "CostModel"):
+                offences.append(f"{name}:{node.lineno}: constructs {called}")
+    assert not offences, "\n".join(offences)
+
+
+def test_the_real_broker_runs_on_the_loop_executor():
+    tree = ast.parse((SRC / "adapters/rt/broker_main.py").read_text())
+    built = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "LoopExecutor" in built
+
+
+@pytest.mark.parametrize("package", ["broker", "client", "jms"])
+def test_protocol_signatures_name_the_executor_port(package):
+    offences = []
+    for name, tree in _modules(package):
+        if _imports_sim_node(tree) and name not in SIM_NODE_IMPORTERS:
+            offences.append(f"{name}: imports net.node")
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                where = f"{name}:{arg.lineno}: {node.name}({arg.arg}: {annotation})"
+                if "Node" in annotation.replace("NodeDownError", ""):
+                    offences.append(f"{where} names the sim Node")
+                elif arg.arg in ("node", "client_node") and "Executor" not in annotation:
+                    offences.append(f"{where} does not name the Executor port")
+    assert not offences, "\n".join(offences)
+
+
+def test_the_allow_list_is_not_stale():
+    for name in SIM_NODE_IMPORTERS:
+        assert _imports_sim_node(ast.parse((SRC / name).read_text())), (
+            f"{name} no longer imports net.node; drop it from SIM_NODE_IMPORTERS"
+        )

@@ -1,13 +1,15 @@
 """Port contracts, asserted against both adapter families.
 
 The ports (:mod:`repro.port`) promise the protocol classes a substrate
-they can't tell apart: virtual or wall-clock timers, link-or-TCP
-channels, modelled-or-real group commit.  Each test here states one
-clause of that promise and runs it against the **sim** family
-(:class:`~repro.net.simtime.Scheduler`, :class:`~repro.net.link.Link`
-via :func:`~repro.adapters.sim.channel_pair`,
+they can't tell apart: virtual or wall-clock timers, a costed or a
+measured CPU, link-or-TCP channels, modelled-or-real group commit.
+Each test here states one clause of that promise and runs it against
+the **sim** family (:class:`~repro.net.simtime.Scheduler`,
+:class:`~repro.net.node.Node`, :class:`~repro.net.link.Link` via
+:func:`~repro.adapters.sim.channel_pair`,
 :class:`~repro.storage.disk.SimDisk`) and the **rt** family
 (:class:`~repro.adapters.rt.clock.AsyncioClock`,
+:class:`~repro.adapters.rt.executor.LoopExecutor`,
 :class:`~repro.adapters.rt.transport.TcpConnection`,
 :class:`~repro.adapters.rt.storage.RealDisk`) through one harness.
 
@@ -18,8 +20,9 @@ caller); the rt family spins a private asyncio loop with an exception
 handler doing the same.  Timings use short intervals and generous
 deadlines so the rt half stays robust on a loaded CI box.
 
-Substrate-specific clauses (exact virtual-time grids; TCP frame
-corruption; fsync-before-callback; torn-tail truncation) live in the
+Substrate-specific clauses (exact virtual-time grids and service
+times; one loop callback per burst of jobs; TCP frame corruption;
+fsync-before-callback; torn-tail truncation) live in the
 non-parametrized classes at the bottom.
 """
 
@@ -31,6 +34,7 @@ import os
 import pytest
 
 from repro.adapters.rt.clock import AsyncioClock
+from repro.adapters.rt.executor import LoopExecutor
 from repro.adapters.rt.storage import RealDisk
 from repro.adapters.rt.transport import (
     TcpListener,
@@ -42,9 +46,11 @@ from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.simtime import Scheduler
 from repro.port.clock import Clock, PeriodicTimerHandle, TimerHandle
+from repro.port.executor import Executor
 from repro.port.storage import StableStorage
 from repro.port.transport import Connection
 from repro.storage.logvolume import LogVolume
+from repro.util.errors import NodeDownError
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +90,9 @@ class SimFamily:
 
     def make_storage(self):
         return SimDisk(self.scheduler, sync_interval_ms=5.0, sync_duration_ms=2.0)
+
+    def make_executor(self):
+        return Node(self.scheduler, "machine")
 
     def make_channel_pair(self):
         a = Node(self.scheduler, "a")
@@ -126,6 +135,9 @@ class RtFamily:
     def make_storage(self):
         return RealDisk(self.clock, sync_interval_ms=5.0)
 
+    def make_executor(self):
+        return LoopExecutor(self.clock, "machine")
+
     def make_channel_pair(self):
         listener = TcpListener()
         accepted = []
@@ -166,6 +178,13 @@ def fam(request):
     family.close()
 
 
+@pytest.fixture
+def rt():
+    family = RtFamily()
+    yield family
+    family.close()
+
+
 # ---------------------------------------------------------------------------
 # The ports are runtime-checkable and both families satisfy them
 # ---------------------------------------------------------------------------
@@ -173,6 +192,7 @@ class TestPortShapes:
     def test_adapters_satisfy_port_protocols(self, fam):
         assert isinstance(fam.clock, Clock)
         assert isinstance(fam.make_storage(), StableStorage)
+        assert isinstance(fam.make_executor(), Executor)
         a, b = fam.make_channel_pair()
         assert isinstance(a, Connection)
         assert isinstance(b, Connection)
@@ -290,6 +310,103 @@ class TestClockContract:
 
 
 # ---------------------------------------------------------------------------
+# Executor
+# ---------------------------------------------------------------------------
+class TestExecutorContract:
+    def test_jobs_run_in_submission_order_never_synchronously(self, fam):
+        ex = fam.make_executor()
+        ran = []
+        for i in range(5):
+            ex.submit(0.1, lambda i=i: ran.append(i))
+        assert ran == []  # submit only enqueues
+        assert fam.run_until(lambda: len(ran) == 5)
+        assert ran == [0, 1, 2, 3, 4]
+
+    def test_submit_inside_a_job_is_not_reentrant(self, fam):
+        ex = fam.make_executor()
+        order = []
+
+        def outer() -> None:
+            order.append("outer-start")
+            ex.submit(0.1, lambda: order.append("inner"))
+            assert ex.try_submit(0.1, lambda: order.append("inner-2"))
+            order.append("outer-end")
+
+        ex.submit(0.1, outer)
+        ex.submit(0.1, lambda: order.append("next"))
+        assert fam.run_until(lambda: len(order) == 5)
+        # Run to completion, then FIFO: work queued before the job ran
+        # precedes what the job itself queued.
+        assert order == ["outer-start", "outer-end", "next", "inner", "inner-2"]
+
+    def test_crash_drops_queued_work_and_rejects_submissions(self, fam):
+        ex = fam.make_executor()
+        ran, events = [], []
+        ex.on_crash(lambda: events.append("crash"))
+        ex.on_recover(lambda: events.append("recover"))
+        ex.submit(0.1, lambda: ran.append("lost"))
+        ex.crash()
+        assert ex.is_down and events == ["crash"]
+        with pytest.raises(NodeDownError):
+            ex.submit(0.1, lambda: ran.append("refused"))
+        assert ex.try_submit(0.1, lambda: ran.append("refused")) is False
+        fam.run_for(20.0)
+        assert ran == []  # queued before the crash: never runs
+        ex.recover()
+        assert not ex.is_down and events == ["crash", "recover"]
+        ex.submit(0.1, lambda: ran.append("after"))
+        assert fam.run_until(lambda: ran == ["after"])
+
+    def test_crash_inside_a_job_drops_the_rest_of_the_queue(self, fam):
+        ex = fam.make_executor()
+        ran = []
+
+        def dies() -> None:
+            ran.append("dies")
+            ex.crash()
+
+        ex.submit(0.1, dies)
+        ex.submit(0.1, lambda: ran.append("lost"))
+        fam.run_for(20.0)
+        assert ran == ["dies"]
+        assert fam.errors == []
+
+    def test_fail_for_recovers_by_itself(self, fam):
+        ex = fam.make_executor()
+        ex.fail_for(10.0)
+        assert ex.is_down
+        assert fam.run_until(lambda: not ex.is_down)
+
+    def test_a_raising_job_does_not_wedge_the_queue(self, fam):
+        ex = fam.make_executor()
+        ran = []
+
+        def boom() -> None:
+            raise RuntimeError("job failed")
+
+        ex.submit(0.1, boom)
+        ex.submit(0.1, lambda: ran.append("after"))
+        assert fam.run_until(lambda: ran == ["after"])
+        assert any(isinstance(e, RuntimeError) for e in fam.errors)
+
+    def test_negative_cost_is_rejected(self, fam):
+        ex = fam.make_executor()
+        with pytest.raises(ValueError):
+            ex.submit(-1.0, lambda: None)
+
+    def test_busy_time_is_monotone(self, fam):
+        ex = fam.make_executor()
+        samples = [ex.busy.total_busy_ms]
+        for _ in range(4):
+            ex.submit(0.5, lambda: samples.append(ex.busy.total_busy_ms))
+        assert fam.run_until(lambda: len(samples) == 5)
+        fam.run_for(5.0)
+        samples.append(ex.busy.total_busy_ms)
+        assert samples == sorted(samples)
+        assert samples[-1] > samples[0]
+
+
+# ---------------------------------------------------------------------------
 # StableStorage
 # ---------------------------------------------------------------------------
 class TestStorageContract:
@@ -390,6 +507,70 @@ class TestSimClockExactness:
         # grid, not 1000 accumulated float additions away from it.
         assert fired[-1] == 100.0
         assert all(abs(t - 0.1 * (i + 1)) < 1e-9 for i, t in enumerate(fired))
+
+
+class TestSimExecutorExactness:
+    """The costed FIFO node: service time is the model, to the tick."""
+
+    def test_completion_at_exactly_now_plus_cost_over_speed(self):
+        sched = Scheduler()
+        node = Node(sched, "fast", speed=2.0)
+        done = []
+        sched.run_until(7.0)
+        node.submit(5.0, lambda: done.append(sched.now))
+        node.submit(3.0, lambda: done.append(sched.now))
+        sched.run()
+        assert done == [7.0 + 5.0 / 2.0, 7.0 + 5.0 / 2.0 + 3.0 / 2.0]
+        assert node.busy.total_busy_ms == 4.0  # modelled, not measured
+
+
+class TestRtExecutorSpecifics:
+    """The loop executor: no modelled service time, no per-job timer."""
+
+    def test_a_burst_of_jobs_schedules_no_timer_per_job(self, rt):
+        scheduled = []
+        schedule = rt.clock._schedule
+        rt.clock._schedule = lambda *a: scheduled.append(a) or schedule(*a)
+        ex = rt.make_executor()
+        ran = []
+        start = rt.loop.time()
+        for i in range(200):
+            # 200 jobs x 50 modelled ms: the sim would take 10 s.
+            ex.submit(50.0, lambda i=i: ran.append(i))
+        assert rt.run_until(lambda: len(ran) == 200)
+        assert rt.loop.time() - start < 2.0  # the cost was not slept
+        assert ran == list(range(200))
+        assert len(scheduled) <= 1  # O(1) Clock timers, not N
+
+    def test_a_self_refilling_queue_starves_neither_timers_nor_sockets(self, rt):
+        ex = rt.make_executor()
+        a, b = rt.make_channel_pair()
+        got, fired = [], []
+        b.on_message(got.append)
+
+        def again() -> None:
+            ex.submit(0.0, again)
+
+        ex.submit(0.0, again)
+        rt.clock.after(5.0, fired.append, "timer")
+        a.send("over the socket")
+        assert rt.run_until(lambda: fired and got, timeout_ms=2000.0)
+        ex.crash()
+
+    def test_busy_is_the_measured_time_not_the_modelled_cost(self, rt):
+        ex = rt.make_executor()
+        done = []
+
+        def spin() -> None:
+            end = rt.loop.time() + 0.01
+            while rt.loop.time() < end:
+                pass
+            done.append(True)
+
+        ex.submit(10_000.0, spin)
+        assert rt.run_until(lambda: done)
+        rt.run_for(5.0)
+        assert 8.0 <= ex.busy.total_busy_ms < 1_000.0
 
 
 class TestRtTransportSpecifics:

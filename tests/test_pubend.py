@@ -196,3 +196,28 @@ class TestCrash:
         pubend.recover()
         reply = pubend.serve_nack(IntervalSet([(1, 199)]))
         assert [x.timestamp for x in reply.d_events] == [e.timestamp]
+
+
+class TestAnnounceHead:
+    def test_repeats_the_newest_logged_event(self, sim):
+        pubend, updates, _ = make_pubend(sim)
+        for g in range(5):  # a burst: stamped one tick apart, ahead of the clock
+            newest = pubend.publish({"g": g})
+        del updates[:]
+        pubend.announce_head()
+        assert len(updates) == 1
+        assert [e.timestamp for e in updates[0].d_events] == [newest.timestamp]
+        assert not updates[0].s_ranges and not updates[0].l_ranges
+        assert newest.timestamp > sim.now  # nothing else would say so yet
+
+    def test_silent_when_nothing_is_logged_or_all_of_it_is_released(self, sim):
+        pubend, updates, _ = make_pubend(sim, policy=MaxRetainPolicy(10))
+        pubend.announce_head()
+        assert updates == []
+        pubend.publish({"g": 0})
+        sim.run_until(500)
+        pubend.on_release_report("c", released=0, latest_delivered=400)
+        assert pubend.log.live_event_count == 0 and pubend.lost_below > 1
+        del updates[:]
+        pubend.announce_head()
+        assert updates == []
