@@ -42,23 +42,17 @@ HIGHER_IS_WORSE = {
     "mean_batch_size_window10": False,
     "events_delivered": False,
     # Counting-matcher headline numbers (benchmarks/bench_matching.py):
-    # events/sec and speedup-vs-legacy per workload, plus the fan-out
-    # aggregation's per-subscription work reduction.
+    # events/sec per workload with the matcher's caches filling
+    # (``match`` per event) and memoized (``match_batch``, so a silent
+    # de-amortization regresses CI), plus the fan-out aggregation's
+    # deterministic per-subscription work counters.
     "matcher_eps_single_1000": False,
     "matcher_eps_single_10000": False,
     "matcher_eps_multi_1000": False,
     "matcher_eps_multi_10000": False,
-    "matcher_speedup_single_1000": False,
-    "matcher_speedup_single_10000": False,
-    "matcher_speedup_multi_1000": False,
-    "matcher_speedup_multi_10000": False,
-    "matcher_eval_reduction_fanout": False,
-    "matcher_active_signatures_fanout": True,
-    # Batch-oriented matching (the ≥3x tentpole gate lives in
-    # bench_matching.test_batch_matching_vs_single_event; these hold
-    # the measured level so a silent de-amortization regresses CI):
     "matcher_batch_eps_multi_10000": False,
-    "matcher_batch_speedup_multi_10000": False,
+    "matcher_aggregate_evals_fanout": True,
+    "matcher_active_signatures_fanout": True,
     # End-to-end simulator throughput (bench_scalability): delivered
     # simulated events per wall-clock second, plus the deterministic
     # delivery efficiency of the same smoke run.
@@ -86,13 +80,11 @@ HIGHER_IS_WORSE = {
 }
 
 #: Per-metric tolerance overrides.  The batching metrics and the
-#: matcher's work counters (eval reduction, active signatures) are
+#: matcher's work counters (aggregate evals, active signatures) are
 #: deterministic, so the default 20% only absorbs deliberate retuning.
-#: Anything wall-clock (events/sec and the speedup ratios derived from
-#: it) swings with host load, so CI holds those loosely — they gate
-#: order-of-magnitude collapses, not noise.
+#: Anything wall-clock (events/sec) swings with host load, so CI holds
+#: those loosely — they gate order-of-magnitude collapses, not noise.
 TOLERANCES = {name: 0.60 for name in HIGHER_IS_WORSE if "_eps_" in name}
-TOLERANCES.update({name: 0.50 for name in HIGHER_IS_WORSE if "_speedup_" in name})
 TOLERANCES["scalability_sim_events_per_wall_s"] = 0.60  # wall-clock
 TOLERANCES["scalability_efficiency_smoke"] = 0.02       # deterministic
 TOLERANCES["scale_sim_events_per_wall_s_100k"] = 0.60   # wall-clock
@@ -147,15 +139,20 @@ def compare(baseline: dict, current: dict, out=None) -> list:
             failures.append(f"{name}: missing from results (benchmark stopped producing it)")
             continue
         if old == 0:
-            continue
-        tolerance = TOLERANCES.get(name, TOLERANCE)
-        change = (new - old) / abs(old)
-        worse = change if higher_is_worse else -change
-        marker = "REGRESSION" if worse > tolerance else "ok"
+            # No relative change exists from zero (a fault counter,
+            # say): any move in the worse direction is a regression.
+            regressed = new > 0 if higher_is_worse else new < 0
+            change, bound = f"{new - old:+}", "any"
+        else:
+            tolerance = TOLERANCES.get(name, TOLERANCE)
+            ratio = (new - old) / abs(old)
+            regressed = (ratio if higher_is_worse else -ratio) > tolerance
+            change, bound = f"{ratio:+.1%}", f"{tolerance:.0%}"
+        marker = "REGRESSION" if regressed else "ok"
         print(f"{name:34s} baseline={old:<12} current={new:<12} "
-              f"change={change:+.1%} [{marker} @ {tolerance:.0%}]", file=out)
-        if worse > tolerance:
-            failures.append(f"{name}: {old} -> {new} ({change:+.1%})")
+              f"change={change} [{marker} @ {bound}]", file=out)
+        if regressed:
+            failures.append(f"{name}: {old} -> {new} ({change})")
     return failures
 
 

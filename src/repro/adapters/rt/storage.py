@@ -71,10 +71,6 @@ class RealDisk:
     def crash_reset(self) -> None:
         """No-op: a real crash is process death (see module docstring)."""
 
-    def flush_now(self) -> None:
-        """Synchronous fsync + callback drain (shutdown path)."""
-        self._sync()
-
     def close(self) -> None:
         self._sync()
         for volume in self._volumes:

@@ -229,16 +229,11 @@ class Broker:
     def _on_subscription_sync(self, child: str, msg: M.SubscriptionSync) -> bool:
         """Apply a sync; returns True iff the child's union is now warm.
 
-        An epoch-tagged sync only takes effect when every add of that
-        epoch arrived (count check): the staged set then atomically
-        replaces the live union.  On a mismatch (adds lost or still in
-        flight) nothing changes — the child's next refresh retries with
-        a fresh epoch.  An untagged sync keeps the legacy behavior of
-        trusting the incrementally-built union.
+        A sync only takes effect when every add of its epoch arrived
+        (count check): the staged set then atomically replaces the live
+        union.  On a mismatch (adds lost or still in flight) nothing
+        changes — the child's next refresh retries with a fresh epoch.
         """
-        if msg.epoch is None:
-            self.child_filter_ready[child] = True
-            return True
         if msg.epoch <= self._applied_sub_epoch.get(child, -1):
             return self.child_filter_ready.get(child, False)
         staged = self._staged_subs.get(child, {}).pop(msg.epoch, {})

@@ -283,26 +283,17 @@ class IntermediateBroker(Broker):
             self.send_up(msg)
         elif isinstance(msg, M.SubscriptionSync):
             warmed = self._on_subscription_sync(child, msg)
-            if (
-                msg.want_ack
-                and msg.epoch is not None
-                and self._applied_sub_epoch.get(child, -1) >= msg.epoch
-            ):
+            if msg.want_ack and self._applied_sub_epoch.get(child, -1) >= msg.epoch:
                 # The child wants root-applied confirmation: remember
                 # its epoch; the next upstream refresh carries it.
                 prev = self._pending_sync_acks.get(child, -1)
                 self._pending_sync_acks[child] = max(prev, msg.epoch)
-            # This broker's own union is complete only once every
-            # child has re-synced; then tell the parent.
-            if warmed and all(self.child_filter_ready.values()):
-                if msg.epoch is None:
-                    total = sum(len(e) for e in self.child_engines.values())
-                    self.send_up(M.SubscriptionSync(total))
-                elif self._upstream_refresh_due or self._pending_sync_acks:
-                    # First full warm-up after our recovery — or a
-                    # confirmation waiting — push the verified union up
-                    # now rather than next interval.
-                    self._refresh_upstream()
+            if warmed and (self._upstream_refresh_due or self._pending_sync_acks):
+                # First full warm-up after our recovery — or a
+                # confirmation waiting — push the verified union up
+                # now rather than next interval (_refresh_upstream
+                # holds back until every child has re-synced).
+                self._refresh_upstream()
 
     def _on_nack(self, child: str, nack: M.Nack) -> None:
         relay = self._relay(nack.pubend)

@@ -308,7 +308,7 @@ class PublisherHostingBroker(Broker):
         elif isinstance(msg, M.SubscriptionSync):
             self._on_subscription_sync(child, msg)
             applied = self._applied_sub_epoch.get(child, -1)
-            if msg.want_ack and msg.epoch is not None and applied >= msg.epoch:
+            if msg.want_ack and applied >= msg.epoch:
                 # Root ack for a coverage-confirmation refresh.  Queued
                 # through the CPU queue: dissemination classifies
                 # synchronously but *sends* via submitted jobs, so the

@@ -537,10 +537,6 @@ class SubscriberHostingBroker(Broker):
         """Supervised drain, step 1: stop admitting new subscriptions."""
         self.draining = True
 
-    @property
-    def hosts_subscriptions(self) -> bool:
-        return len(self.registry) > 0
-
     def _connect_refusal(self, sub_id: str) -> Optional[M.ConnectRefused]:
         """Why a connect cannot be served here, if it cannot."""
         inflight = self._migrating.get(sub_id)

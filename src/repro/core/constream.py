@@ -122,13 +122,6 @@ class ConsolidatedStream:
         """Subscriber disconnected (it becomes catchup on reconnect)."""
         self._non_catchup.pop(sub_id, None)
 
-    @property
-    def non_catchup_count(self) -> int:
-        return len(self._non_catchup)
-
-    def is_non_catchup(self, sub_id: str) -> bool:
-        return sub_id in self._non_catchup
-
     def on_latest_delivered(self, fn: Callable[[int], None]) -> None:
         """Register a listener for latestDelivered advances."""
         self._listeners.append(fn)

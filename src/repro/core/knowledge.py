@@ -11,10 +11,9 @@ cursor, and consumed storage is forgotten to keep memory bounded.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, List, Optional
 
 from ..util.intervals import IntervalSet
-from .events import Event
 from .messages import KnowledgeUpdate
 from .tickmap import Run, TickMap
 from .ticks import Tick
@@ -59,9 +58,6 @@ class KnowledgeStream:
         for update in updates:
             self.accumulate(update)
 
-    def accumulate_event(self, event: Event) -> None:
-        self.tickmap.set_d(event.timestamp, event)
-
     def accumulate_silence(self, start: int, end: int) -> None:
         self.tickmap.set_s(start, end)
 
@@ -99,10 +95,6 @@ class KnowledgeStream:
         self.consumed = horizon
         self.tickmap.forget_below(horizon + 1)
         return runs
-
-    def peek_runs(self, end: int) -> Iterator[Run]:
-        """Inspect runs from the cursor to ``end`` without consuming."""
-        return self.tickmap.runs_between(self.consumed + 1, end)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KnowledgeStream {self.pubend} consumed={self.consumed} dh={self.doubt_horizon}>"

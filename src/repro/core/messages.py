@@ -234,8 +234,7 @@ class SubscriptionSync:
     the child warm only if it actually received all ``sub_count`` adds
     of that epoch.  On a lossless link the count always matches; on a
     lossy one a partial refresh leaves the child cold (unfiltered —
-    safe) until a later refresh survives intact.  ``epoch=None`` keeps
-    the legacy unconditional-warm behavior for hand-built tests.
+    safe) until a later refresh survives intact.
 
     ``want_ack`` requests a :class:`SubscriptionSynced` confirmation
     once the refresh has been applied *at the tree root* — set by a
@@ -245,7 +244,7 @@ class SubscriptionSync:
     """
 
     sub_count: int
-    epoch: Optional[int] = None
+    epoch: int
     want_ack: bool = False
 
     @property

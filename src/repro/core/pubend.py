@@ -277,11 +277,6 @@ class Pubend:
         self._released_bound = bound
         return self.log.chop_below(bound + 1)
 
-    @property
-    def release_state(self) -> Optional[Tuple[int, int]]:
-        """The pubend's current ``(Tr(p), Td(p))`` aggregate, if known."""
-        return self.release_agg.aggregate()
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------

@@ -169,11 +169,11 @@ class SubscriptionRegistry:
     def _load(self) -> None:
         """Rebuild in-memory state from committed rows (recovery path)."""
         for sub_id, row in self._subs_table.committed_items():
-            if len(row) == 3:
-                num, predicate, pfs_from = row
-            else:  # rows written before pfs_from existed
-                num, predicate = row
-                pfs_from = {}
+            if len(row) != 3:
+                raise SubscriptionError(
+                    f"registry row of {sub_id} has {len(row)} fields, not (num, predicate, pfs_from)"
+                )
+            num, predicate, pfs_from = row
             sub_id = sys.intern(sub_id)
             sub = DurableSubscription(
                 sub_id, num, intern_predicate(predicate),

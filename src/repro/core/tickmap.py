@@ -153,10 +153,6 @@ class TickMap:
             return IntervalSet()
         return self._known.complement_within(start, end)
 
-    def known_within(self, start: int, end: int) -> IntervalSet:
-        """The S/D ticks in ``[start, end]`` (L prefix not included)."""
-        return self._known.intersect_span(start, end)
-
     def events_between(self, start: int, end: int) -> List[Event]:
         """All D events with ``start <= t <= end``, ascending."""
         lo = bisect.bisect_left(self._d_times, start)

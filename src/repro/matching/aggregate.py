@@ -77,7 +77,7 @@ class SubscriptionAggregate:
         return _WILDCARD in self._refs
 
     def matches_any(self, attributes: Mapping[str, Any]) -> bool:
-        return self.matcher.matches_any(attributes)
+        return self.matches_any_batch([attributes])[0]
 
     def matches_any_batch(self, batch: Sequence[Mapping[str, Any]]) -> List[bool]:
         """Per-event :meth:`matches_any` answers for a whole batch.

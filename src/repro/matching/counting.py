@@ -32,26 +32,29 @@ Keys are opaque hashables: the :class:`~repro.matching.engine
 .MatchingEngine` counts subscription ids, the per-link aggregate counts
 deduplicated conjunction signatures.
 
-Batch orientation (:meth:`CountingMatcher.match_batch`,
-:meth:`CountingMatcher.matches_any_batch`): the broker hot path hands
-the matcher whole coalesced tick-ranges (a constream pump, a filtered
-``KnowledgeUpdate``), and real workloads draw attribute values from
-small domains, so consecutive events repeat both index probes and
-entire satisfied-atom signatures.  Two caches — both invalidated
-wholesale on any registration change — amortize that repetition:
+The matcher works on *streams* of events: its two entry points,
+:meth:`CountingMatcher.match_batch` and
+:meth:`CountingMatcher.matches_any_batch`, take a sequence (a constream
+pump's live run, a filtered ``KnowledgeUpdate``'s tick-range; one event
+is the sequence of length one) and there is no other counting loop.
+Real workloads draw attribute values from small domains, so
+consecutive events repeat both index probes and entire satisfied-atom
+signatures.  Two caches live on the matcher, persist across calls and
+are invalidated wholesale on any registration change:
 
-* the **probe cache** maps ``(attr, value)`` to a token plus the tuple
-  of satisfied interned atoms, so a repeated value costs one dict hit
-  instead of a hash probe plus two bisects;
+* the **probe cache** maps ``(attr, type, value)`` to a token plus the
+  tuple of satisfied interned atoms, so a repeated value costs one dict
+  hit instead of a hash probe plus two bisects;
 * the **signature memo** maps the event's token tuple (an interned
   stand-in for its satisfied predicate-signature set, in collection
   order) to the ordered candidate list that survives counting and
-  subset verification, so the whole counting loop runs once per
-  *distinct* signature per registration epoch, not once per event.
+  subset verification, so the counting loop
+  (:meth:`CountingMatcher._candidates_for`) runs once per *distinct*
+  signature per registration epoch, not once per event.
 
-Residuals still run per event (they read arbitrary attributes), and
-per-event output order is byte-identical to :meth:`match` /
-:meth:`matches_any` — batching is a pure performance transform.
+Residuals still run per event (they read arbitrary attributes).  Output
+order is deterministic: registration order for zero-atom keys, then
+atom-collection order — all the underlying tables are insertion-ordered.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ from .predicates import Atom, CmpAtom, EqAtom, Predicate
 _LO_FLAG = {">=": 0, ">": 1}
 _HI_FLAG = {"<": 0, "<=": 1}
 
-#: Bound on each batch-amortization cache (probe cache, signature
-#: memo) before it is cleared wholesale.  Real workloads draw values
+#: Bound on each amortization cache (probe cache, signature memo)
+#: before it is cleared wholesale.  Real workloads draw values
 #: and signatures from small domains, so the bound exists only to keep
 #: a pathological high-cardinality stream from hoarding memory.
 _BATCH_CACHE_LIMIT = 4096
@@ -223,7 +226,7 @@ class CountingMatcher:
         self._attrs: Dict[str, _AttrIndex] = {}
         # zero-atom keys: wildcards (no residual) and the scan bucket
         self._always: Dict[Hashable, None] = {}
-        # batch-amortization caches, invalidated on any add/remove:
+        # amortization caches, invalidated on any add/remove:
         # (attr, type, value) -> (token, satisfied interned entries),
         # and token-tuple signature -> the ordered candidate plan
         # surviving counting + subset verification.  Tokens are small
@@ -244,7 +247,6 @@ class CountingMatcher:
         self.residual_evals = 0
         self.candidates_seen = 0
         self.events_processed = 0
-        self.batch_events = 0
         self.probe_cache_hits = 0
         self.sig_memo_hits = 0
 
@@ -334,16 +336,6 @@ class CountingMatcher:
         return sum(1 for key in self._always if key in self._residuals)
 
     # -- matching ------------------------------------------------------
-    def _satisfied_atoms(self, attributes: Mapping[str, Any]) -> List[Atom]:
-        out: List[Atom] = []
-        examined = 0
-        for attr, value in attributes.items():
-            idx = self._attrs.get(attr)
-            if idx is not None:
-                examined += idx.collect(value, out)
-        self.atoms_examined += examined
-        return out
-
     def _residual_ok(self, key: Hashable, attributes: Mapping[str, Any]) -> bool:
         residual = self._residuals.get(key)
         if residual is None:
@@ -351,86 +343,6 @@ class CountingMatcher:
         self.residual_evals += 1
         return residual.matches(attributes)
 
-    def match(self, attributes: Mapping[str, Any]) -> List[Hashable]:
-        """Every key whose predicate matches, in deterministic order
-        (registration order for zero-atom keys, then atom-collection
-        order — all the underlying tables are insertion-ordered)."""
-        self.events_processed += 1
-        out: List[Hashable] = []
-        for key in self._always:
-            if self._residual_ok(key, attributes):
-                out.append(key)
-        entries = self._entries
-        sat = [entries[atom] for atom in self._satisfied_atoms(attributes)]
-        sat_ids = {e.id for e in sat}
-        counts: Dict[Hashable, int] = {}
-        needs = self._needs
-        verify = self._verify
-        residuals = self._residuals
-        issuperset = sat_ids.issuperset
-        append = out.append
-        touched = len(self._always)
-        for entry in sat:
-            touched += len(entry.keys)
-            for key in entry.keys:
-                need = needs[key]
-                if need != 1:
-                    n = counts.get(key, 0) + 1
-                    counts[key] = n
-                    if n != need:
-                        continue
-                pending = verify.get(key)
-                if pending is not None and not issuperset(pending):
-                    continue
-                residual = residuals.get(key)
-                if residual is None:
-                    append(key)
-                else:
-                    self.residual_evals += 1
-                    if residual.matches(attributes):
-                        append(key)
-        self.candidates_seen += touched
-        return out
-
-    def matches_any(self, attributes: Mapping[str, Any]) -> bool:
-        """Short-circuiting :meth:`match`: does *any* key match?"""
-        self.events_processed += 1
-        for key in self._always:
-            if self._residual_ok(key, attributes):
-                return True
-        entries = self._entries
-        sat = [entries[atom] for atom in self._satisfied_atoms(attributes)]
-        sat_ids = {e.id for e in sat}
-        counts: Dict[Hashable, int] = {}
-        needs = self._needs
-        verify = self._verify
-        residuals = self._residuals
-        issuperset = sat_ids.issuperset
-        touched = len(self._always)
-        for entry in sat:
-            for key in entry.keys:
-                touched += 1
-                need = needs[key]
-                if need != 1:
-                    n = counts.get(key, 0) + 1
-                    counts[key] = n
-                    if n != need:
-                        continue
-                pending = verify.get(key)
-                if pending is not None and not issuperset(pending):
-                    continue
-                residual = residuals.get(key)
-                if residual is None:
-                    self.candidates_seen += touched
-                    return True
-                self.residual_evals += 1
-                if residual.matches(attributes):
-                    self.candidates_seen += touched
-                    return True
-        self.candidates_seen += touched
-        return False
-
-    # -- batch matching ------------------------------------------------
     def _probe(
         self, attributes: Mapping[str, Any]
     ) -> Tuple[Tuple[int, ...], List[Tuple["_AtomEntry", ...]]]:
@@ -480,12 +392,11 @@ class CountingMatcher:
     ) -> Tuple[Tuple[Hashable, Optional[Predicate]], ...]:
         """The ordered candidate plan for one satisfied-atom signature.
 
-        Runs the counting loop of :meth:`match` — count through the
-        access atoms, verify the rest by interned-id subset — but
-        records ``(key, residual)`` pairs instead of evaluating
-        residuals, so the plan depends only on the signature and can be
-        memoized per registration epoch.  Emission order is exactly
-        :meth:`match`'s counting order.
+        The counting loop: count through the access atoms, verify the
+        rest by interned-id subset, and record ``(key, residual)``
+        pairs instead of evaluating residuals, so the plan depends only
+        on the signature and is memoized per registration epoch.
+        Emission order is atom-collection order.
         """
         memo = self._sig_memo
         plan = memo.get(sig)
@@ -524,19 +435,19 @@ class CountingMatcher:
     def match_batch(
         self, batch: Sequence[Mapping[str, Any]]
     ) -> List[List[Hashable]]:
-        """Per-event :meth:`match` results for a whole batch.
+        """Per event, every key whose predicate matches, in
+        deterministic order (zero-atom keys in registration order, then
+        the signature's candidate plan).
 
-        Byte-identical to calling :meth:`match` once per event, in
-        order — only the work is amortized: index probes through the
-        probe cache, the counting loop through the signature memo.
-        Residuals are still evaluated per event (they read arbitrary
-        attribute values the signature does not capture).
+        Index probes go through the probe cache, the counting loop
+        through the signature memo; residuals are evaluated per event
+        (they read arbitrary attribute values the signature does not
+        capture).
         """
         results: List[List[Hashable]] = []
         always = self._always
         for attributes in batch:
             self.events_processed += 1
-            self.batch_events += 1
             out: List[Hashable] = []
             for key in always:
                 if self._residual_ok(key, attributes):
@@ -553,12 +464,12 @@ class CountingMatcher:
         return results
 
     def matches_any_batch(self, batch: Sequence[Mapping[str, Any]]) -> List[bool]:
-        """Per-event :meth:`matches_any` answers for a whole batch."""
+        """Short-circuiting :meth:`match_batch`: per event, does *any*
+        key match?"""
         results: List[bool] = []
         always = self._always
         for attributes in batch:
             self.events_processed += 1
-            self.batch_events += 1
             hit = False
             for key in always:
                 if self._residual_ok(key, attributes):

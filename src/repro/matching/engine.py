@@ -15,6 +15,12 @@ of its atoms — determined by counting, not by re-walking predicate
 trees.  Only fully opaque predicates land in the (now rare) scan
 bucket, as zero-atom entries that are candidates for every event.
 
+A broker handles *streams*: the SHB's constream pump hands over a whole
+live run, a PHB or intermediate a coalesced tick-range.  The ``*_batch``
+methods are therefore the algorithm; ``match`` / ``matches_any`` /
+``match_at`` are the batch of one and share its probe cache, signature
+memo and counters.
+
 ``matches_any`` — the per-downstream-link question — is answered by a
 :class:`~repro.matching.aggregate.SubscriptionAggregate`: equal
 predicates collapse into refcounted signatures and broader residual-free
@@ -56,14 +62,6 @@ def decompose_safe(predicate: Predicate) -> Tuple[Tuple[Atom, ...], Optional[Pre
 
 class MatchingEngine:
     """A mutable registry of ``subscription_id -> Predicate``."""
-
-    #: Class-level toggle for the batch-amortized matching paths.  When
-    #: False every ``*_batch`` entry point degrades to a per-event loop
-    #: over the single-event methods; results must be byte-identical
-    #: either way (the determinism suite pins this).  Exists so tests
-    #: can prove batching is a pure performance transform — production
-    #: code never turns it off.
-    batch_matching = True
 
     def __init__(self) -> None:
         self._filters: Dict[str, Predicate] = {}
@@ -136,7 +134,7 @@ class MatchingEngine:
     # ------------------------------------------------------------------
     def match(self, attributes: Mapping[str, Any]) -> Set[str]:
         """All subscription ids whose predicate matches ``attributes``."""
-        return set(self._counting.match(attributes))
+        return self.match_batch([attributes])[0]
 
     def matches_any(self, attributes: Mapping[str, Any]) -> bool:
         """True if at least one registered subscription matches.
@@ -146,7 +144,7 @@ class MatchingEngine:
         active covering signatures — not by trying subscriptions one
         by one.
         """
-        return self._aggregate.matches_any(attributes)
+        return self.matches_any_batch([attributes])[0]
 
     def accepts_all(self) -> bool:
         """True when a wildcard subscription is registered, so every
@@ -165,30 +163,14 @@ class MatchingEngine:
         survives subscription churn.  Returns a frozen set — callers
         must not mutate it.
         """
-        cached = self._match_cache.get(event_id)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached[1]
-        self.cache_misses += 1
-        while len(self._match_cache) >= MATCH_CACHE_LIMIT:
-            self._match_cache.popitem(last=False)
-        result = frozenset(self._counting.match(attributes))
-        self._match_cache[event_id] = (attributes, result)
-        return result
+        return self.match_at_batch([(event_id, attributes)])[0]
 
-    # ------------------------------------------------------------------
-    # Batch matching — pure performance transforms over the above
-    # ------------------------------------------------------------------
     def match_batch(self, batch: Sequence[Mapping[str, Any]]) -> List[Set[str]]:
         """Per-event :meth:`match` results for a whole batch, in order."""
-        if not self.batch_matching:
-            return [self.match(attributes) for attributes in batch]
         return [set(found) for found in self._counting.match_batch(batch)]
 
     def matches_any_batch(self, batch: Sequence[Mapping[str, Any]]) -> List[bool]:
         """Per-event :meth:`matches_any` answers for a whole batch."""
-        if not self.batch_matching:
-            return [self.matches_any(attributes) for attributes in batch]
         return self._aggregate.matches_any_batch(batch)
 
     def match_at_batch(
@@ -196,13 +178,10 @@ class MatchingEngine:
     ) -> List[FrozenSet[str]]:
         """:meth:`match_at` over ``(event_id, attributes)`` pairs.
 
-        Cache hits are served first, then the misses are batch-matched
-        and inserted in item order with :meth:`match_at`'s exact
-        evict-then-store sequence, so the resulting cache contents are
-        the same as the per-event loop's.
+        Cache hits are served first, then the misses are matched as
+        one batch and inserted in item order, each evicting (FIFO)
+        before it is stored.
         """
-        if not self.batch_matching:
-            return [self.match_at(eid, attrs) for eid, attrs in items]
         results: List[Optional[FrozenSet[str]]] = [None] * len(items)
         cache = self._match_cache
         miss_indices: List[int] = []
@@ -255,12 +234,13 @@ class MatchingEngine:
 
     @property
     def batch_events(self) -> int:
-        """Events matched through the batch-amortized paths."""
-        return self._counting.batch_events
+        """Events matched as part of a batch — all of them; the name is
+        one the benchmark ledger reads beside ``events_processed``."""
+        return self._counting.events_processed
 
     @property
     def probe_cache_hits(self) -> int:
-        """Attribute probes answered from the batch probe cache."""
+        """Attribute probes answered from the probe cache."""
         return self._counting.probe_cache_hits
 
     @property

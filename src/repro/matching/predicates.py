@@ -8,15 +8,12 @@ uninteresting events travel no further than necessary).
 Predicates are small immutable trees.  Composite predicates (:class:`And`,
 :class:`Or`, :class:`Not`) combine the attribute tests.  Every predicate
 answers :meth:`Predicate.matches` against an attribute mapping and
-exposes two indexing views for the matching engine:
-
-* :meth:`indexable_equalities` — the legacy single-key view
-  (``attr ∈ values``), kept for introspection and tests;
-* :meth:`decompose` — the counting-matcher view: the predicate as a
-  conjunction of indexable *atoms* plus an optional opaque residual,
-  so multi-attribute conjunctions (the common content-based form in
-  Gryphon's information-flow model) are matched by counting satisfied
-  atoms per subscription instead of re-evaluating whole trees.
+exposes one indexing view for the matching engine,
+:meth:`Predicate.decompose`: the predicate as a conjunction of
+indexable *atoms* plus an optional opaque residual, so multi-attribute
+conjunctions (the common content-based form in Gryphon's
+information-flow model) are matched by counting satisfied atoms per
+subscription instead of re-evaluating whole trees.
 """
 
 from __future__ import annotations
@@ -144,17 +141,6 @@ class Predicate:
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         raise NotImplementedError
 
-    def indexable_equalities(self) -> Optional[Tuple[str, FrozenSet[Any]]]:
-        """``(attr, values)`` if this predicate *requires* attr ∈ values.
-
-        Returning None means the predicate cannot be used as an index
-        key and subscriptions using it fall back to a linear scan.
-        Only top-level conjuncts are consulted, so this is sound: a
-        subscription indexed under ``(attr, values)`` can only match
-        events whose ``attr`` is one of ``values``.
-        """
-        return None
-
     def decompose(self) -> Decomposition:
         """``(atoms, residual)`` with ``self ≡ AND(atoms) ∧ residual``.
 
@@ -212,9 +198,6 @@ class Eq(Predicate):
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         return attributes.get(self.attr, _MISSING) == self.value
 
-    def indexable_equalities(self) -> Optional[Tuple[str, FrozenSet[Any]]]:
-        return self.attr, frozenset((self.value,))
-
     def decompose(self) -> Decomposition:
         return (EqAtom(self.attr, frozenset((self.value,))),), None
 
@@ -232,9 +215,6 @@ class In(Predicate):
 
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         return attributes.get(self.attr, _MISSING) in self.values
-
-    def indexable_equalities(self) -> Optional[Tuple[str, FrozenSet[Any]]]:
-        return self.attr, self.values
 
     def decompose(self) -> Decomposition:
         return (EqAtom(self.attr, self.values),), None
@@ -364,13 +344,6 @@ class And(Predicate):
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         return all(t.matches(attributes) for t in self.terms)
 
-    def indexable_equalities(self) -> Optional[Tuple[str, FrozenSet[Any]]]:
-        for t in self.terms:
-            key = t.indexable_equalities()
-            if key is not None:
-                return key
-        return None
-
     def decompose(self) -> Decomposition:
         # A conjunction is exactly the concatenation of its children's
         # decompositions; opaque children fold into one residual.
@@ -401,25 +374,6 @@ class Or(Predicate):
 
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         return any(t.matches(attributes) for t in self.terms)
-
-    def indexable_equalities(self) -> Optional[Tuple[str, FrozenSet[Any]]]:
-        # An Or is indexable only if every branch constrains the same
-        # attribute; the index key is then the union of the value sets.
-        attr: Optional[str] = None
-        values: set = set()
-        for t in self.terms:
-            key = t.indexable_equalities()
-            if key is None:
-                return None
-            t_attr, t_values = key
-            if attr is None:
-                attr = t_attr
-            elif attr != t_attr:
-                return None
-            values.update(t_values)
-        if attr is None:
-            return None
-        return attr, frozenset(values)
 
     def decompose(self) -> Decomposition:
         # A disjunction indexes only in the In-like case: every branch

@@ -15,7 +15,7 @@ range).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Mapping
 
 from .predicates import Decomposition, EqAtom, Predicate
 
@@ -65,11 +65,6 @@ class Topic(Predicate):
         if not isinstance(topic, str):
             return False
         return topic_pattern_matches(self.pattern, topic)
-
-    def indexable_equalities(self) -> Optional[Tuple[str, FrozenSet[Any]]]:
-        if self.is_literal:
-            return TOPIC_ATTR, frozenset((self.pattern,))
-        return None
 
     def decompose(self) -> Decomposition:
         # Literal topics are plain equalities; wildcard patterns stay

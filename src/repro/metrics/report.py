@@ -34,11 +34,6 @@ def format_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[obj
     return "\n".join(lines)
 
 
-def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    print()
-    print(format_table(title, headers, rows))
-
-
 def summarize_series(series: Series, skip_warmup: int = 0) -> dict:
     """Mean/min/max summary of a series, optionally dropping warmup points."""
     points = series.points[skip_warmup:]

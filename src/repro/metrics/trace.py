@@ -150,12 +150,6 @@ class EventTracer:
         """At least one live trace exists (hop sites guard on this)."""
         return bool(self._traces)
 
-    def is_traced(self, event_id: str) -> bool:
-        return event_id in self._traces
-
-    def trace_of(self, event_id: str) -> Optional[Trace]:
-        return self._traces.get(event_id)
-
     def traces(self) -> List[Trace]:
         return list(self._traces.values())
 

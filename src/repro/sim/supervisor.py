@@ -46,7 +46,6 @@ from ..broker.topology import (
     attach_intermediate,
     attach_shb,
     detach_broker,
-    reparent_broker,
 )
 from ..core import messages as M
 from ..net.link import Link
@@ -220,22 +219,6 @@ class Supervisor:
             handle.migrations.append(
                 self.migrate(sub_id, source, target, on_done=migrated)
             )
-
-    def drain_intermediate(self, mid: IntermediateBroker) -> None:
-        """Remove an intermediate: reparent its subtree, then detach.
-
-        Children hop up to the grandparent; their eager uplink resync
-        (subscription refresh, release re-report, curiosity kick)
-        re-warms the new parent, and anything in flight on the severed
-        links is recovered by the ordinary gap-check/nack machinery.
-        """
-        parent = self.overlay.parent_of(mid)
-        if parent is None:
-            raise ConfigurationError(f"{mid.name} has no parent")
-        for child_name in list(mid.child_names):
-            child = self.overlay.broker_by_name(child_name)
-            reparent_broker(self.overlay, child, parent)
-        detach_broker(self.overlay, mid)
 
     # ------------------------------------------------------------------
     # Migration

@@ -77,11 +77,6 @@ class SimDisk:
         self._staged.append((nbytes, on_durable))
         self._arm_sync()
 
-    def sync_now(self) -> None:
-        """Force a sync cycle to begin immediately (used by shutdown paths)."""
-        if self._staged and not self._sync_in_flight:
-            self._begin_sync()
-
     def _arm_sync(self) -> None:
         if self._sync_scheduled or self._sync_in_flight:
             return

@@ -137,11 +137,6 @@ class IntervalSet:
             raise ValueError("empty IntervalSet has no maximum")
         return self._ivs[-1].end
 
-    def first_interval(self) -> Interval:
-        if not self._ivs:
-            raise ValueError("empty IntervalSet")
-        return self._ivs[0]
-
     def intervals(self) -> List[Interval]:
         """A snapshot list of the intervals (ascending)."""
         return list(self._ivs)
@@ -176,9 +171,6 @@ class IntervalSet:
             new = Interval(min(new.start, ivs[lo].start), max(new.end, ivs[hi - 1].end))
         ivs[lo:hi] = [new]
         self._count += (new.end - new.start + 1) - replaced
-
-    def add_interval(self, iv: Interval) -> None:
-        self.add(iv.start, iv.end)
 
     def update(self, other: "IntervalSet") -> None:
         """In-place union with another set (linear merge-walk)."""

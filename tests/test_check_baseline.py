@@ -58,6 +58,18 @@ class TestCompare:
         assert len(failures) == 1
         assert "events_delivered" in failures[0]
 
+    def test_zero_baseline_is_compared_absolutely(self):
+        baseline = _full_metrics(100.0)
+        baseline["latency_e2e_p99_ms"] = 0.0      # lower is better
+        baseline["events_delivered"] = 0.0        # higher is better
+        current = dict(baseline)
+        assert check_baseline.compare(baseline, current, out=io.StringIO()) == []
+        current["latency_e2e_p99_ms"] = 3.0       # grew from nothing: worse
+        current["events_delivered"] = 5.0         # grew from nothing: better
+        failures = check_baseline.compare(baseline, current, out=io.StringIO())
+        assert len(failures) == 1
+        assert "latency_e2e_p99_ms: 0.0 -> 3.0" in failures[0]
+
     def test_improvement_passes(self):
         baseline = _full_metrics(100.0)
         current = dict(baseline)

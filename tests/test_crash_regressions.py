@@ -40,7 +40,7 @@ from repro.broker.topology import build_two_broker
 from repro.client.subscriber import DurableSubscriber
 from repro.core import messages as M
 from repro.core.events import Event
-from repro.core.subscription import SubscriptionRegistry
+from repro.core.subscription import SubscriptionError, SubscriptionRegistry
 from repro.matching.predicates import Eq, In
 from repro.net.node import Node
 from repro.net.simtime import Scheduler
@@ -124,15 +124,13 @@ class TestPfsFromRegistrationCursor:
         assert sub is not None
         assert sub.pfs_from == {"P1": 42}
 
-    def test_legacy_two_tuple_rows_still_load(self):
-        subs = PersistentTable("subs")
-        released = PersistentTable("released")
-        subs.put("old", (7, Eq("g", 1)))
-        subs.commit()
-        registry = SubscriptionRegistry(subs, released)
-        sub = registry.get("old")
-        assert sub is not None and sub.num == 7
-        assert sub.pfs_from == {}
+    def test_row_of_another_arity_fails_loudly(self):
+        for row in [(7, Eq("g", 1)), (7, Eq("g", 1), {}, 0)]:
+            subs = PersistentTable("subs")
+            subs.put("odd", row)
+            subs.commit()
+            with pytest.raises(SubscriptionError, match="odd"):
+                SubscriptionRegistry(subs, PersistentTable("released"))
 
     def test_registration_covers_only_above_existing_pfs_records(self):
         # During a recovery replay the PFS can be ahead of the delivery

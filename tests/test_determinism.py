@@ -32,7 +32,6 @@ from repro import (
     build_two_broker,
 )
 from repro.core import messages as M
-from repro.matching.engine import MatchingEngine
 from repro.metrics.collector import MetricsCollector
 
 # 0 = per-message path, 1 = sub-tick flush timers, 10 = steady batching.
@@ -244,22 +243,6 @@ def test_tracer_sampling_is_byte_identical():
     bare = _run_quickstart(0.0, seed=1234)
     traced = _run_quickstart(0.0, seed=1234, trace_sample_rate=1.0)
     assert bare == traced
-
-
-@pytest.mark.parametrize("window", WINDOWS)
-def test_batch_matching_toggle_is_byte_identical(window):
-    """Batched matching is a pure performance transform: disabling it
-    engine-wide (every ``*_batch`` call falls back to a per-event loop)
-    must reproduce the exact same transcript and metric series bytes.
-    Run per batch window because the constream pump only forms
-    multi-event batches once link batching produces them."""
-    batched = _run_quickstart(window, seed=1234)
-    try:
-        MatchingEngine.batch_matching = False
-        unbatched = _run_quickstart(window, seed=1234)
-    finally:
-        MatchingEngine.batch_matching = True
-    assert batched == unbatched
 
 
 def test_different_seeds_differ():

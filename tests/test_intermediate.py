@@ -103,6 +103,22 @@ class TestForwarding:
         assert "sa" in mid.child_engines["a"]
         assert any(isinstance(m, M.SubscriptionAdd) for _c, m in root.received)
 
+    def test_sync_with_a_short_count_leaves_the_child_cold(self, env):
+        sim, root, mid, a, b = env
+        mid.child_filter_ready["a"] = False  # as after mid's recovery
+        a.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=7))
+        a.send_up(M.SubscriptionSync(2, epoch=7))  # one of two adds was lost
+        sim.run_until(20)
+        assert mid.child_filter_ready["a"] is False
+        assert "s1" not in mid.child_engines["a"]
+        # The retry, intact, replaces the union and warms the child.
+        a.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=8))
+        a.send_up(M.SubscriptionAdd("s2", Eq("g", 1), epoch=8))
+        a.send_up(M.SubscriptionSync(2, epoch=8))
+        sim.run_until(40)
+        assert mid.child_filter_ready["a"] is True
+        assert sorted(mid.child_engines["a"].subscription_ids()) == ["s1", "s2"]
+
 
 class TestNackHandling:
     def test_cache_answers_without_upstream(self, env):

@@ -74,13 +74,17 @@ class TestPredicates:
         assert not Nothing().matches({"any": 1})
 
     def test_indexable_equalities(self):
-        assert Eq("g", 1).indexable_equalities() == ("g", frozenset([1]))
-        assert In("g", [1, 2]).indexable_equalities() == ("g", frozenset([1, 2]))
-        assert Gt("g", 1).indexable_equalities() is None
-        assert And([Gt("x", 1), Eq("g", 2)]).indexable_equalities() == ("g", frozenset([2]))
-        assert Or([Eq("g", 1), Eq("g", 2)]).indexable_equalities() == ("g", frozenset([1, 2]))
-        assert Or([Eq("g", 1), Eq("h", 2)]).indexable_equalities() is None
-        assert Or([Eq("g", 1), Gt("g", 5)]).indexable_equalities() is None
+        """Which predicates hand the matcher a hash-indexable equality."""
+        def eq_atoms(predicate):
+            return [a for a in predicate.decompose()[0] if isinstance(a, EqAtom)]
+
+        assert eq_atoms(Eq("g", 1)) == [EqAtom("g", frozenset([1]))]
+        assert eq_atoms(In("g", [1, 2])) == [EqAtom("g", frozenset([1, 2]))]
+        assert eq_atoms(Gt("g", 1)) == []
+        assert eq_atoms(And([Gt("x", 1), Eq("g", 2)])) == [EqAtom("g", frozenset([2]))]
+        assert eq_atoms(Or([Eq("g", 1), Eq("g", 2)])) == [EqAtom("g", frozenset([1, 2]))]
+        assert eq_atoms(Or([Eq("g", 1), Eq("h", 2)])) == []
+        assert eq_atoms(Or([Eq("g", 1), Gt("g", 5)])) == []
 
 
 class TestTopics:
@@ -112,8 +116,11 @@ class TestTopics:
         assert not p.matches({})
 
     def test_literal_topic_is_indexable(self):
-        assert Topic("a.b").indexable_equalities() == (TOPIC_ATTR, frozenset(["a.b"]))
-        assert Topic("a.*").indexable_equalities() is None
+        eng = MatchingEngine()
+        eng.add("literal", Topic("a.b"))
+        assert (eng.atom_count, eng.scan_count) == (1, 0)
+        eng.add("wild", Topic("a.*"))
+        assert (eng.atom_count, eng.scan_count) == (1, 1)
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,18 @@
-"""Differential batch-vs-single property suite for the matching engine.
+"""Differential property suite for the matching engine's one path.
 
-The batch entry points (``match_batch``, ``matches_any_batch``,
-``match_at_batch``) are pure performance transforms: amortizing index
-probes and counting loops across a batch must change *nothing* about
-the answers.  These tests drive seeded subscription churn (adds,
-removes, bulk ``replace_all`` refreshes) interleaved with event
-batches, asserting three-way agreement after every step:
+The engine matches streams: ``match_batch``, ``matches_any_batch`` and
+``match_at_batch`` are the algorithm, and ``match`` / ``matches_any`` /
+``match_at`` are the batch of one over the same caches.  These tests
+drive seeded subscription churn (adds, removes, bulk ``replace_all``
+refreshes) interleaved with event batches, asserting after every step
+that all six entry points agree with the naive model (evaluate every
+predicate tree per event).
 
-* ``match_batch`` ≡ one ``match`` call per event, in order;
-* ``matches_any_batch`` ≡ one ``matches_any`` call per event;
-* both ≡ the naive model (evaluate every predicate tree per event).
-
-Churn matters because it is exactly what invalidates the batch caches
-(probe cache, signature memo): a stale entry surviving an add/remove
-is the bug class this suite exists to catch.  The predicate generator
-covers the decomposable forms (equality, membership, ranges), the
-opaque ones (``Or`` mixing attributes, negated ``Exists``), and
+Churn matters because it is exactly what invalidates the matcher's
+caches (probe cache, signature memo): a stale entry surviving an
+add/remove is the bug class this suite exists to catch.  The predicate
+generator covers the decomposable forms (equality, membership, ranges),
+the opaque ones (``Or`` mixing attributes, negated ``Exists``), and
 ``Nothing()`` — the NeverAtom corner, whose atom indexes nowhere and
 must never surface from a batch.
 
@@ -29,7 +26,7 @@ tests run one seed per batch size; the full sweep across every
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict
 
 import pytest
 
@@ -127,22 +124,22 @@ def _drive(seed: int, batch_size: int, n_steps: int) -> None:
         batch = [_random_event(rng) for _ in range(batch_size)]
         tag = f"seed={seed} bs={batch_size} step={step}"
 
-        naive = [
-            {sid for sid, p in model.items() if p.matches(attrs)} for attrs in batch
-        ]
-        got = eng.match_batch(batch)
-        assert got == naive, f"{tag}: match_batch diverged from model"
-        assert got == [eng.match(attrs) for attrs in batch], (
-            f"{tag}: match_batch diverged from per-event match"
+        naive = [_model_match(model, attrs) for attrs in batch]
+        naive_any = [bool(expected) for expected in naive]
+        ids = [f"p:{step}:{i}" for i in range(batch_size)]
+        assert eng.match_batch(batch) == naive, f"{tag}: match_batch"
+        assert [eng.match(attrs) for attrs in batch] == naive, f"{tag}: match"
+        assert eng.matches_any_batch(batch) == naive_any, f"{tag}: matches_any_batch"
+        assert [eng.matches_any(attrs) for attrs in batch] == naive_any, (
+            f"{tag}: matches_any"
         )
-
-        any_got = eng.matches_any_batch(batch)
-        assert any_got == [bool(expected) for expected in naive], (
-            f"{tag}: matches_any_batch diverged from model"
+        # First half through match_at, then the whole batch (hits for
+        # that half, misses for the rest) through match_at_batch.
+        half = batch_size // 2
+        assert [eng.match_at(i, a) for i, a in zip(ids[:half], batch)] == naive[:half], (
+            f"{tag}: match_at"
         )
-        assert any_got == [eng.matches_any(attrs) for attrs in batch], (
-            f"{tag}: matches_any_batch diverged from per-event matches_any"
-        )
+        assert eng.match_at_batch(list(zip(ids, batch))) == naive, f"{tag}: match_at_batch"
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -157,43 +154,66 @@ def test_batch_equals_single_full_sweep(seed, batch_size):
     _drive(seed, batch_size, 4 * N_STEPS)
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_batch_toggle_is_invisible(batch_size):
-    """``batch_matching = False`` must be indistinguishable: same
-    results from the same call sequence, fresh engines either way."""
-    def run(enabled: bool) -> List[List[object]]:
-        rng = random.Random(SEEDS[1])
-        eng, model = MatchingEngine(), {}
-        out: List[List[object]] = []
-        try:
-            MatchingEngine.batch_matching = enabled
-            for _ in range(N_STEPS // 2):
-                _churn_step(rng, eng, model)
-                batch = [_random_event(rng) for _ in range(batch_size)]
-                out.append(
-                    [eng.match_batch(batch), eng.matches_any_batch(batch)]
-                )
-        finally:
-            MatchingEngine.batch_matching = True
-        return out
+def _warm_engine(seed: int, steps: int):
+    rng = random.Random(seed)
+    eng, model = MatchingEngine(), {}
+    for _ in range(steps):
+        _churn_step(rng, eng, model)
+    return rng, eng, model
 
-    assert run(True) == run(False)
+
+def _model_match(model: Dict[str, Predicate], attrs) -> frozenset:
+    """The naive model: evaluate every predicate tree."""
+    return frozenset(sid for sid, p in model.items() if p.matches(attrs))
+
+
+def test_single_event_calls_share_the_batch_caches():
+    """One implementation: ``match`` is the batch of one, so an event
+    shape a batch has already probed costs a single call two cache hits
+    per indexed attribute and no index work at all."""
+    eng = MatchingEngine()
+    eng.add("narrow", And([Eq("g", 1), Gt("x", 5)]))
+    eng.add("broad", Eq("g", 2))
+    events = [{"g": g, "x": x} for g in range(3) for x in (1, 9)]
+    eng.match_batch(events)
+    for attrs in events:
+        before = (eng.atoms_examined, eng.probe_cache_hits, eng.sig_memo_hits)
+        eng.match(dict(attrs))
+        assert eng.atoms_examined == before[0]
+        assert eng.probe_cache_hits == before[1] + 2  # g and x are both indexed
+        assert eng.sig_memo_hits == before[2] + 1
+    assert eng.events_processed == eng.batch_events == 2 * len(events)
+    # ...and a registry change empties both caches for every entry point.
+    eng.add("late", Eq("g", 0))
+    before = eng.atoms_examined
+    assert eng.match(events[0]) == {"late"}
+    assert eng.atoms_examined > before
+
+
+def test_match_at_and_match_at_batch_share_the_cache():
+    """Same hit/miss counters, same stored answers, whichever of the
+    two first saw an event id."""
+    rng, eng, model = _warm_engine(SEEDS[1], 20)
+    events = [(f"p:{i}", _random_event(rng)) for i in range(8)]
+    eng.match_at_batch(events[:4])
+    assert (eng.cache_hits, eng.cache_misses) == (0, 4)
+    for eid, attrs in events:  # four stored by the batch, four new
+        assert eng.match_at(eid, attrs) == _model_match(model, attrs)
+    assert (eng.cache_hits, eng.cache_misses) == (4, 8)
+    assert eng.match_at_batch(events) == [_model_match(model, a) for _, a in events]
+    assert (eng.cache_hits, eng.cache_misses) == (12, 8)
+    assert list(eng._match_cache) == [eid for eid, _ in events]
 
 
 def test_match_at_batch_equals_match_at():
-    """Mixed hit/miss batches must return what per-event ``match_at``
-    would, and leave the cache able to serve every event as a hit."""
-    rng = random.Random(SEEDS[2])
-    eng, model = MatchingEngine(), {}
-    for _ in range(20):
-        _churn_step(rng, eng, model)
+    """Mixed hit/miss batches must return what the model says, and
+    leave the cache able to serve every event as a hit."""
+    rng, eng, model = _warm_engine(SEEDS[2], 20)
     events = [(f"p:{i}", _random_event(rng)) for i in range(30)]
     # Prime a prefix so the batch sees hits and misses interleaved.
     for eid, attrs in events[:10][::2]:
         eng.match_at(eid, attrs)
-    cold = MatchingEngine()
-    cold.replace_all(model)
-    expected = [cold.match_at(eid, attrs) for eid, attrs in events]
+    expected = [_model_match(model, attrs) for _, attrs in events]
     assert eng.match_at_batch(events) == expected
     # Every id is now cached: a second pass is all hits.
     hits_before = eng.cache_hits
@@ -203,17 +223,12 @@ def test_match_at_batch_equals_match_at():
 
 def test_match_at_batch_under_eviction(monkeypatch):
     """Eviction mid-batch must not corrupt answers: with the FIFO bound
-    shrunk below the batch size, every result still matches a cold
-    engine even though early insertions are evicted by later ones."""
+    shrunk below the batch size, every result still matches the model
+    even though early insertions are evicted by later ones."""
     monkeypatch.setattr("repro.matching.engine.MATCH_CACHE_LIMIT", 4)
-    rng = random.Random(SEEDS[0])
-    eng, model = MatchingEngine(), {}
-    for _ in range(15):
-        _churn_step(rng, eng, model)
+    rng, eng, model = _warm_engine(SEEDS[0], 15)
     events = [(f"p:{i}", _random_event(rng)) for i in range(12)]
-    cold = MatchingEngine()
-    cold.replace_all(model)
-    expected = [cold.match_at(eid, attrs) for eid, attrs in events]
+    expected = [_model_match(model, attrs) for _, attrs in events]
     assert eng.match_at_batch(events) == expected
     assert len(eng._match_cache) <= 4
 

@@ -116,11 +116,19 @@ class TestCollector:
         # The opaque Or is evaluated per match call -> >=1 residual
         # eval per event on average (match + matches_any both count).
         assert col.get("shb.match.residual_evals_per_event").values()[-1] >= 0.5
-        assert col.get("shb.match.atoms_per_event").values()[-1] > 0
         assert col.get("shb.match.scan_subs").values()[-1] == 1.0
         # "broad" covers "narrow": the aggregate consults 2 signatures
         # (broad + the opaque one), not 3.
         assert col.get("shb.match.aggregate_active").values()[-1] == 2.0
+        # The 13 distinct (attr, value) probes are all cached within
+        # the first window, so index work shows up there and a steady
+        # window may examine none; a registry change empties the
+        # matcher's caches and the next window probes again.
+        atoms = col.get("shb.match.atoms_per_event")
+        assert eng.atoms_examined > 0 and atoms.values()[0] > 0
+        eng.add("late", Eq("g", 0))
+        sim.run_until(1_100)
+        assert atoms.values()[-1] > 0
 
     def test_stop(self):
         sim = Scheduler()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching.predicates import Eq, In, Prefix
+from repro.matching.predicates import CmpAtom, Eq, EqAtom, In, Prefix
 from repro.matching.selector import SelectorSyntaxError, parse_selector
 
 
@@ -104,7 +104,9 @@ class TestCompileTargets:
 
     def test_indexability_preserved(self):
         pred = parse_selector("g = 1 AND price > 5")
-        assert pred.indexable_equalities() == ("g", frozenset([1]))
+        assert pred.decompose() == (
+            (EqAtom("g", frozenset([1])), CmpAtom("price", ">", 5)), None,
+        )
 
 
 class TestErrors:
