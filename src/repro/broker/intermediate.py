@@ -28,6 +28,9 @@ from ..util.intervals import IntervalSet
 from .base import Broker
 from .costs import CostModel
 
+#: Releases are re-reported upstream at this period (see ``__init__``).
+RELEASE_RESEND_MS = 1_000.0
+
 
 class _PubendRelay:
     """Per-pubend relay state at an intermediate broker."""
@@ -75,12 +78,10 @@ class IntermediateBroker(Broker):
         node: Optional[Executor] = None,
         cache_span_ms: int = 30_000,
         subscription_refresh_ms: float = 2_000.0,
-        release_resend_ms: float = 1_000.0,
     ) -> None:
         super().__init__(scheduler, name, cost_model, speed, node)
         self.cache_span_ms = cache_span_ms
         self.subscription_refresh_ms = subscription_refresh_ms
-        self.release_resend_ms = release_resend_ms
         self._relays: Dict[str, _PubendRelay] = {}
         self.cache_hits = 0
         self.cache_miss_ticks = 0
@@ -105,7 +106,7 @@ class IntermediateBroker(Broker):
         # post-recovery epochs monotone across the crash.
         self._release_epoch_floor = 0
         self.scheduler.every(self.subscription_refresh_ms, self._refresh_upstream)
-        self.scheduler.every(self.release_resend_ms, self._resend_release)
+        self.scheduler.every(RELEASE_RESEND_MS, self._resend_release)
 
     def _up_epoch(self, relay: _PubendRelay) -> int:
         return max(relay.upstream_epoch, self._release_epoch_floor)

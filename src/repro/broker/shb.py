@@ -36,14 +36,20 @@ from ..net.link import Link, LinkEnd
 from ..net.simtime import PeriodicHandle, Scheduler
 from ..pfs.pfs import PersistentFilteringSubsystem
 from ..port.executor import Executor
-from ..sim.crashpoints import HOOKS
 from ..storage.disk import SimDisk
 from ..storage.logvolume import LogVolume
 from ..storage.table import PersistentTable
+from ..util.crashhooks import HOOKS
 from ..util.errors import ProtocolError
 from ..util.intervals import IntervalSet
 from .base import Broker
 from .costs import CostModel
+
+#: Timer periods no caller varies: release reports up the tree, the
+#: head gap check, and the head curiosity's base re-nack interval.
+RELEASE_REPORT_INTERVAL_MS = 250.0
+GAP_CHECK_INTERVAL_MS = 50.0
+HEAD_NACK_RETRY_MS = 250.0
 
 
 class SubscriberHostingBroker(Broker):
@@ -59,13 +65,8 @@ class SubscriberHostingBroker(Broker):
         node: Optional[Executor] = None,
         disk: Optional[SimDisk] = None,
         commit_interval_ms: float = 250.0,
-        release_report_interval_ms: float = 250.0,
-        gap_check_interval_ms: float = 50.0,
-        head_nack_retry_ms: float = 250.0,
         catchup_buffer_qs: int = 5000,
-        catchup_nack_window: int = 256,
         event_cache_span_ms: int = 120_000,
-        nack_consolidation: bool = True,
         use_pfs_for_catchup: bool = True,
         subscription_refresh_ms: float = 2_000.0,
         batch_window_ms: float = 0.0,
@@ -87,16 +88,11 @@ class SubscriberHostingBroker(Broker):
         #: DB2 plus the Log Volume on the same machine's SSA disks).
         self.disk = disk if disk is not None else SimDisk(scheduler, f"{name}-store")
         self.commit_interval_ms = commit_interval_ms
-        self.release_report_interval_ms = release_report_interval_ms
-        self.gap_check_interval_ms = gap_check_interval_ms
-        self.head_nack_retry_ms = head_nack_retry_ms
         self.catchup_buffer_qs = catchup_buffer_qs
-        self.catchup_nack_window = catchup_nack_window
         self.event_cache_span_ms = event_cache_span_ms
-        #: Ablation switches (benchmarks/bench_ablation_*.py): disable
-        #: nack consolidation, or force catchup streams to recover by
-        #: wholesale refiltering instead of PFS reads.
-        self.nack_consolidation = nack_consolidation
+        #: Ablation switch (benchmarks/bench_ablation_*.py): force
+        #: catchup streams to recover by wholesale refiltering instead
+        #: of PFS reads.
         self.use_pfs_for_catchup = use_pfs_for_catchup
         self.subscription_refresh_ms = subscription_refresh_ms
         #: Re-nack policy for the head curiosity streams.  The defaults
@@ -264,20 +260,18 @@ class SubscriberHostingBroker(Broker):
                 self.scheduler,
                 pubend,
                 send_nack=lambda ranges, p=pubend: self.send_up(M.Nack(p, ranges.as_tuples())),
-                retry_ms=self.head_nack_retry_ms,
+                retry_ms=HEAD_NACK_RETRY_MS,
                 backoff_factor=self.nack_backoff_factor,
                 backoff_max_ms=self.nack_backoff_max_ms,
                 jitter_ms=self.nack_jitter_ms,
                 retry_budget=self.nack_retry_budget,
                 rng=jitter_rng,
             )
-            self.consolidators[pubend] = NackConsolidator(
-                self.scheduler, suppress=self.nack_consolidation
-            )
+            self.consolidators[pubend] = NackConsolidator(self.scheduler)
         self._timers = [
             self.scheduler.every(self.commit_interval_ms, self._commit_tables),
-            self.scheduler.every(self.release_report_interval_ms, self._report_release),
-            self.scheduler.every(self.gap_check_interval_ms, self._gap_check),
+            self.scheduler.every(RELEASE_REPORT_INTERVAL_MS, self._report_release),
+            self.scheduler.every(GAP_CHECK_INTERVAL_MS, self._gap_check),
             # Soft-state refresh: upstream subscription unions are
             # volatile (a recovered parent holds them cold until this
             # refresh re-syncs them).
@@ -843,7 +837,6 @@ class SubscriberHostingBroker(Broker):
             send_nack=send_nack,
             on_switchover=on_switchover,
             buffer_qs=self.catchup_buffer_qs,
-            nack_window_ticks=self.catchup_nack_window,
             run_costed=self._run_control,
             refilter_until=refilter_until,
             caches_valid=caches_valid,

@@ -45,6 +45,11 @@ class Overlay:
     def pubend_names(self) -> List[str]:
         return sorted(self.phb.pubends)
 
+    @property
+    def trees(self) -> List["Overlay"]:
+        """A single tree is the forest of one (see :class:`Federation`)."""
+        return [self]
+
     def all_brokers(self) -> List[Broker]:
         return [self.phb, *self.intermediates, *self.shbs]
 
@@ -128,21 +133,11 @@ def build_star(
     """
     if n_shbs < 1:
         raise ConfigurationError("need at least one SHB")
-    shb_kwargs.setdefault("batch_window_ms", batch_window_ms)
-    phb = PublisherHostingBroker(scheduler, "phb", cost_model=cost_model)
-    for pubend in pubends:
-        phb.create_pubend(pubend, policy=policy)
-    overlay = Overlay(scheduler, phb)
-    for i in range(n_shbs):
-        shb = SubscriberHostingBroker(
-            scheduler, f"shb{i + 1}", pubends, cost_model=cost_model, **shb_kwargs
-        )
-        overlay.shbs.append(shb)
-        overlay.links.append(
-            Broker.connect(phb, shb, link_latency_ms, batch_window_ms=batch_window_ms)
-        )
-    _register_release_children(overlay)
-    return overlay
+    return build_tree(
+        scheduler, pubends, [n_shbs], policy=policy, cost_model=cost_model,
+        link_latency_ms=link_latency_ms, batch_window_ms=batch_window_ms,
+        **shb_kwargs,
+    )
 
 
 def build_chain(
@@ -157,26 +152,11 @@ def build_chain(
 ) -> Overlay:
     """PHB → k intermediates → SHB (the 5-hop latency topology uses k=3:
     publisher→PHB, three broker hops, SHB→subscriber are the 5 hops)."""
-    shb_kwargs.setdefault("batch_window_ms", batch_window_ms)
-    phb = PublisherHostingBroker(scheduler, "phb", cost_model=cost_model)
-    for pubend in pubends:
-        phb.create_pubend(pubend, policy=policy)
-    overlay = Overlay(scheduler, phb)
-    upstream: Broker = phb
-    for i in range(n_intermediates):
-        mid = IntermediateBroker(scheduler, f"ib{i + 1}", cost_model=cost_model)
-        overlay.intermediates.append(mid)
-        overlay.links.append(
-            Broker.connect(upstream, mid, link_latency_ms, batch_window_ms=batch_window_ms)
-        )
-        upstream = mid
-    shb = SubscriberHostingBroker(scheduler, "shb1", pubends, cost_model=cost_model, **shb_kwargs)
-    overlay.shbs.append(shb)
-    overlay.links.append(
-        Broker.connect(upstream, shb, link_latency_ms, batch_window_ms=batch_window_ms)
+    return build_tree(
+        scheduler, pubends, [1] * (n_intermediates + 1), policy=policy,
+        cost_model=cost_model, link_latency_ms=link_latency_ms,
+        batch_window_ms=batch_window_ms, **shb_kwargs,
     )
-    _register_release_children(overlay)
-    return overlay
 
 
 def build_single_broker(
@@ -334,15 +314,29 @@ def attach_intermediate(
     return mid
 
 
+def _sever_uplink(overlay: Overlay, parent: Broker, broker: Broker) -> None:
+    """The wiring-level cut shared by detach and reparent: sever the
+    link, forget both sides' wiring, drop the child from the parent's
+    release aggregation (whose pinned minimum would otherwise freeze
+    release for the whole tree) and purge per-child relay state."""
+    link = overlay.link_between(parent, broker)
+    link.sever()
+    overlay.links.remove(link)
+    parent.unwire_child(broker.name)
+    broker.unwire_parent()
+    for pubend in overlay.pubend_names:
+        parent.unregister_release_child(pubend, broker.name)  # type: ignore[union-attr]
+    if isinstance(parent, IntermediateBroker):
+        parent.forget_child(broker.name)
+        parent._resend_release()
+
+
 def detach_broker(overlay: Overlay, broker: Broker) -> None:
     """Remove a (quiesced) leaf broker from the tree permanently.
 
     The caller is responsible for the protocol-level drain — an SHB
     must host no subscriptions, an intermediate no children; this is
-    the wiring-level removal: sever the uplink, forget both sides'
-    wiring, drop the departed child from the parent's release
-    aggregation (whose pinned minimum would otherwise freeze release
-    for the whole tree) and purge per-child relay state.  The broker
+    the wiring-level removal (:func:`_sever_uplink`).  The broker
     object moves to ``overlay.retired`` so oracles can still audit its
     final durable state.
     """
@@ -357,16 +351,7 @@ def detach_broker(overlay: Overlay, broker: Broker) -> None:
     parent = overlay.parent_of(broker)
     if parent is None:
         raise ConfigurationError(f"{broker.name} has no parent to detach from")
-    link = overlay.link_between(parent, broker)
-    link.sever()
-    overlay.links.remove(link)
-    parent.unwire_child(broker.name)
-    broker.unwire_parent()
-    for pubend in overlay.pubend_names:
-        parent.unregister_release_child(pubend, broker.name)  # type: ignore[union-attr]
-    if isinstance(parent, IntermediateBroker):
-        parent.forget_child(broker.name)
-        parent._resend_release()
+    _sever_uplink(overlay, parent, broker)
     if isinstance(broker, SubscriberHostingBroker):
         overlay.shbs.remove(broker)
     else:
@@ -391,16 +376,7 @@ def reparent_broker(
     """
     old_parent = overlay.parent_of(broker)
     if old_parent is not None:
-        link = overlay.link_between(old_parent, broker)
-        link.sever()
-        overlay.links.remove(link)
-        old_parent.unwire_child(broker.name)
-        for pubend in overlay.pubend_names:
-            old_parent.unregister_release_child(pubend, broker.name)  # type: ignore[union-attr]
-        if isinstance(old_parent, IntermediateBroker):
-            old_parent.forget_child(broker.name)
-            old_parent._resend_release()
-        broker.unwire_parent()
+        _sever_uplink(overlay, old_parent, broker)
     new_link = Broker.connect(
         new_parent, broker, link_latency_ms, batch_window_ms=batch_window_ms
     )
@@ -450,6 +426,10 @@ class Federation:
     @property
     def pubend_names(self) -> List[str]:
         return sorted(p for tree in self.trees for p in tree.pubend_names)
+
+    @property
+    def retired(self) -> List[Broker]:
+        return [b for tree in self.trees for b in tree.retired]
 
     def all_brokers(self) -> List[Broker]:
         return [b for tree in self.trees for b in tree.all_brokers()]

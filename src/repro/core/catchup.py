@@ -49,6 +49,9 @@ CostedRunner = Callable[[float, Callable[[], None]], None]
 PFS_READ_COST_PER_RECORD_MS = 0.002
 #: Fixed CPU cost per PFS batch read (ms).
 PFS_READ_BASE_COST_MS = 0.5
+#: Catchup requests are paced at this multiple of the subscriber's own
+#: event rate (see ``CatchupStream._take_tokens``).
+RATE_BOOST = 1.9
 
 
 class CatchupStream:
@@ -71,7 +74,6 @@ class CatchupStream:
         refilter_until: int = 0,
         caches_valid: bool = True,
         track_deliveries: bool = False,
-        rate_boost: Optional[float] = 1.9,
     ) -> None:
         self.scheduler = scheduler
         self.pubend = pubend
@@ -107,13 +109,11 @@ class CatchupStream:
         self.track_deliveries = track_deliveries
         self.undelivered = 0
         # Client-rate pacing (the paper's congestion-control hook [14]):
-        # requests are token-bucketed at ``rate_boost`` times the
+        # requests are token-bucketed at ``RATE_BOOST`` times the
         # subscriber's own event rate, estimated from PFS read density.
         # The resulting catchup duration is scale-free:
-        # ``disconnection / (rate_boost - 1)`` — the proportionality
+        # ``disconnection / (RATE_BOOST - 1)`` — the proportionality
         # Figure 5 shows (5-6 s catchup for a 5 s disconnection).
-        # ``rate_boost=None`` disables pacing (recover at full speed).
-        self.rate_boost = rate_boost
         self._rate_eps: Optional[float] = None  # estimated events/s
         #: Burst allowance: how many events may be requested ahead of
         #: the paced rate.  Small relative to the window so that even a
@@ -292,9 +292,9 @@ class CatchupStream:
     def _take_tokens(self, wanted: int) -> int:
         """Grant up to ``wanted`` request tokens; schedule a resume when
         the bucket limits progress."""
-        if self.rate_boost is None or self._rate_eps is None:
+        if self._rate_eps is None:
             return wanted
-        rate = self.rate_boost * self._rate_eps
+        rate = RATE_BOOST * self._rate_eps
         now = self.scheduler.now
         self._tokens = min(
             self._burst,

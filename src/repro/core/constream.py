@@ -42,6 +42,10 @@ from .ticks import Tick
 DeliverFn = Callable[[str, object], None]
 DeliverBatchFn = Callable[[str, List[EventMessage]], None]
 
+#: A non-catchup subscriber sent nothing for this many ticks gets a
+#: silence message, so its CT keeps up with ``latestDelivered``.
+SILENCE_LAG_MS = 200
+
 
 class ConsolidatedStream:
     """The shared delivery stream for non-catchup subscribers."""
@@ -56,7 +60,6 @@ class ConsolidatedStream:
         meta_table: PersistentTable,
         deliver: DeliverFn,
         silence_interval_ms: float = 100.0,
-        silence_lag_ms: int = 200,
         deliver_batch: Optional[DeliverBatchFn] = None,
     ) -> None:
         self.pubend = pubend
@@ -71,7 +74,6 @@ class ConsolidatedStream:
         #: job and one wire batch per subscriber per pump) instead of
         #: one ``deliver`` call per event.
         self.deliver_batch = deliver_batch
-        self.silence_lag_ms = silence_lag_ms
         self._meta_key = f"latestDelivered:{pubend}"
         #: Recovered from the committed table on construction: after an
         #: SHB crash the constream resumes from the durable value.
@@ -413,7 +415,7 @@ class ConsolidatedStream:
         horizon = self.latest_delivered
         msg: Optional[SilenceMessage] = None  # shared by every lagging sub
         for sub_id, last_sent in list(self._non_catchup.items()):
-            if horizon - last_sent >= self.silence_lag_ms:
+            if horizon - last_sent >= SILENCE_LAG_MS:
                 if msg is None:
                     msg = SilenceMessage(self.pubend, horizon)
                 self.deliver(sub_id, msg)

@@ -265,14 +265,9 @@ class NackConsolidator:
     about an arriving knowledge range.
     """
 
-    def __init__(
-        self, scheduler: Scheduler, retry_ms: float = 1000.0, suppress: bool = True
-    ) -> None:
+    def __init__(self, scheduler: Scheduler, retry_ms: float = 1000.0) -> None:
         self.scheduler = scheduler
         self.retry_ms = retry_ms
-        #: When False, consolidation is disabled: every nack forwards
-        #: upstream (the ablation baseline for the Figure 8 claim).
-        self.suppress = suppress
         self._interest: Dict[Hashable, IntervalSet] = {}
         # Two-generation suppression of duplicate upstream forwards
         # (same scheme as CuriosityStream; see there).
@@ -293,9 +288,6 @@ class NackConsolidator:
         (this is the nack consolidation the paper credits for the low
         PHB overhead during mass catchup, Figure 8).
         """
-        if not self.suppress:
-            self.forwarded_ticks += ranges.tick_count()
-            return ranges.copy()
         now = self.scheduler.now
         if now - self._rotated_at >= self.retry_ms:
             self._fwd_prev = self._fwd_cur

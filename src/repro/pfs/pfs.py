@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from ..core.subscription import SHARD_BITS
-from ..sim.crashpoints import HOOKS
 from ..storage.disk import SimDisk
 from ..storage.logvolume import LogStream, LogVolume
+from ..util.crashhooks import HOOKS
 from ..util.errors import RecordNotFoundError, StorageError
 from .records import NO_PREVIOUS, PFSRecord, PFSRecordBatch, decode_record
 

@@ -15,11 +15,12 @@ Mechanics
   ``storage/logvolume.py``, ``storage/eventlog.py``, ``pfs/pfs.py``)
   call ``HOOKS.fire(site, owner)`` at each durability boundary, e.g.
   just before and just after a ``PersistentTable`` batch lands in the
-  committed view.  ``HOOKS`` is the module-global below; with no
-  listener installed (the default) ``fire`` is never even called —
-  call sites guard with ``if HOOKS.enabled:`` — so the instrumented
-  code is byte-identical in behavior to the uninstrumented code
-  (pinned by the determinism digest fixtures).
+  committed view.  ``HOOKS`` is the registry in
+  :mod:`repro.util.crashhooks`; with no listener installed (the
+  default) ``fire`` is never even called — call sites guard with
+  ``if HOOKS.enabled:`` — so the instrumented code is byte-identical
+  in behavior to the uninstrumented code (pinned by the determinism
+  digest fixtures).
 
 * A **census** run installs a recording listener and replays the
   scripted scenario once, yielding the ordered list of crash points:
@@ -44,17 +45,27 @@ Run it from the command line::
 
     PYTHONPATH=src python -m repro.sim.crashpoints --max-points 120 \
         --out explorer_summary.json
-
-The module level is import-light (stdlib only) so storage modules can
-import ``HOOKS`` without cycles; the scenario machinery imports the
-rest of the package lazily.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from ..broker.topology import (
+    build_deep_overlay,
+    build_star,
+    build_two_broker,
+    place_durable_subscribers,
+)
+from ..client.publisher import ReliablePublisher
+from ..matching.predicates import In
+from ..net.node import Node
+from ..net.simtime import Scheduler
+from ..util.crashhooks import HOOKS, CrashPointHooks
+from .failures import FailureSchedule
+from .scenario import Scenario
 
 __all__ = [
     "HOOKS",
@@ -70,7 +81,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Hook primitive (imported by the storage modules)
+# Crash points and the listeners that enumerate / arm them
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CrashPoint:
@@ -96,40 +107,6 @@ class SimulatedCrash(Exception):
     def __init__(self, point: CrashPoint) -> None:
         super().__init__(point.label())
         self.point = point
-
-
-class CrashPointHooks:
-    """Process-global crash-point hook registry.
-
-    ``enabled`` is False unless a listener is installed; call sites
-    guard with ``if HOOKS.enabled:`` so the disabled cost is one
-    attribute check and the simulation's event/RNG stream is untouched.
-    """
-
-    __slots__ = ("enabled", "_listener")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._listener: Optional[Callable[[str, Optional[str]], None]] = None
-
-    def install(self, listener: Callable[[str, Optional[str]], None]) -> None:
-        if self._listener is not None:
-            raise RuntimeError("a crash-point listener is already installed")
-        self._listener = listener
-        self.enabled = True
-
-    def uninstall(self) -> None:
-        self._listener = None
-        self.enabled = False
-
-    def fire(self, site: str, owner: Optional[str]) -> None:
-        listener = self._listener
-        if listener is not None:
-            listener(site, owner)
-
-
-#: The registry every instrumented storage module reports to.
-HOOKS = CrashPointHooks()
 
 
 class _CensusListener:
@@ -159,8 +136,50 @@ class _InjectListener:
 
 
 # ----------------------------------------------------------------------
-# The scripted scenario
+# The scripted scenarios (topology + feed on the shared scaffold)
 # ----------------------------------------------------------------------
+def _populate(
+    scn: Scenario,
+    prefix: str,
+    homes: Sequence[Sequence[object]],
+    groups: Sequence[Sequence[int]],
+    publishers: Sequence[Tuple[str, str]],
+    publish_until_ms: float,
+) -> None:
+    """Per tree: subscribers on ``homes[k]``, one publisher, the feed.
+
+    Each tree publishes its own three ``groups[k]`` round-robin at 150
+    events/s until ``publish_until_ms``; subscriber *j* of a tree takes
+    two adjacent groups, so predicates overlap (PFS records multiplex)
+    and never cross trees.  The publishers are *reliable* (go-back-N +
+    PHB seq dedup), so PHB-side crash points at the event log and seq
+    table are on the exactly-once path, not the fire-and-forget one.
+    """
+    sim = scn.sim
+    for tree_homes, g in zip(homes, groups):
+        for j, shb in enumerate(tree_homes):
+            n = len(scn.subscribers) + 1
+            scn.subscriber(
+                f"{prefix}-s{n}", f"{prefix}-m{n}",
+                In("group", [g[j % 3], g[(j + 1) % 3]]), shb,
+            )
+    for tree, (machine, name) in zip(scn.overlay.trees, publishers):
+        scn.publishers.append(ReliablePublisher(
+            sim, tree.phb, Node(sim, machine), name, tree.pubend_names[0],
+            retransmit_ms=400.0,
+        ))
+    sent = 0
+
+    def feed() -> None:
+        nonlocal sent
+        if sim.now < publish_until_ms:
+            for pub, g in zip(scn.publishers, groups):
+                pub.publish({"group": g[sent % 3]})
+            sent += 1
+
+    sim.every(1000.0 / 150.0, feed)
+
+
 #: Publisher stops here; the script keeps running so releases and chops
 #: still happen over the full log.
 PUBLISH_UNTIL_MS = 2_400.0
@@ -168,166 +187,28 @@ PUBLISH_UNTIL_MS = 2_400.0
 SCRIPT_END_MS = 3_600.0
 
 
-@dataclass
-class _Scenario:
-    sim: object
-    overlay: object
-    subscribers: List[object]
-    publisher: object
-    truth: Dict[str, Tuple[int, Dict[str, object]]]   # eid -> (tick, attrs)
-    schedule: object
-    knowledge_probe: object                           # one probe or a list
-    record_truth: Callable[[], None]
-    publish_until_ms: float = PUBLISH_UNTIL_MS
-    script_end_ms: float = SCRIPT_END_MS
-    #: Extra scenario-specific convergence condition (e.g. "the drain
-    #: detached and every migration finished").
-    settled_extra: Optional[Callable[[], bool]] = None
-
-    def broker_of(self, owner: Optional[str]) -> Optional[object]:
-        brokers = list(self.overlay.all_brokers())
-        brokers.extend(getattr(self.overlay, "retired", []))
-        for broker in brokers:
-            if broker.name == owner:
-                return broker
-        return None
-
-    def expected(self, sub) -> Dict[str, int]:
-        """event_id -> tick of every durably logged event matching sub."""
-        out: Dict[str, int] = {}
-        for eid, (tick, attrs) in self.truth.items():
-            if sub.predicate.matches(attrs):
-                out[eid] = tick
-        return out
-
-
-def _build_scenario():
+def _build_scenario() -> Scenario:
     """A compact two-broker run exercising every storage subsystem.
 
-    Three subscribers with overlapping ``In`` predicates (so PFS records
-    multiplex), a mid-run disconnect/reconnect (so catchup reads and
-    release chops happen during the scripted window, not only in the
-    post-crash tail), releases flowing (acks every 250 ms), a *reliable*
-    publisher (go-back-N + PHB seq dedup, so PHB-side crash points at
-    the event log and seq table are on the exactly-once path, not the
-    fire-and-forget one), and a reconnect supervisor so injected
-    crashes always heal.
+    Three subscribers with overlapping ``In`` predicates, a mid-run
+    disconnect/reconnect (so catchup reads and release chops happen
+    during the scripted window, not only in the post-crash tail),
+    releases flowing (acks every 250 ms), a reliable publisher, and the
+    reconnect supervisor so injected crashes always heal.
     """
-    from ..broker.topology import build_two_broker
-    from ..client.publisher import ReliablePublisher
-    from ..client.subscriber import DurableSubscriber
-    from ..matching.predicates import In
-    from ..net.node import Node
-    from ..net.simtime import Scheduler
-    from .failures import FailureSchedule
-    from .oracles import KnowledgeMonotonicityProbe
-
     sim = Scheduler()
     overlay = build_two_broker(sim, pubends=["P1"])
     shb = overlay.shbs[0]
-
-    subscribers = []
-    for i in range(3):
-        machine = Node(sim, f"xp-m{i + 1}")
-        sub = DurableSubscriber(
-            sim, f"xp-s{i + 1}", machine, In("group", [i % 3, (i + 1) % 3]),
-            record_events=True, connect_retry_ms=400.0,
-        )
-        sub.connect(shb)
-        subscribers.append(sub)
-
-    publisher = ReliablePublisher(
-        sim, overlay.phb, Node(sim, "xp-pub-machine"), "xp-pub", "P1",
-        retransmit_ms=400.0,
+    scn = Scenario(sim, overlay)
+    _populate(
+        scn, "xp", [[shb] * 3], [[0, 1, 2]], [("xp-pub-machine", "xp-pub")],
+        PUBLISH_UNTIL_MS,
     )
-
-    def feed(count=[0]) -> None:  # noqa: B006 - deliberate mutable default
-        if sim.now < PUBLISH_UNTIL_MS:
-            publisher.publish({"group": count[0] % 3})
-            count[0] += 1
-
-    sim.every(1000.0 / 150.0, feed)
-
-    # Scripted churn: one subscriber bounces so PFS catchup reads and
-    # chop interactions are inside the enumerated window.
-    sim.at(700.0, subscribers[1].disconnect)
-    sim.at(1500.0, lambda: (
-        subscribers[1].connect(shb) if not subscribers[1].connected else None
-    ))
-
-    # Ground truth: everything the PHB has durably logged, snapshotted
-    # before releases chop it (same recorder the chaos soak uses).
-    truth: Dict[str, Tuple[int, Dict[str, object]]] = {}
-
-    def record_truth() -> None:
-        log = overlay.phb.pubends["P1"].log
-        for ev in log.read_range(0, 2 ** 60):
-            truth.setdefault(ev.event_id, (ev.timestamp, ev.attributes))
-
-    sim.every(50.0, record_truth)
-
-    schedule = FailureSchedule(sim)
-    probe = KnowledgeMonotonicityProbe(sim, shb, ["P1"], interval_ms=100.0)
-
-    # Reconnect supervisor: clients that lost their link to a crashed
-    # SHB come back once both ends are up.
-    def supervise() -> None:
-        for sub in subscribers:
-            if not sub.connected and not sub.node.is_down and not shb.node.is_down:
-                sub.connect(shb)
-
-    sim.every(331.0, supervise)
-
-    return _Scenario(
-        sim=sim, overlay=overlay, subscribers=subscribers,
-        publisher=publisher, truth=truth, schedule=schedule,
-        knowledge_probe=probe, record_truth=record_truth,
-    )
-
-
-def _advance(scn: _Scenario, until: float, on_crash) -> None:
-    """run_until that converts a SimulatedCrash into a broker crash."""
-    while True:
-        try:
-            scn.sim.run_until(until)
-            return
-        except SimulatedCrash as exc:
-            on_crash(exc.point)
-
-
-def _run_script(scn: _Scenario, on_crash) -> None:
-    # The feeder stops itself at the scenario's publish cutoff; the
-    # remaining window lets releases, chops and retransmissions (and,
-    # in the migration scenario, the drain) play out under hooks.
-    _advance(scn, scn.script_end_ms, on_crash)
-
-
-def _converge(scn: _Scenario, grace_ms: float, on_crash) -> Optional[float]:
-    """Run past the script until every subscriber has everything.
-
-    Returns the convergence time, or None if the grace deadline passed.
-    """
-    deadline = scn.script_end_ms + grace_ms
-
-    def settled() -> bool:
-        if scn.publisher.unacknowledged:
-            return False
-        if scn.settled_extra is not None and not scn.settled_extra():
-            return False
-        for sub in scn.subscribers:
-            if not sub.connected:
-                return False
-            expected = scn.expected(sub)
-            if not set(expected) <= sub.received_event_id_set:
-                return False
-        return True
-
-    while True:
-        if settled():
-            return scn.sim.now
-        if scn.sim.now >= deadline:
-            return None
-        _advance(scn, min(scn.sim.now + 250.0, deadline), on_crash)
+    scn.bounce(scn.subscribers[1], 700.0, 1_500.0)
+    sim.every(50.0, scn.record_truth)
+    scn.probe(shb)
+    sim.every(331.0, scn.supervise)
+    return scn
 
 
 #: Publish cutoff / script end for the dynamic-topology scenario.  The
@@ -337,141 +218,31 @@ MIGRATION_PUBLISH_UNTIL_MS = 2_600.0
 MIGRATION_SCRIPT_END_MS = 6_500.0
 
 
-def _build_migration_scenario():
+def _build_migration_scenario() -> Scenario:
     """Join → mid-catchup migration → drain, under the hook census.
 
     Exercises every ``migrate.*`` durability boundary plus the storage
     boundaries the handoff crosses (registry, meta-table and CT commits
     on both SHBs) on a PHB → 2-SHB star that grows a third SHB
-    mid-script: the victim subscriber naps, reconnects into catchup,
-    migrates to the newcomer while its catchup is still streaming, and
-    the source broker is then drained into the newcomer and detached.
-    A redirect-aware reconnect supervisor follows the
-    ``ConnectRefused`` redirects that migrated/drained clients receive.
+    mid-script (:meth:`Scenario.script_handoff`).
     """
-    from ..broker.topology import build_star
-    from ..client.publisher import ReliablePublisher
-    from ..client.subscriber import DurableSubscriber
-    from ..matching.predicates import In
-    from ..net.node import Node
-    from ..net.simtime import Scheduler
-    from .failures import FailureSchedule
-    from .oracles import KnowledgeMonotonicityProbe
-    from .supervisor import Supervisor
-
     sim = Scheduler()
     overlay = build_star(sim, ["P1"], 2)
     source, other = overlay.shbs
-
-    subscribers = []
-    homes = [source, source, other]
-    for i, shb in enumerate(homes):
-        machine = Node(sim, f"mgx-m{i + 1}")
-        sub = DurableSubscriber(
-            sim, f"mgx-s{i + 1}", machine, In("group", [i % 3, (i + 1) % 3]),
-            record_events=True, connect_retry_ms=400.0,
-        )
-        sub.connect(shb)
-        subscribers.append(sub)
-    victim = subscribers[0]
-    home = {sub.sub_id: shb for sub, shb in zip(subscribers, homes)}
-    napping: set = set()
-
-    publisher = ReliablePublisher(
-        sim, overlay.phb, Node(sim, "mgx-pub-machine"), "mgx-pub", "P1",
-        retransmit_ms=400.0,
+    scn = Scenario(sim, overlay)
+    _populate(
+        scn, "mgx", [[source, source, other]], [[0, 1, 2]],
+        [("mgx-pub-machine", "mgx-pub")], MIGRATION_PUBLISH_UNTIL_MS,
     )
-
-    def feed(count=[0]) -> None:  # noqa: B006 - deliberate mutable default
-        if sim.now < MIGRATION_PUBLISH_UNTIL_MS:
-            publisher.publish({"group": count[0] % 3})
-            count[0] += 1
-
-    sim.every(1000.0 / 150.0, feed)
-
-    truth: Dict[str, Tuple[int, Dict[str, object]]] = {}
-
-    def record_truth() -> None:
-        log = overlay.phb.pubends["P1"].log
-        for ev in log.read_range(0, 2 ** 60):
-            truth.setdefault(ev.event_id, (ev.timestamp, ev.attributes))
-
-    sim.every(50.0, record_truth)
-
-    schedule = FailureSchedule(sim)
-    probes = [
-        KnowledgeMonotonicityProbe(sim, shb, ["P1"], interval_ms=100.0)
-        for shb in overlay.shbs
-    ]
-
-    supervisor = Supervisor(overlay)
-    joined: Dict[str, object] = {}
-    drained: Dict[str, object] = {}
-
-    def _nap() -> None:
-        napping.add(victim.sub_id)
-        victim.disconnect()
-
-    def _join() -> None:
-        joiner = supervisor.join_shb("mgx-joiner")
-        joined["shb"] = joiner
-        probes.append(
-            KnowledgeMonotonicityProbe(sim, joiner, ["P1"], interval_ms=100.0)
-        )
-
-    def _wake() -> None:
-        napping.discard(victim.sub_id)
-        if not victim.connected and not victim.node.is_down:
-            shb = home[victim.sub_id]
-            if not shb.node.is_down:
-                victim.connect(shb)
-
-    def _migrate() -> None:
-        supervisor.migrate(victim.sub_id, source, joined["shb"])
-
-    def _drain() -> None:
-        drained["handle"] = supervisor.drain_shb(source, joined["shb"])
-
-    sim.at(500.0, _nap)
-    sim.at(800.0, _join)
-    sim.at(1_500.0, _wake)
-    sim.at(1_560.0, _migrate)
-    sim.at(2_700.0, _drain)
-
-    def supervise() -> None:
-        for sub in subscribers:
-            if sub.connected or sub.node.is_down or sub.sub_id in napping:
-                continue
-            if sub.last_refusal is not None:
-                _reason, redirect = sub.last_refusal
-                sub.last_refusal = None
-                if redirect is not None:
-                    for shb in overlay.shbs:
-                        if shb.name == redirect:
-                            home[sub.sub_id] = shb
-                            break
-            shb = home[sub.sub_id]
-            if not shb.node.is_down:
-                sub.connect(shb)
-
-    sim.every(331.0, supervise)
-
-    def settled_extra() -> bool:
-        handle = drained.get("handle")
-        return (
-            handle is not None
-            and handle.detached
-            and all(m.done for m in supervisor.migrations)
-        )
-
-    return _Scenario(
-        sim=sim, overlay=overlay, subscribers=subscribers,
-        publisher=publisher, truth=truth, schedule=schedule,
-        knowledge_probe=probes, record_truth=record_truth,
-        publish_until_ms=MIGRATION_PUBLISH_UNTIL_MS,
-        script_end_ms=MIGRATION_SCRIPT_END_MS,
-        settled_extra=settled_extra,
+    sim.every(50.0, scn.record_truth)
+    for shb in overlay.shbs:
+        scn.probe(shb)
+    scn.script_handoff(
+        scn.subscribers[0], source, "mgx-joiner", nap_ms=500.0, join_ms=800.0,
+        wake_ms=1_500.0, migrate_ms=1_560.0, drain_ms=2_700.0,
     )
+    sim.every(331.0, scn.supervise)
+    return scn
 
 
 #: Publish cutoff / script end for the generated-forest scenario.
@@ -479,18 +250,7 @@ SCALE_PUBLISH_UNTIL_MS = 2_400.0
 SCALE_SCRIPT_END_MS = 4_500.0
 
 
-class _ForestPublishers:
-    """Several ReliablePublishers (one per tree) behind one facade."""
-
-    def __init__(self, publishers: List[object]) -> None:
-        self.publishers = list(publishers)
-
-    @property
-    def unacknowledged(self) -> int:
-        return sum(p.unacknowledged for p in self.publishers)
-
-
-def _build_scale_scenario():
+def _build_scale_scenario() -> Scenario:
     """A *generated* multi-PHB forest with redundant-path failover.
 
     The wide/deep topology generator grows two PHB-rooted trees (two
@@ -503,125 +263,75 @@ def _build_scale_scenario():
     group namespace, so a subscriber's expected set stays confined to
     the tree that can actually reach it.
     """
-    from ..broker.topology import build_deep_overlay, place_durable_subscribers
-    from ..client.publisher import ReliablePublisher
-    from ..client.subscriber import DurableSubscriber
-    from ..matching.predicates import In
-    from ..net.node import Node
-    from ..net.simtime import Scheduler
-    from .failures import FailureSchedule
-    from .oracles import KnowledgeMonotonicityProbe
-
     sim = Scheduler()
     federation = build_deep_overlay(
         sim, n_trees=2, pubends_per_tree=1, fanout=(2,), shbs_per_leaf=1,
         spares_per_level=1,
     )
     # Tree k publishes groups [3k, 3k+3); predicates never cross trees.
-    tree_groups = [list(range(3 * k, 3 * k + 3)) for k in range(2)]
-    headless_preds = [
-        In("group", (g,)) for groups in tree_groups for g in groups
-    ]
+    groups = [list(range(3 * k, 3 * k + 3)) for k in range(2)]
     place_durable_subscribers(
-        federation, 6, headless_preds, seed=0, prefix="sx-h"
+        federation, 6, [In("group", (g,)) for tree in groups for g in tree],
+        seed=0, prefix="sx-h",
     )
-
-    subscribers = []
-    homes = []
-    for k, tree in enumerate(federation.trees):
-        for j, shb in enumerate(tree.shbs):
-            i = len(subscribers)
-            machine = Node(sim, f"sx-m{i + 1}")
-            g = tree_groups[k]
-            sub = DurableSubscriber(
-                sim, f"sx-s{i + 1}", machine,
-                In("group", [g[j % 3], g[(j + 1) % 3]]),
-                record_events=True, connect_retry_ms=400.0,
-            )
-            sub.connect(shb)
-            subscribers.append(sub)
-            homes.append(shb)
-    home = {sub.sub_id: shb for sub, shb in zip(subscribers, homes)}
-
-    publishers = []
-    for k, tree in enumerate(federation.trees):
-        pub = ReliablePublisher(
-            sim, tree.phb, Node(sim, f"sx-pub-m{k + 1}"), f"sx-pub{k + 1}",
-            tree.pubend_names[0], retransmit_ms=400.0,
-        )
-        publishers.append(pub)
-
-    def feed(count=[0]) -> None:  # noqa: B006 - deliberate mutable default
-        if sim.now < SCALE_PUBLISH_UNTIL_MS:
-            for k, pub in enumerate(publishers):
-                pub.publish({"group": tree_groups[k][count[0] % 3]})
-            count[0] += 1
-
-    sim.every(1000.0 / 150.0, feed)
-
-    truth: Dict[str, Tuple[int, Dict[str, object]]] = {}
-
-    def record_truth() -> None:
-        for tree in federation.trees:
-            for pubend in tree.phb.pubends.values():
-                for ev in pubend.log.read_range(0, 2 ** 60):
-                    truth.setdefault(ev.event_id, (ev.timestamp, ev.attributes))
-
-    sim.every(50.0, record_truth)
-
-    schedule = FailureSchedule(sim)
-    probes = []
-    for tree in federation.trees:
-        for shb in tree.shbs:
-            probes.append(
-                KnowledgeMonotonicityProbe(
-                    sim, shb, tree.pubend_names, interval_ms=100.0
-                )
-            )
-
+    scn = Scenario(sim, federation)
+    _populate(
+        scn, "sx", [tree.shbs for tree in federation.trees], groups,
+        [("sx-pub-m1", "sx-pub1"), ("sx-pub-m2", "sx-pub2")],
+        SCALE_PUBLISH_UNTIL_MS,
+    )
+    sim.every(50.0, scn.record_truth)
+    for shb in federation.shbs:
+        scn.probe(shb)
     # Scripted churn + two redundant-path failovers inside the window:
     # a bare SHB hops onto tree 1's spare, then a whole intermediate
     # subtree (intermediate + its SHB) hops onto tree 2's spare.
-    sim.at(700.0, subscribers[1].disconnect)
-    sim.at(1_500.0, lambda: (
-        subscribers[1].connect(home[subscribers[1].sub_id])
-        if not subscribers[1].connected else None
-    ))
+    scn.bounce(scn.subscribers[1], 700.0, 1_500.0)
     sim.at(1_200.0, lambda: federation.fail_over(
         federation.trees[0].shbs[0], federation.spares[(0, 1)][0]
     ))
     sim.at(1_800.0, lambda: federation.fail_over(
         federation.trees[1].intermediates[0], federation.spares[(1, 1)][0]
     ))
-
-    def supervise() -> None:
-        for sub in subscribers:
-            shb = home[sub.sub_id]
-            if not sub.connected and not sub.node.is_down and not shb.node.is_down:
-                sub.connect(shb)
-
-    sim.every(331.0, supervise)
-
-    return _Scenario(
-        sim=sim, overlay=federation, subscribers=subscribers,
-        publisher=_ForestPublishers(publishers), truth=truth,
-        schedule=schedule, knowledge_probe=probes,
-        record_truth=record_truth,
-        publish_until_ms=SCALE_PUBLISH_UNTIL_MS,
-        script_end_ms=SCALE_SCRIPT_END_MS,
-    )
+    sim.every(331.0, scn.supervise)
+    return scn
 
 
-#: Scenario registry: name -> builder.  ``storage`` is the original
-#: two-broker script over the storage stack; ``migration`` adds the
-#: dynamic-topology handoff windows (``migrate.*`` hook sites);
-#: ``scale`` sweeps a *generated* multi-PHB forest while subtrees fail
-#: over onto redundant-path spares.
-SCENARIOS: Dict[str, Callable[[], _Scenario]] = {
-    "storage": _build_scenario,
-    "migration": _build_migration_scenario,
-    "scale": _build_scale_scenario,
+#: Scenario registry: name -> (builder, end of the scripted window).
+#: ``storage`` is the original two-broker script over the storage
+#: stack; ``migration`` adds the dynamic-topology handoff windows
+#: (``migrate.*`` hook sites); ``scale`` sweeps a *generated* multi-PHB
+#: forest while subtrees fail over onto redundant-path spares.
+SCENARIOS: Dict[str, Tuple[Callable[[], Scenario], float]] = {
+    "storage": (_build_scenario, SCRIPT_END_MS),
+    "migration": (_build_migration_scenario, MIGRATION_SCRIPT_END_MS),
+    "scale": (_build_scale_scenario, SCALE_SCRIPT_END_MS),
 }
+
+
+def _advance(scn: Scenario, until: float, on_crash) -> None:
+    """run_until that converts a SimulatedCrash into a broker crash."""
+    while True:
+        try:
+            scn.sim.run_until(until)
+            return
+        except SimulatedCrash as exc:
+            on_crash(exc.point)
+
+
+def _play(
+    scn: Scenario, script_end_ms: float, grace_ms: float, on_crash
+) -> Optional[float]:
+    """Play the script, then run on until every subscriber has
+    everything: the convergence time, or None past the grace deadline."""
+    # The feeder stops itself at the scenario's publish cutoff; the
+    # remaining window lets releases, chops and retransmissions (and,
+    # in the migration scenario, the drain) play out under hooks.
+    _advance(scn, script_end_ms, on_crash)
+    return scn.converge(
+        script_end_ms + grace_ms, 250.0,
+        advance=lambda until: _advance(scn, until, on_crash),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -630,10 +340,11 @@ SCENARIOS: Dict[str, Callable[[], _Scenario]] = {
 def census(scenario: str = "storage") -> List[CrashPoint]:
     """Enumerate every boundary firing in the scripted scenario."""
     listener = _CensusListener()
-    scn = SCENARIOS[scenario]()
+    builder, script_end_ms = SCENARIOS[scenario]
+    scn = builder()
     HOOKS.install(listener)
     try:
-        _run_script(scn, on_crash=lambda point: None)
+        _advance(scn, script_end_ms, on_crash=lambda point: None)
     finally:
         HOOKS.uninstall()
     return listener.points
@@ -728,30 +439,16 @@ class ExplorationSummary:
         }
 
 
-def _check_oracles(scn: _Scenario) -> List[str]:
-    from .oracles import check_all
-
-    # Final truth sweep: events durably logged (and delivered) in the
-    # last instants before the oracle check may postdate the last
-    # 50 ms sampling tick.
-    scn.record_truth()
-    return check_all(
-        overlay=scn.overlay,
-        subscribers=scn.subscribers,
-        expected_of=scn.expected,
-        knowledge_probe=scn.knowledge_probe,
-        truth_ids=set(scn.truth),
-    )
-
-
 def _explore_one(
     point: CrashPoint,
     down_ms: float,
     grace_ms: float,
-    builder: Callable[[], _Scenario] = _build_scenario,
+    scenario: str = "storage",
 ) -> CrashOutcome:
     """Replay the scenario, crash at ``point``, recover, run oracles."""
+    builder, script_end_ms = SCENARIOS[scenario]
     scn = builder()
+    schedule = FailureSchedule(scn.sim)
     listener = _InjectListener(point.seq)
     crashed: List[str] = []
 
@@ -761,16 +458,15 @@ def _explore_one(
             crashed.append(f"<unowned:{fired.site}>")
             return
         crashed.append(broker.name)
-        scn.schedule.crash_now(broker, down_ms)
+        schedule.crash_now(broker, down_ms)
 
     HOOKS.install(listener)
     try:
-        _run_script(scn, on_crash)
-        converged_at = _converge(scn, grace_ms, on_crash)
+        converged_at = _play(scn, script_end_ms, grace_ms, on_crash)
     finally:
         HOOKS.uninstall()
 
-    violations = _check_oracles(scn)
+    violations = scn.verdict()
     if listener.fired is None:
         violations.append(
             f"{point.label()}: target firing never happened "
@@ -815,15 +511,14 @@ def explore(
     The baseline (no-crash) run is oracle-checked too: a violation
     there means the scenario itself is broken, not recovery.
     """
-    builder = SCENARIOS[scenario]
     points = census(scenario)
 
+    builder, script_end_ms = SCENARIOS[scenario]
     baseline = builder()
-    _run_script(baseline, on_crash=lambda point: None)
-    baseline_converged = _converge(
-        baseline, grace_ms, on_crash=lambda point: None
+    baseline_converged = _play(
+        baseline, script_end_ms, grace_ms, on_crash=lambda point: None
     )
-    baseline_violations = _check_oracles(baseline)
+    baseline_violations = baseline.verdict()
     if baseline_converged is None:
         baseline_violations.append("baseline run did not converge")
 
@@ -836,7 +531,7 @@ def explore(
     selected = select_points(candidates, max_points)
     outcomes: List[CrashOutcome] = []
     for i, point in enumerate(selected):
-        outcome = _explore_one(point, down_ms, grace_ms, builder)
+        outcome = _explore_one(point, down_ms, grace_ms, scenario)
         outcomes.append(outcome)
         if progress is not None:
             progress(i + 1, len(selected), outcome)
@@ -906,10 +601,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    # Under ``python -m`` this file runs as ``__main__`` while the
-    # storage modules import (and fire) ``repro.sim.crashpoints.HOOKS``
-    # — a different module object, so a listener installed here would
-    # record nothing.  Delegate to the canonical package module.
-    from repro.sim.crashpoints import main as _pkg_main
-
-    raise SystemExit(_pkg_main())
+    raise SystemExit(main())

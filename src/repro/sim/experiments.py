@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..broker.topology import (
     Federation,
@@ -28,6 +28,7 @@ from ..jms.ctstore import CheckpointCommitService
 from ..jms.session import AUTO_ACKNOWLEDGE, JMSDurableSubscriber
 from ..metrics.collector import MetricsCollector
 from ..metrics.report import percentile
+from ..net.link import link_stats
 from ..net.node import Node
 from ..net.simtime import Scheduler
 from ..util.rate import Series
@@ -37,6 +38,8 @@ from ..workloads.generator import (
     make_publishers,
     make_subscribers,
 )
+from .failures import ChaosSchedule, PerSubscriberWatchdog, ProgressWatchdog
+from .scenario import Scenario
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +104,6 @@ def prepare_scalability(
     sim = Scheduler()
     if single_broker:
         overlay = build_single_broker(
-            sim, spec.pubend_names(), batch_window_ms=batch_window_ms
-        )
-    elif n_shbs == 1:
-        overlay = build_two_broker(
             sim, spec.pubend_names(), batch_window_ms=batch_window_ms
         )
     else:
@@ -840,6 +839,83 @@ def run_jms_autoack(
 # ---------------------------------------------------------------------------
 # Chaos soak (robustness harness; not a paper figure)
 # ---------------------------------------------------------------------------
+#: Head-curiosity re-nack policy both soaks run under: exponential
+#: backoff + jitter + a retry budget (see CuriosityStream).
+_SOAK_NACK_POLICY = dict(
+    nack_backoff_factor=2.0,
+    nack_backoff_max_ms=4_000.0,
+    nack_jitter_ms=20.0,
+    nack_retry_budget=64,
+)
+
+
+def _soak_start(
+    scn: Scenario, spec: PaperWorkloadSpec, subs_per_shb: int,
+    sub_prefix: str, machine_prefix: str,
+) -> PerSubscriberWatchdog:
+    """What both soaks start with: ``subs_per_shb`` paper-workload
+    subscribers on every SHB, reconnect supervision, the truth
+    recorder, a per-subscriber progress watchdog (an aggregate probe
+    hides one wedged subscriber behind everyone else's advance) and a
+    knowledge probe per SHB."""
+    sim = scn.sim
+    for s_idx, shb in enumerate(scn.overlay.shbs):
+        for j in range(subs_per_shb):
+            i = s_idx * subs_per_shb + j
+            scn.subscriber(
+                f"{sub_prefix}{i + 1}", f"{machine_prefix}{i + 1}",
+                spec.subscriber_predicate(i), shb,
+            )
+    sim.every(331.0, scn.supervise)
+    sim.every(100.0, scn.record_truth)
+    sub_watchdog = PerSubscriberWatchdog(
+        sim,
+        {s.sub_id: (lambda s=s: float(s.stats.events)) for s in scn.subscribers},
+        interval_ms=250.0,
+    )
+    for shb in scn.overlay.shbs:
+        scn.probe(shb)
+    return sub_watchdog
+
+
+def _soak_tail(
+    scn: Scenario,
+    publishers: List[object],
+    chaos: ChaosSchedule,
+    sub_watchdog: PerSubscriberWatchdog,
+    duration_ms: float,
+    grace_ms: float,
+    stall_window: Tuple[float, float],
+) -> Tuple[Optional[float], List[str], List[str]]:
+    """The tail both soaks share: publishing stops at 80% of the run,
+    which then converges through a quiet tail (extended up to
+    ``grace_ms``).  Returns the convergence time, the verdict — every
+    oracle family, convergence, and per-subscriber progress inside
+    ``stall_window`` — and the stalled subscribers."""
+    sim = scn.sim
+    sim.run_until(duration_ms * 0.8)
+    for pub in publishers:
+        pub.stop()
+    sim.run_until(duration_ms)
+    converged_at = scn.converge(duration_ms + grace_ms, 500.0)
+    chaos.stop()
+    sub_watchdog.stop()
+
+    violations = scn.verdict()
+    if converged_at is None:
+        violations.append(
+            f"no convergence within {grace_ms:.0f} ms grace after the run"
+        )
+    t0, t1 = stall_window
+    stalled = sub_watchdog.stalled_subscribers(t0, t1, behind=scn.behind())
+    for name in stalled:
+        violations.append(
+            f"subscriber {name}: no forward progress in"
+            f" [{t0:.0f}, {t1:.0f}] ms and still missing events"
+        )
+    return converged_at, violations, stalled
+
+
 @dataclass
 class ChaosSoakResult:
     """Outcome of one seeded chaos run.
@@ -908,12 +984,12 @@ def run_chaos_soak(
       ReleaseUpdate is injected, so any GapMessage is a violation;
     * liveness — per-SHB :class:`~repro.sim.failures.ProgressWatchdog`
       probes must advance during the post-fault quiet tail, and the run
-      must converge before the grace deadline.
-    """
-    from ..client.publisher import PeriodicPublisher  # noqa: F401  (re-export convenience)
-    from ..net.link import link_stats
-    from .failures import ChaosSchedule, PerSubscriberWatchdog, ProgressWatchdog
+      must converge before the grace deadline;
 
+    plus, per SHB, the storage-side oracle families of
+    :mod:`repro.sim.oracles`: PFS chain integrity, chop-point agreement
+    and monotone committed knowledge.
+    """
     fault_horizon = duration_ms * 0.6
     quiet_start = fault_horizon + max_down_ms + 2_500.0
     if quiet_start + 1_000.0 > duration_ms:
@@ -926,59 +1002,17 @@ def run_chaos_soak(
     sim = Scheduler()
     overlay = build_tree(
         sim, pubends, fanout or [2, 2],
-        batch_window_ms=batch_window_ms,
-        nack_backoff_factor=2.0,
-        nack_backoff_max_ms=4_000.0,
-        nack_jitter_ms=20.0,
-        nack_retry_budget=64,
+        batch_window_ms=batch_window_ms, **_SOAK_NACK_POLICY,
     )
     publishers = make_publishers(sim, overlay.phb, spec)
 
-    subscribers: List[DurableSubscriber] = []
-    machines: List[Node] = []
-    home: Dict[str, object] = {}
-    for s_idx, shb in enumerate(overlay.shbs):
-        for j in range(subs_per_shb):
-            i = s_idx * subs_per_shb + j
-            machine = Node(sim, f"chaos-m{i + 1}")
-            machines.append(machine)
-            sub = DurableSubscriber(
-                sim, f"cs{i + 1}", machine, spec.subscriber_predicate(i),
-                record_events=True, connect_retry_ms=400.0,
-            )
-            sub.connect(shb)
-            subscribers.append(sub)
-            home[sub.sub_id] = shb
-            # A machine crash kills the app process: its CT rolls back
-            # to the committed snapshot, like DurableSubscriber.crash().
-            machine.on_crash(lambda s=sub: setattr(s, "ct", s.committed_ct.copy()))
-
-    # Reconnect supervisor: any subscriber dropped by an SHB crash or
-    # client-machine crash reconnects once both ends are up again (the
-    # connect-retry knob covers the race where the SHB dies in between).
-    def _supervise() -> None:
-        for sub in subscribers:
-            if not sub.connected and not sub.node.is_down:
-                shb = home[sub.sub_id]
-                if not shb.node.is_down:
-                    sub.connect(shb)
-
-    supervisor = sim.every(331.0, _supervise)
-
-    # Ground truth recorder: the durable log is the oracle for
-    # completeness, but release chops it from the front, so snapshot
-    # event ids/attributes well before any chop can land (a tick is
-    # released only after every subscriber acked it, ≥ one 250 ms ack
-    # interval after delivery — a 100 ms scan never misses).
-    truth: Dict[str, Dict[str, Mapping[str, object]]] = {p: {} for p in pubends}
-
-    def _record_truth() -> None:
-        for p in pubends:
-            for ev in overlay.phb.pubends[p].log.read_range(0, 2**60):
-                truth[p].setdefault(ev.event_id, ev.attributes)
-
-    truth_timer = sim.every(100.0, _record_truth)
-
+    scn = Scenario(sim, overlay)
+    sub_watchdog = _soak_start(scn, spec, subs_per_shb, "cs", "chaos-m")
+    subscribers = scn.subscribers
+    for sub in subscribers:
+        # A machine crash kills the app process: its CT rolls back
+        # to the committed snapshot, like DurableSubscriber.crash().
+        sub.node.on_crash(lambda s=sub: setattr(s, "ct", s.committed_ct.copy()))
     watchdogs = [
         ProgressWatchdog(
             sim,
@@ -988,19 +1022,12 @@ def run_chaos_soak(
         )
         for shb in overlay.shbs
     ]
-    # Per-subscriber progress: an aggregate probe hides one wedged
-    # subscriber behind everyone else's advance.
-    sub_watchdog = PerSubscriberWatchdog(
-        sim,
-        {s.sub_id: (lambda s=s: float(s.stats.events)) for s in subscribers},
-        interval_ms=250.0,
-    )
 
     chaos = ChaosSchedule(
         sim, seed,
         brokers=overlay.all_brokers(),
         links=list(overlay.links),
-        client_nodes=machines,
+        client_nodes=[s.node for s in subscribers],
     )
     chaos.generate(
         fault_horizon,
@@ -1008,91 +1035,17 @@ def run_chaos_soak(
         stalls=stalls, client_crashes=client_crashes, max_down_ms=max_down_ms,
     )
 
-    publish_until = duration_ms * 0.8
-    sim.run_until(publish_until)
-    for pub in publishers:
-        pub.stop()
-    sim.run_until(duration_ms)
-
-    def _expected(sub: DurableSubscriber) -> Set[str]:
-        return {
-            eid
-            for p in pubends
-            for eid, attrs in truth[p].items()
-            if sub.predicate.matches(attrs)
-        }
-
-    # Quiet-tail convergence: extend past duration_ms (up to grace_ms)
-    # until everyone is reconnected and has every matching durable event.
-    deadline = duration_ms + grace_ms
-    converged_at: Optional[float] = None
-    while True:
-        if all(s.connected for s in subscribers) and all(
-            _expected(s) <= s.received_event_id_set for s in subscribers
-        ):
-            converged_at = sim.now
-            break
-        if sim.now >= deadline:
-            break
-        sim.run_until(min(sim.now + 500.0, deadline))
-
-    chaos.stop()
-    supervisor.cancel()
-    truth_timer.cancel()
+    converged_at, violations, stalled = _soak_tail(
+        scn, publishers, chaos, sub_watchdog, duration_ms, grace_ms,
+        stall_window=(quiet_start, duration_ms),
+    )
     for wd in watchdogs:
         wd.stop()
-    sub_watchdog.stop()
-
-    violations: List[str] = []
-    for sub in subscribers:
-        if sub.duplicate_events:
-            violations.append(f"{sub.sub_id}: {sub.duplicate_events} duplicate events")
-        if sub.stats.order_violations:
-            violations.append(
-                f"{sub.sub_id}: {sub.stats.order_violations} order violations"
-            )
-        if sub.stats.gaps:
-            violations.append(
-                f"{sub.sub_id}: {sub.stats.gaps} gap messages with no release injected"
-                f" (ranges {sub.stats.gap_ranges[:3]})"
-            )
-        expected = _expected(sub)
-        missing = expected - sub.received_event_id_set
-        extra = sub.received_event_id_set - expected
-        if missing:
-            violations.append(
-                f"{sub.sub_id}: missing {len(missing)} durable matching events"
-                f" (e.g. {sorted(missing)[:3]})"
-            )
-        if extra:
-            violations.append(
-                f"{sub.sub_id}: received {len(extra)} events not in the durable log"
-                f" (e.g. {sorted(extra)[:3]})"
-            )
-    if converged_at is None:
-        violations.append(
-            f"no convergence within {grace_ms:.0f} ms grace after the run"
-        )
-    for wd in watchdogs:
         if not wd.progressed_between(quiet_start, duration_ms):
             violations.append(
                 f"watchdog {wd.name}: no forward progress in the quiet tail"
                 f" [{quiet_start:.0f}, {duration_ms:.0f}] ms"
             )
-    # "Behind" is judged against each subscriber's *own* expected set —
-    # predicates differ, so raw event counts are not comparable across
-    # subscribers.
-    behind = {
-        sub.sub_id
-        for sub in subscribers
-        if _expected(sub) - sub.received_event_id_set
-    }
-    stalled = sub_watchdog.stalled_subscribers(quiet_start, duration_ms, behind=behind)
-    for name in stalled:
-        violations.append(
-            f"subscriber {name}: no forward progress in the quiet tail"
-            f" [{quiet_start:.0f}, {duration_ms:.0f}] ms and still missing events"
-        )
 
     curiosity_counters = {"nacks_sent": 0, "renacks": 0, "budget_suppressed": 0}
     for shb in overlay.shbs:
@@ -1193,223 +1146,59 @@ def run_migration_soak(
     :mod:`repro.sim.oracles` is checked at the end (the retired source
     included), plus per-subscriber progress watchdogs.
     """
-    from .failures import ChaosSchedule, PerSubscriberWatchdog
-    from .oracles import KnowledgeMonotonicityProbe, check_all
-    from .supervisor import Supervisor
-
     spec = spec or PaperWorkloadSpec(input_rate=200.0, n_pubends=2)
-    pubends = spec.pubend_names()
     sim = Scheduler()
-    overlay = build_star(
-        sim, pubends, n_shbs,
-        nack_backoff_factor=2.0,
-        nack_backoff_max_ms=4_000.0,
-        nack_jitter_ms=20.0,
-        nack_retry_budget=64,
-    )
+    overlay = build_star(sim, spec.pubend_names(), n_shbs, **_SOAK_NACK_POLICY)
     source = overlay.shbs[0]
     publishers = make_publishers(sim, overlay.phb, spec)
 
-    subscribers: List[DurableSubscriber] = []
-    home: Dict[str, object] = {}
-    napping: Set[str] = set()
-    for s_idx, shb in enumerate(overlay.shbs):
-        for j in range(subs_per_shb):
-            i = s_idx * subs_per_shb + j
-            sub = DurableSubscriber(
-                sim, f"ms{i + 1}", Node(sim, f"mig-m{i + 1}"),
-                spec.subscriber_predicate(i),
-                record_events=True, connect_retry_ms=400.0,
-            )
-            sub.connect(shb)
-            subscribers.append(sub)
-            home[sub.sub_id] = shb
+    scn = Scenario(sim, overlay)
+    sub_watchdog = _soak_start(scn, spec, subs_per_shb, "ms", "mig-m")
+    subscribers = scn.subscribers
     victim = subscribers[0]  # hosted by ``source``
-
-    # Redirect-aware reconnect supervision: a subscriber dropped by a
-    # crash reconnects to its recorded home; one refused with a
-    # redirect (migrated away, or its home drained) re-homes first.
-    def _shb_named(name: str) -> Optional[object]:
-        for shb in overlay.shbs:
-            if shb.name == name:
-                return shb
-        return None
-
-    def _supervise() -> None:
-        for sub in subscribers:
-            if sub.connected or sub.node.is_down or sub.sub_id in napping:
-                continue
-            if sub.last_refusal is not None:
-                _reason, redirect = sub.last_refusal
-                sub.last_refusal = None
-                if redirect is not None:
-                    target = _shb_named(redirect)
-                    if target is not None:
-                        home[sub.sub_id] = target
-            shb = home[sub.sub_id]
-            if not shb.node.is_down:
-                sub.connect(shb)
-
-    supervise_timer = sim.every(331.0, _supervise)
-
-    truth: Dict[str, Dict[str, Tuple[int, Mapping[str, object]]]] = {
-        p: {} for p in pubends
-    }
-
-    def _record_truth() -> None:
-        for p in pubends:
-            for ev in overlay.phb.pubends[p].log.read_range(0, 2**60):
-                truth[p].setdefault(ev.event_id, (ev.timestamp, ev.attributes))
-
-    truth_timer = sim.every(100.0, _record_truth)
-
-    sub_watchdog = PerSubscriberWatchdog(
-        sim,
-        {s.sub_id: (lambda s=s: float(s.stats.events)) for s in subscribers},
-        interval_ms=250.0,
-    )
-    probes = [
-        KnowledgeMonotonicityProbe(sim, shb, pubends, interval_ms=250.0)
-        for shb in overlay.shbs
-    ]
 
     chaos = ChaosSchedule(
         sim, seed, brokers=overlay.all_brokers(), links=list(overlay.links)
     )
-    supervisor = Supervisor(overlay)
-    joined: Dict[str, object] = {}
-    drained: Dict[str, object] = {}
 
-    t_nap = duration_ms * 0.15
-    t_join = duration_ms * 0.25
+    def plan_faults(joiner: object) -> None:
+        uplinks = [
+            overlay.link_between(overlay.phb, source),
+            overlay.link_between(overlay.phb, joiner),
+        ]
+        chaos.plan_phase(
+            "during-migration", crashes=1, loss_bursts=2,
+            window_ms=900.0, max_down_ms=450.0,
+            brokers=[source, joiner], links=uplinks,
+        )
+        chaos.plan_phase(
+            "during-drain", loss_bursts=2,
+            window_ms=1_200.0, max_down_ms=450.0, links=uplinks,
+        )
+
     t_wake = duration_ms * 0.40
-    # Close enough to the wake-up that the victim's catchup (a backlog
-    # of a quarter of the run) is still streaming when the handoff
-    # starts — the acceptance scenario is "migrate mid-catchup".
-    t_migrate = t_wake + 120.0
     t_drain = duration_ms * 0.58
-    publish_until = duration_ms * 0.8
-
-    def _nap() -> None:
-        napping.add(victim.sub_id)
-        victim.disconnect()
-
-    def _join() -> None:
-        joiner = supervisor.join_shb(
-            "shb-joiner",
-            nack_backoff_factor=2.0,
-            nack_backoff_max_ms=4_000.0,
-            nack_jitter_ms=20.0,
-            nack_retry_budget=64,
-        )
-        joined["shb"] = joiner
-        probes.append(
-            KnowledgeMonotonicityProbe(sim, joiner, pubends, interval_ms=250.0)
-        )
-        if with_faults:
-            uplinks = [
-                overlay.link_between(overlay.phb, source),
-                overlay.link_between(overlay.phb, joiner),
-            ]
-            chaos.plan_phase(
-                "during-migration", crashes=1, loss_bursts=2,
-                window_ms=900.0, max_down_ms=450.0,
-                brokers=[source, joiner], links=uplinks,
-            )
-            chaos.plan_phase(
-                "during-drain", loss_bursts=2,
-                window_ms=1_200.0, max_down_ms=450.0, links=uplinks,
-            )
-
-    def _wake() -> None:
-        napping.discard(victim.sub_id)
-        if not victim.connected and not victim.node.is_down:
-            shb = home[victim.sub_id]
-            if not shb.node.is_down:
-                victim.connect(shb)
-
-    def _migrate() -> None:
-        chaos.mark_phase("during-migration")
-        supervisor.migrate(victim.sub_id, source, joined["shb"])
-
-    def _drain() -> None:
-        chaos.mark_phase("during-drain")
-        drained["handle"] = supervisor.drain_shb(source, joined["shb"])
-
-    sim.at(t_nap, _nap)
-    sim.at(t_join, _join)
-    sim.at(t_wake, _wake)
-    sim.at(t_migrate, _migrate)
-    sim.at(t_drain, _drain)
-
-    sim.run_until(publish_until)
-    for pub in publishers:
-        pub.stop()
-    sim.run_until(duration_ms)
-
-    def _expected(sub: DurableSubscriber) -> Dict[str, int]:
-        return {
-            eid: ts
-            for p in pubends
-            for eid, (ts, attrs) in truth[p].items()
-            if sub.predicate.matches(attrs)
-        }
-
-    def _settled() -> bool:
-        handle = drained.get("handle")
-        if handle is None or not handle.detached:
-            return False
-        if any(not m.done for m in supervisor.migrations):
-            return False
-        return all(s.connected for s in subscribers) and all(
-            set(_expected(s)) <= s.received_event_id_set for s in subscribers
-        )
-
-    deadline = duration_ms + grace_ms
-    converged_at: Optional[float] = None
-    while True:
-        if _settled():
-            converged_at = sim.now
-            break
-        if sim.now >= deadline:
-            break
-        sim.run_until(min(sim.now + 500.0, deadline))
-
-    chaos.stop()
-    supervise_timer.cancel()
-    truth_timer.cancel()
-    sub_watchdog.stop()
-    _record_truth()
-
-    truth_ids = {eid for p in pubends for eid in truth[p]}
-    violations = check_all(
-        overlay=overlay,
-        subscribers=subscribers,
-        expected_of=_expected,
-        knowledge_probe=probes,
-        truth_ids=truth_ids,
+    scn.script_handoff(
+        victim, source, "shb-joiner",
+        nap_ms=duration_ms * 0.15,
+        join_ms=duration_ms * 0.25,
+        wake_ms=t_wake,
+        # Close enough to the wake-up that the victim's catchup (a
+        # backlog of a quarter of the run) is still streaming when the
+        # handoff starts — the acceptance scenario is "migrate
+        # mid-catchup".
+        migrate_ms=t_wake + 120.0,
+        drain_ms=t_drain,
+        on_join=plan_faults if with_faults else None,
+        on_phase=chaos.mark_phase,
+        **_SOAK_NACK_POLICY,
     )
-    handle = drained.get("handle")
-    if handle is None or not handle.detached:
-        violations.append(f"{source.name}: drain never detached the broker")
-    if any(not m.done for m in supervisor.migrations):
-        undone = [m.handoff_id for m in supervisor.migrations if not m.done]
-        violations.append(f"unfinished migrations: {undone}")
-    if converged_at is None:
-        violations.append(
-            f"no convergence within {grace_ms:.0f} ms grace after the run"
-        )
-    behind = {
-        sub.sub_id
-        for sub in subscribers
-        if set(_expected(sub)) - sub.received_event_id_set
-    }
-    stalled = sub_watchdog.stalled_subscribers(t_drain, publish_until, behind=behind)
-    for name in stalled:
-        violations.append(
-            f"subscriber {name}: no forward progress in"
-            f" [{t_drain:.0f}, {publish_until:.0f}] ms and still missing events"
-        )
+
+    converged_at, violations, stalled = _soak_tail(
+        scn, publishers, chaos, sub_watchdog, duration_ms, grace_ms,
+        stall_window=(t_drain, duration_ms * 0.8),
+    )
+    migrations = scn.supervisor.migrations
 
     return MigrationSoakResult(
         seed=seed,
@@ -1420,13 +1209,13 @@ def run_migration_soak(
         joined_shb="shb-joiner",
         drained_shb=source.name,
         migrated_mid_catchup=victim.sub_id,
-        migrations=len(supervisor.migrations),
-        migrations_done=sum(1 for m in supervisor.migrations if m.done),
-        source_detached=bool(handle is not None and handle.detached),
+        migrations=len(migrations),
+        migrations_done=sum(1 for m in migrations if m.done),
+        source_detached=bool(scn.drain is not None and scn.drain.detached),
         faults=list(chaos.records),
         violations=violations,
         stalled_subscribers=stalled,
-        final_placement=supervisor.placement(),
+        final_placement=scn.supervisor.placement(),
     )
 
 
@@ -1487,7 +1276,6 @@ def run_message_amplification(
         pub.stop()
     sim.run_until(duration_ms + 2_000.0)   # drain in-flight batches
     collector.stop()
-    from ..net.link import link_stats
 
     stats = link_stats(sim)
     published = sum(p.published for p in publishers)

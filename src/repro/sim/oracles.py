@@ -1,17 +1,18 @@
-"""Invariant oracles for the crash-point explorer.
+"""Invariant oracles for the robustness scenarios (``sim/scenario.py``).
 
-Each oracle inspects the *final* state of an explored run (after the
-injected crash, recovery, and convergence) and returns a list of
+Each oracle inspects the *final* state of a run (after the injected
+faults, recovery, and convergence) and returns a list of
 human-readable violation strings — empty means the invariant held.
 The families, matching PROTOCOL.md §7.1:
 
 1. **Exactly-once delivery** — no duplicate event ids, no per-pubend
    timestamp order violations at any subscriber.
-2. **Completeness and gap honesty** — every durably-logged event that
-   matches a subscriber's predicate is delivered; the explorer scenario
-   releases a tick only after *every* subscriber has acked it, so a
-   ``GapMessage`` (an admission of loss) is always a violation, and so
-   is an event the durable log never contained.
+2. **Completeness and gap honesty** — a subscriber receives exactly
+   the durably-logged events that match its predicate: none missing,
+   and none extra (an event the durable log never contained, or one its
+   predicate does not match); the scenarios release a tick only after
+   *every* subscriber has acked it, so a ``GapMessage`` (an admission
+   of loss) is always a violation.
 3. **PFS backpointer-chain integrity** — from every live
    ``last_index`` entry, the per-subscriber chain must walk down
    decodable records that all contain the subscriber, with strictly
@@ -29,7 +30,9 @@ The families, matching PROTOCOL.md §7.1:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
+
+from ..pfs.records import NO_PREVIOUS, PFSRecordBatch, decode_record
 
 __all__ = [
     "KnowledgeMonotonicityProbe",
@@ -47,8 +50,9 @@ __all__ = [
 def check_delivery(
     subscribers: List[object],
     expected_of: Callable[[object], Dict[str, int]],
-    truth_ids: Optional[set] = None,
 ) -> List[str]:
+    """``expected_of(sub)`` maps event id → tick for every durably
+    logged event matching ``sub``'s predicate."""
     violations: List[str] = []
     for sub in subscribers:
         if sub.duplicate_events:
@@ -73,13 +77,12 @@ def check_delivery(
                 f"{sub.sub_id}: {len(missing)} durably logged matching "
                 f"events never delivered (ticks {ticks[:5]}...)"
             )
-        if truth_ids is not None:
-            extra = sub.received_event_id_set - truth_ids
-            if extra:
-                violations.append(
-                    f"{sub.sub_id}: {len(extra)} delivered events absent "
-                    f"from the durable log"
-                )
+        extra = sub.received_event_id_set - set(expected)
+        if extra:
+            violations.append(
+                f"{sub.sub_id}: {len(extra)} delivered events that are not "
+                f"durably logged matches (e.g. {sorted(extra)[:3]})"
+            )
     return violations
 
 
@@ -87,8 +90,6 @@ def check_delivery(
 # 3: PFS backpointer-chain integrity
 # ----------------------------------------------------------------------
 def check_pfs_chains(shb: object) -> List[str]:
-    from ..pfs.records import NO_PREVIOUS, PFSRecordBatch, decode_record
-
     violations: List[str] = []
     for pubend, state in sorted(shb.pfs._pubends.items()):
         stream = state.stream
@@ -167,64 +168,51 @@ def check_pfs_chains(shb: object) -> List[str]:
 # ----------------------------------------------------------------------
 # 4: chop-point agreement across event log / PFS / release tables
 # ----------------------------------------------------------------------
-def all_shbs(overlay: object, include_retired: bool = True) -> List[object]:
-    """Every SHB the run ever had — live plus (by default) retired.
+def all_shbs(overlay: object) -> List[object]:
+    """Every SHB the run ever had — live plus retired.
 
     Dynamic-topology runs detach drained brokers into
     ``overlay.retired``; their final durable state must still satisfy
     every invariant, so the oracles audit them too.
     """
-    trees = getattr(overlay, "trees", None)
-    if trees is not None:  # a Federation: audit every tree
-        shbs: List[object] = []
-        for tree in trees:
-            shbs.extend(all_shbs(tree, include_retired))
-        return shbs
-    shbs = list(overlay.shbs)
-    if include_retired:
-        shbs.extend(
-            b for b in getattr(overlay, "retired", [])
-            if hasattr(b, "constreams")
-        )
+    shbs: List[object] = []
+    for tree in overlay.trees:
+        shbs.extend(tree.shbs)
+        shbs.extend(b for b in tree.retired if hasattr(b, "constreams"))
     return shbs
 
 
 def check_chop_agreement(overlay: object) -> List[str]:
-    trees = getattr(overlay, "trees", None)
-    if trees is not None:  # a Federation: each tree checks on its own
-        violations: List[str] = []
-        for tree in trees:
-            violations.extend(check_chop_agreement(tree))
-        return violations
-    violations = []
-    for name, pubend in sorted(overlay.phb.pubends.items()):
-        released_bound = pubend.lost_below - 1
-        log_chop = pubend.log.chopped_below
-        if log_chop > released_bound + 1:
-            violations.append(
-                f"phb/{name}: event log chopped below {log_chop} but "
-                f"released bound is only {released_bound}"
-            )
-        for shb in all_shbs(overlay):
-            if name not in shb.constreams:
-                continue
-            committed_ld = shb.constreams[name].committed_latest_delivered
-            # The released bound must trail every *live* SHB's durable
-            # replay point.  A retired SHB's cursor froze at detach and
-            # it will never replay — the tree legitimately releases
-            # past it, so only the SHB-local PFS check applies there.
-            if shb in overlay.shbs and released_bound > committed_ld:
+    violations: List[str] = []
+    for tree in overlay.trees:  # each tree checks on its own
+        for name, pubend in sorted(tree.phb.pubends.items()):
+            released_bound = pubend.lost_below - 1
+            log_chop = pubend.log.chopped_below
+            if log_chop > released_bound + 1:
                 violations.append(
-                    f"phb/{name}: released bound {released_bound} beyond "
-                    f"{shb.name}'s committed latestDelivered {committed_ld}"
+                    f"phb/{name}: event log chopped below {log_chop} but "
+                    f"released bound is only {released_bound}"
                 )
-            state = shb.pfs._pubends.get(name)
-            if state is not None and state.chopped_from_ts > committed_ld + 1:
-                violations.append(
-                    f"{shb.name}/{name}: PFS chopped from "
-                    f"{state.chopped_from_ts} beyond committed "
-                    f"latestDelivered {committed_ld}"
-                )
+            for shb in all_shbs(tree):
+                if name not in shb.constreams:
+                    continue
+                committed_ld = shb.constreams[name].committed_latest_delivered
+                # The released bound must trail every *live* SHB's durable
+                # replay point.  A retired SHB's cursor froze at detach and
+                # it will never replay — the tree legitimately releases
+                # past it, so only the SHB-local PFS check applies there.
+                if shb in tree.shbs and released_bound > committed_ld:
+                    violations.append(
+                        f"phb/{name}: released bound {released_bound} beyond "
+                        f"{shb.name}'s committed latestDelivered {committed_ld}"
+                    )
+                state = shb.pfs._pubends.get(name)
+                if state is not None and state.chopped_from_ts > committed_ld + 1:
+                    violations.append(
+                        f"{shb.name}/{name}: PFS chopped from "
+                        f"{state.chopped_from_ts} beyond committed "
+                        f"latestDelivered {committed_ld}"
+                    )
     return violations
 
 
@@ -285,32 +273,24 @@ class KnowledgeMonotonicityProbe:
 
 
 # ----------------------------------------------------------------------
-# Entry point used by the explorer
+# Entry point (``Scenario.verdict``)
 # ----------------------------------------------------------------------
 def check_all(
     overlay: object,
     subscribers: List[object],
     expected_of: Callable[[object], Dict[str, int]],
-    knowledge_probe: object = None,
-    truth_ids: Optional[set] = None,
+    probes: Sequence[KnowledgeMonotonicityProbe] = (),
 ) -> List[str]:
     """Run every oracle family over every SHB the run ever had.
 
-    ``knowledge_probe`` accepts one probe or a list of them — dynamic
-    topologies run one :class:`KnowledgeMonotonicityProbe` per SHB.
     Retired (drained) SHBs are audited too: their PFS chains must still
     decode and their chop points must still agree with their own frozen
     cursors.
     """
-    violations = check_delivery(subscribers, expected_of, truth_ids)
+    violations = check_delivery(subscribers, expected_of)
     for shb in all_shbs(overlay):
         violations.extend(check_pfs_chains(shb))
     violations.extend(check_chop_agreement(overlay))
-    probes = (
-        knowledge_probe
-        if isinstance(knowledge_probe, (list, tuple))
-        else ([knowledge_probe] if knowledge_probe is not None else [])
-    )
     for probe in probes:
         violations.extend(probe.check_final())
     return violations

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..net.simtime import Scheduler
-from ..sim.crashpoints import HOOKS
+from ..util.crashhooks import HOOKS
 
 
 class SimDisk:

@@ -22,7 +22,7 @@ import pickle
 from typing import Callable, Dict, List, Optional
 
 from ..core.events import Event
-from ..sim.crashpoints import HOOKS
+from ..util.crashhooks import HOOKS
 from ..util.errors import StorageError
 from .disk import SimDisk
 

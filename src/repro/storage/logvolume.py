@@ -34,7 +34,7 @@ import struct
 import zlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..sim.crashpoints import HOOKS
+from ..util.crashhooks import HOOKS
 from ..util.errors import CorruptLogError, RecordNotFoundError
 
 _MAGIC = b"GLV1"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..sim.crashpoints import HOOKS
+from ..util.crashhooks import HOOKS
 from .disk import SimDisk
 
 #: Rough per-row cost of a table write (key + value + index overhead).

@@ -13,6 +13,12 @@ from repro.sim.experiments import run_chaos_soak
 
 SMOKE_SEEDS = [3, 7, 24]
 SMOKE_MS = 13_000.0
+#: seed -> (published, delivered, converged_at_ms, faults) at SMOKE_MS:
+#: the harness scaffold (``sim/scenario.py``) must not move these.
+SMOKE_FINGERPRINTS = {
+    3: (2080, 4160, 13_000.0, 14),
+    7: (1860, 3702, 13_000.0, 14),
+}
 
 
 @pytest.mark.parametrize("seed", SMOKE_SEEDS)
@@ -22,6 +28,11 @@ def test_chaos_smoke(seed):
     assert result.events_published > 0
     assert result.events_delivered > 0
     assert len(result.faults) > 0
+    if seed in SMOKE_FINGERPRINTS:
+        assert (
+            result.events_published, result.events_delivered,
+            result.converged_at_ms, len(result.faults),
+        ) == SMOKE_FINGERPRINTS[seed]
 
 
 def test_chaos_smoke_with_batching():

@@ -9,9 +9,19 @@ every injected crash.  The full sweep over every census point is the
 opt-in soak (`pytest -m soak tests/test_crashpoints.py`).
 """
 
+import hashlib
+
 import pytest
 
 from repro.sim import crashpoints as cp
+
+
+def census_fingerprint(points):
+    """``(len, sha256 prefix)`` of a census — what the scaffold the
+    scenarios are built on (``sim/scenario.py``) must not move.
+    Independent of ``PYTHONHASHSEED``."""
+    labels = "\n".join(p.label() for p in points)
+    return len(points), hashlib.sha256(labels.encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +75,9 @@ class TestCensus:
         assert [(p.seq, p.site, p.owner) for p in again] == [
             (p.seq, p.site, p.owner) for p in census_points
         ]
+
+    def test_census_fingerprint_is_pinned(self, census_points):
+        assert census_fingerprint(census_points) == (4315, "318271171adf")
 
     def test_every_point_has_an_owner(self, census_points):
         # A boundary with no owner cannot be crashed meaningfully; all
@@ -140,12 +153,20 @@ class TestScaleScenario:
             (p.seq, p.site, p.owner) for p in scale_census
         ]
 
+    def test_census_fingerprint_is_pinned(self, scale_census):
+        assert census_fingerprint(scale_census) == (11978, "95b327b82d3e")
+
     def test_smoke_sweep_recovers(self):
         summary = cp.explore(max_points=6, scenario="scale")
         assert summary.baseline_violations == []
         for outcome in summary.outcomes:
             assert outcome.ok, outcome.violations
             assert outcome.converged_at_ms is not None
+
+
+def test_migration_census_fingerprint_is_pinned():
+    # The migration scenario's sweeps live in tests/test_migration_soak.py.
+    assert census_fingerprint(cp.census("migration")) == (8026, "8d23edc1f018")
 
 
 # ---------------------------------------------------------------------------

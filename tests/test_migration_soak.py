@@ -4,7 +4,7 @@ Tier 1 runs one seeded migration soak (join + mid-catchup migration +
 drain under faults, every oracle family checked) and a small crash-point
 sweep over the handoff durability boundaries.  The full stratified
 sweep and the many-seed soak ride the ``soak`` marker and the
-``migration-chaos-smoke`` CI job (``python -m repro.sim.crashpoints
+``robustness`` CI job (``python -m repro.sim.crashpoints
 --scenario migration --sites migrate.``).
 """
 
@@ -14,12 +14,21 @@ from repro.sim import crashpoints
 from repro.sim.experiments import run_migration_soak
 
 
+def _fingerprint(result):
+    """What the harness scaffold (``sim/scenario.py``) must not move."""
+    return (
+        result.events_published, result.events_delivered,
+        result.converged_at_ms, len(result.faults), result.migrations,
+    )
+
+
 def test_migration_soak_faultless():
     result = run_migration_soak(seed=1, with_faults=False)
     assert result.ok, "; ".join(result.violations)
     assert result.migrations_done == result.migrations > 0
     assert result.source_detached
     assert result.stalled_subscribers == []
+    assert _fingerprint(result) == (3840, 3840, 24_000.0, 0, 2)
 
 
 def test_migration_soak_with_faults():
@@ -27,7 +36,7 @@ def test_migration_soak_with_faults():
     assert result.ok, "; ".join(result.violations)
     assert result.migrations_done == result.migrations > 0
     assert result.source_detached
-    assert len(result.faults) > 0
+    assert _fingerprint(result) == (3840, 3840, 24_000.0, 5, 2)
 
 
 def test_migration_soak_same_seed_is_deterministic():

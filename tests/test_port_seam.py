@@ -9,6 +9,14 @@ instead of sleeping the simulator's model of one:
 * ``broker/``, ``client/`` and ``jms/`` name the ``Executor`` port, not
   ``net.node.Node``, wherever a signature takes a machine.
 
+And for protocol code to depend on ports, not on the simulator:
+
+* nothing outside ``sim/`` imports ``repro.sim`` (the package root's
+  re-exports and the CLI aside) — the crash-point hook registry that
+  six storage/PFS/SHB modules fire lives in ``util/crashhooks.py``, and
+  ``python -m repro.sim.crashpoints`` runs without runpy finding the
+  module already imported.
+
 The ``Scheduler`` imports that remain in protocol packages are a
 separate, open ROADMAP item and are not checked here.
 """
@@ -16,7 +24,10 @@ separate, open ROADMAP item and are not checked here.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from typing import Iterator, Tuple
 
 import pytest
@@ -103,3 +114,40 @@ def test_the_allow_list_is_not_stale():
         assert _imports_sim_node(ast.parse((SRC / name).read_text())), (
             f"{name} no longer imports net.node; drop it from SIM_NODE_IMPORTERS"
         )
+
+
+def _absolute_imports(name: str, tree: ast.Module) -> Iterator[str]:
+    """Every import of module ``name`` (a path under SRC) as an absolute
+    dotted name, relative imports resolved."""
+    package = ["repro", *pathlib.PurePath(name).parts[:-1]]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - (node.level - 1)] if node.level else []
+            module = ".".join([*base, *([node.module] if node.module else [])])
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_nothing_outside_sim_imports_the_simulator_package():
+    packages = sorted(
+        p.name for p in SRC.iterdir() if p.is_dir() and p.name not in ("sim", "__pycache__")
+    )
+    assert {"storage", "pfs", "core", "broker", "client", "util", "adapters"} <= set(packages)
+    offences = [
+        f"{name}: imports {module}"
+        for name, tree in _modules(*packages)
+        for module in _absolute_imports(name, tree)
+        if module == "repro.sim" or module.startswith("repro.sim.")
+    ]
+    assert not offences, "\n".join(offences)
+
+
+def test_crashpoints_cli_runs_clean_under_warnings_as_errors():
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.sim.crashpoints", "--max-points", "3"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert done.returncode == 0, done.stderr
