@@ -184,13 +184,15 @@ class IntermediateBroker(Broker):
         for event in update.d_events:
             relay.cache.set_d(event.timestamp, event)
         relay.trim_cache()
-        hi = update.max_tick()
-        if hi is None:
+        # The bounds are a property of the update, not of the child.
+        bounds = update.tick_bounds()
+        if bounds is None:
             return
+        hi = bounds[1]
         t0 = self.scheduler.now  # relay intake time, for forward spans
         for child in self.child_names:
             cursor = relay.sent_cursor.get(child, 0)
-            old, new = M.split_update(update, cursor)
+            old, new = M.split_update(update, cursor, bounds)
             if not new.is_empty():
                 filtered = self._filter_for_child(child, new)
                 relay.sent_cursor[child] = max(cursor, hi)
@@ -204,10 +206,7 @@ class IntermediateBroker(Broker):
             if not old.is_empty():
                 self._route_old_knowledge(relay, child, old)
         # Interest satisfied for everything this update covered.
-        covered = IntervalSet(update.s_ranges + update.l_ranges)
-        for event in update.d_events:
-            covered.add(event.timestamp)
-        relay.consolidator.satisfy_set(covered)
+        relay.consolidator.satisfy_update(update)
 
     def _route_old_knowledge(self, relay: _PubendRelay, child: str, old: M.KnowledgeUpdate) -> None:
         """Send the parts of an old update the child actually asked for."""

@@ -1129,10 +1129,7 @@ class SubscriberHostingBroker(Broker):
             pieces = M.clip_update_to_set(old, interest)
             if not pieces.is_empty():
                 catchup.on_knowledge(pieces)
-        covered = IntervalSet(old.s_ranges + old.l_ranges)
-        for event in old.d_events:
-            covered.add(event.timestamp)
-        consolidator.satisfy_set(covered)
+        consolidator.satisfy_update(old)
 
     def _handle_from_child(self, child: str, msg: object) -> None:  # pragma: no cover
         raise ProtocolError("SHBs are leaves of the broker tree")

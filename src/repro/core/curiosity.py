@@ -19,10 +19,13 @@ back, while forwarding each range upstream only once per retry window.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional
 
 from ..net.simtime import PeriodicHandle, Scheduler
 from ..util.intervals import IntervalSet
+
+if TYPE_CHECKING:
+    from .messages import KnowledgeUpdate
 
 
 class CuriosityStream:
@@ -333,6 +336,20 @@ class NackConsolidator:
         # passed) must be forwarded, not suppressed.
         self._fwd_cur.difference_update(ranges)
         self._fwd_prev.difference_update(ranges)
+
+    def satisfy_update(self, update: "KnowledgeUpdate") -> None:
+        """Every tick ``update`` covers was delivered to requesters.
+
+        With no registered interest and nothing forwarded recently —
+        the steady state of in-order dissemination — there is nothing
+        to satisfy, and the covered set is never built.
+        """
+        if not (self._interest or self._fwd_cur or self._fwd_prev):
+            return
+        covered = IntervalSet(update.s_ranges + update.l_ranges)
+        for event in update.d_events:
+            covered.add(event.timestamp)
+        self.satisfy_set(covered)
 
     def drop_requester(self, requester: Hashable) -> None:
         self._interest.pop(requester, None)

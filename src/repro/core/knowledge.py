@@ -16,7 +16,6 @@ from typing import Iterable, List, Optional
 from ..util.intervals import IntervalSet
 from .messages import KnowledgeUpdate
 from .tickmap import Run, TickMap
-from .ticks import Tick
 
 
 class KnowledgeStream:
@@ -83,17 +82,13 @@ class KnowledgeStream:
 
         Returns the consumed runs (D runs carry their events; S and L
         runs are coalesced).  The cursor moves to the end of the last
-        returned run; consumed storage is forgotten.
+        returned run; consumed storage is forgotten.  One pass over the
+        map (:meth:`TickMap.take_resolved`), which assumes nothing
+        about what is stored at or below the cursor.
         """
-        horizon = self.doubt_horizon
-        if limit is not None:
-            horizon = min(horizon, limit)
-        if horizon <= self.consumed:
-            return []
-        runs = [r for r in self.tickmap.runs_between(self.consumed + 1, horizon)
-                if r.kind is not Tick.Q]
-        self.consumed = horizon
-        self.tickmap.forget_below(horizon + 1)
+        runs = self.tickmap.take_resolved(self.consumed, limit)
+        if runs:
+            self.consumed = runs[-1].end
         return runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -105,12 +105,36 @@ class KnowledgeUpdate:
     def is_empty(self) -> bool:
         return not (self.d_events or self.s_ranges or self.l_ranges)
 
+    def tick_bounds(self) -> Optional[Tuple[int, int]]:
+        """``(lowest, highest)`` tick this update says anything about.
+
+        One scan, no intermediate lists; ``None`` for an empty update.
+        The lists need not be sorted.
+        """
+        lo = hi = None
+        for event in self.d_events:
+            t = event.timestamp
+            if lo is None:
+                lo = hi = t
+            elif t < lo:
+                lo = t
+            elif t > hi:
+                hi = t
+        for ranges in (self.s_ranges, self.l_ranges):
+            for start, end in ranges:
+                if lo is None:
+                    lo, hi = start, end
+                else:
+                    if start < lo:
+                        lo = start
+                    if end > hi:
+                        hi = end
+        return None if lo is None else (lo, hi)
+
     def max_tick(self) -> Optional[int]:
         """The largest tick this update says anything about."""
-        candidates: List[int] = [e.timestamp for e in self.d_events]
-        candidates += [end for _s, end in self.s_ranges]
-        candidates += [end for _s, end in self.l_ranges]
-        return max(candidates) if candidates else None
+        bounds = self.tick_bounds()
+        return None if bounds is None else bounds[1]
 
     @property
     def size_bytes(self) -> int:
@@ -310,18 +334,31 @@ def clip_update_to_set(update: KnowledgeUpdate, interest) -> KnowledgeUpdate:
     return out
 
 
-def split_update(update: KnowledgeUpdate, cutoff: int) -> Tuple[KnowledgeUpdate, KnowledgeUpdate]:
+def split_update(
+    update: KnowledgeUpdate,
+    cutoff: int,
+    bounds: Optional[Tuple[int, int]] = None,
+) -> Tuple[KnowledgeUpdate, KnowledgeUpdate]:
     """Split into (ticks <= cutoff, ticks > cutoff).
 
     Used by brokers to separate *old* knowledge (nack replies destined
     for catchup streams) from *new* head knowledge (istream/constream).
+    An update wholly on one side of the cutoff comes back as the
+    received instance itself, shared rather than copied (nothing on
+    the receive path mutates a payload); only one that straddles the
+    cutoff is clipped.  ``bounds`` is ``update.tick_bounds()`` when the
+    caller splits one update at several cutoffs.
     """
-    hi = update.max_tick()
-    if hi is None:
+    if bounds is None:
+        bounds = update.tick_bounds()
+    if bounds is None:
         return KnowledgeUpdate(update.pubend), KnowledgeUpdate(update.pubend)
-    old = clip_update(update, 0, cutoff)
-    new = clip_update(update, cutoff + 1, hi)
-    return old, new
+    lo, hi = bounds
+    if lo > cutoff:
+        return KnowledgeUpdate(update.pubend), update
+    if hi <= cutoff:
+        return update, KnowledgeUpdate(update.pubend)
+    return clip_update(update, 0, cutoff), clip_update(update, cutoff + 1, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,55 @@ class TickMap:
         if cursor <= end:
             yield Run(cursor, end, Tick.Q)
 
+    def take_resolved(self, base: int, limit: Optional[int] = None) -> List[Run]:
+        """Consume ``(base, min(doubt_horizon(base), limit)]`` in one pass.
+
+        Returns that span's L/S/D runs in order and forgets every tick
+        at or below its end — the same runs and the same map afterwards
+        as :meth:`doubt_horizon` + :meth:`runs_between` +
+        :meth:`forget_below`, without the temporary interval set and
+        the second walk.  By the doubt horizon's definition the span
+        is the L prefix above ``base`` followed by (part of) the one
+        known interval that starts where the prefix ends, so a single
+        walk over that interval's D points covers it.  Nothing is
+        assumed about the map below ``base``: whatever is still stored
+        there goes out with the same chop.  Returns ``[]`` and leaves
+        the map alone when nothing above ``base`` is resolved.
+        """
+        runs: List[Run] = []
+        top = self.max_known()  # the horizon can never lie above it
+        if limit is None or limit > top:
+            limit = top
+        if limit <= base:
+            return runs
+        cursor = base + 1
+        if cursor < self._lost_below:
+            l_end = min(self._lost_below - 1, limit)
+            runs.append(Run(cursor, l_end, Tick.L))
+            cursor = l_end + 1
+            if cursor > limit:
+                return runs
+        iv = self._known.interval_containing(cursor)
+        if iv is None:
+            return runs
+        end = min(iv.end, limit)
+        times = self._d_times
+        pop_event = self._d.pop
+        lo = bisect.bisect_left(times, cursor)
+        hi = bisect.bisect_right(times, end, lo)
+        for t in times[lo:hi]:
+            if t > cursor:
+                runs.append(Run(cursor, t - 1, Tick.S))
+            runs.append(Run(t, t, Tick.D, pop_event(t)))
+            cursor = t + 1
+        if cursor <= end:
+            runs.append(Run(cursor, end, Tick.S))
+        for t in times[:lo]:
+            pop_event(t)
+        del times[:hi]
+        self._known.chop_below(end + 1)
+        return runs
+
     def _runs_within_known(self, iv: Interval, max_end: int) -> Iterator[Run]:
         """Split one known interval into alternating S runs and D points."""
         cursor = iv.start

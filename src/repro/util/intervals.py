@@ -122,8 +122,7 @@ class IntervalSet:
         raise TypeError("IntervalSet is unhashable")
 
     def __contains__(self, t: int) -> bool:
-        i = bisect.bisect_right(self._ivs, t, key=lambda iv: iv.start) - 1
-        return i >= 0 and t <= self._ivs[i].end
+        return self.interval_containing(t) is not None
 
     def min(self) -> int:
         """Smallest tick in the set (raises on empty)."""
@@ -143,9 +142,16 @@ class IntervalSet:
 
     def interval_containing(self, t: int) -> Optional[Interval]:
         """The interval that contains tick ``t``, or None."""
-        i = bisect.bisect_right(self._ivs, t, key=lambda iv: iv.start) - 1
-        if i >= 0 and t <= self._ivs[i].end:
-            return self._ivs[i]
+        ivs = self._ivs
+        if not ivs:
+            return None
+        last = ivs[-1]
+        if t >= last.start:
+            # In-order streams ask about the tail: no bisect needed.
+            return last if t <= last.end else None
+        i = bisect.bisect_right(ivs, t, key=lambda iv: iv.start) - 1
+        if i >= 0 and t <= ivs[i].end:
+            return ivs[i]
         return None
 
     def as_tuples(self) -> List[Tuple[int, int]]:
@@ -159,8 +165,22 @@ class IntervalSet:
         """Insert every tick in ``[start, end]`` (or just ``start``)."""
         if end is None:
             end = start
-        new = Interval(start, end)
+        elif start > end:
+            raise ValueError(f"empty interval [{start}, {end}]")
         ivs = self._ivs
+        if not ivs or start > ivs[-1].end + 1:
+            # In-order accumulation: the new ticks land past the tail.
+            ivs.append(Interval(start, end))
+            self._count += end - start + 1
+            return
+        last = ivs[-1]
+        if start >= last.start:
+            # ... or extend it (nothing before the tail can be touched).
+            if end > last.end:
+                ivs[-1] = Interval(last.start, end)
+                self._count += end - last.end
+            return
+        new = Interval(start, end)
         # Find the window of intervals that the new interval merges with.
         lo = bisect.bisect_left(ivs, new.start, key=lambda iv: iv.end + 1)
         hi = bisect.bisect_right(ivs, new.end + 1, lo=lo, key=lambda iv: iv.start)
@@ -271,10 +291,19 @@ class IntervalSet:
 
         Mirrors the release protocol's prefix truncation.
         """
-        if t <= 0 and not self._ivs:
-            return
-        if self._ivs and self._ivs[0].start < t:
-            self.remove(self._ivs[0].start, t - 1)
+        ivs = self._ivs
+        cut = 0
+        for iv in ivs:
+            if iv.end >= t:
+                break
+            self._count -= iv.end - iv.start + 1
+            cut += 1
+        if cut:
+            del ivs[:cut]
+        if ivs and ivs[0].start < t:
+            first = ivs[0]
+            ivs[0] = Interval(t, first.end)
+            self._count -= t - first.start
 
     def clear(self) -> None:
         self._ivs.clear()

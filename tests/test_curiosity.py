@@ -137,6 +137,33 @@ class TestNackConsolidator:
         assert con.route(7, 7) == ["a"]
         assert con.interest_of("a").as_tuples() == [(7, 9)]
 
+    @pytest.mark.parametrize("interest", [False, True])
+    @pytest.mark.parametrize("in_flight", [False, True])
+    def test_satisfy_update_equals_satisfy_set_of_its_ticks(self, sim, interest, in_flight):
+        from repro.core.events import Event
+        from repro.core.messages import KnowledgeUpdate
+
+        update = KnowledgeUpdate(
+            "P1", d_events=[Event("P1", 6, {}), Event("P1", 30, {})],
+            s_ranges=[(7, 9), (12, 12)], l_ranges=[(1, 3)],
+        )
+        covered = IntervalSet([(1, 3), (6, 9), (12, 12), (30, 30)])
+        cons = [NackConsolidator(sim, retry_ms=100) for _ in range(2)]
+        for con in cons:
+            if interest:
+                con.register("a", IntervalSet([(2, 7)]))
+                con.register("b", IntervalSet([(8, 14), (30, 30)]))
+            if in_flight:
+                con.to_forward(IntervalSet([(5, 13)]))
+        cons[0].satisfy_update(update)
+        cons[1].satisfy_set(covered)
+        for requester in ("a", "b"):
+            assert cons[0].interest_of(requester) == cons[1].interest_of(requester)
+        assert cons[0].pending_requesters == cons[1].pending_requesters
+        # What is still suppressed as in flight is the same too.
+        again = IntervalSet([(1, 40)])
+        assert cons[0].to_forward(again) == cons[1].to_forward(again)
+
     def test_drop_requester(self, sim):
         con = NackConsolidator(sim)
         con.register("a", IntervalSet([(5, 9)]))

@@ -63,6 +63,16 @@ class TestIntervalSetBasics:
         assert s.as_tuples() == [(1, 5), (7, 9)]
         assert len(s) == 2
 
+    @pytest.mark.parametrize("start", [30, 12, 9, 2])  # past, at, inside, before the tail
+    def test_add_rejects_inverted_range_on_every_path(self, start):
+        for s in (IntervalSet(), IntervalSet([(1, 3), (8, 10)])):
+            before = s.as_tuples()
+            with pytest.raises(ValueError):
+                s.add(start, start - 1)
+            assert s.as_tuples() == before and s.tick_count() == sum(
+                e - b + 1 for b, e in before
+            )
+
     def test_add_bridges_many(self):
         s = IntervalSet([(1, 2), (4, 5), (7, 8), (10, 11)])
         s.add(3, 9)
@@ -179,11 +189,22 @@ class TestIntervalSetAlgebra:
 # ---------------------------------------------------------------------------
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["add", "remove"]),
+        st.sampled_from(["add", "remove", "chop"]),
         st.integers(0, 80),
         st.integers(0, 15),
     ),
     max_size=30,
+)
+#: The in-order shape: most adds land at or just past the current tail
+#: (``start`` is then an offset back from ``max() + 2``), with prefix
+#: chops and the odd out-of-order add or remove in between.
+tail_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["tail", "tail", "tail", "chop", "add", "remove"]),
+        st.integers(0, 80),
+        st.integers(0, 15),
+    ),
+    max_size=40,
 )
 
 
@@ -191,22 +212,31 @@ def _apply(ops_list):
     ivs = IntervalSet()
     model = set()
     for op, start, length in ops_list:
+        if op == "tail":
+            op, start = "add", max((ivs.max() + 2 if ivs else 0) - start % 6, 0)
         end = start + length
         if op == "add":
             ivs.add(start, end)
             model.update(range(start, end + 1))
-        else:
+        elif op == "remove":
             ivs.remove(start, end)
             model.difference_update(range(start, end + 1))
+        else:
+            ivs.chop_below(start)
+            model = {t for t in model if t >= start}
     return ivs, model
 
 
-@given(ops)
-@settings(max_examples=200)
+@given(st.one_of(ops, tail_ops))
+@settings(max_examples=400)
 def test_intervalset_matches_model_set(ops_list):
     ivs, model = _apply(ops_list)
     assert set(ivs.ticks()) == model
     assert ivs.tick_count() == len(model)
+    for t in range(0, 100):
+        assert (t in ivs) == (t in model)
+        iv = ivs.interval_containing(t)
+        assert (iv is not None and t in iv) == (t in model)
     # Normal form: sorted, disjoint, non-adjacent.
     tuples = ivs.as_tuples()
     for (s1, e1), (s2, e2) in zip(tuples, tuples[1:]):

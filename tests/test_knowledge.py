@@ -1,10 +1,13 @@
 """Tests for the knowledge stream consumption cursor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.events import Event
 from repro.core.knowledge import KnowledgeStream
-from repro.core.messages import KnowledgeUpdate
+from repro.core.messages import KnowledgeUpdate, clip_update, split_update
+from repro.core.tickmap import TickMap
 from repro.core.ticks import Tick
 
 
@@ -103,7 +106,6 @@ class TestMaxTickAndHelpers:
         assert not upd(d=[1]).is_empty()
 
     def test_clip_update(self):
-        from repro.core.messages import clip_update
         u = upd(d=[3, 7], s=[(1, 2), (4, 6)], l=[(0, 0)])
         c = clip_update(u, 2, 5)
         assert [e.timestamp for e in c.d_events] == [3]
@@ -111,7 +113,6 @@ class TestMaxTickAndHelpers:
         assert c.l_ranges == []
 
     def test_split_update(self):
-        from repro.core.messages import split_update
         u = upd(d=[3, 7], s=[(1, 2), (4, 6)])
         old, new = split_update(u, 4)
         assert [e.timestamp for e in old.d_events] == [3]
@@ -120,9 +121,118 @@ class TestMaxTickAndHelpers:
         assert new.s_ranges == [(5, 6)]
 
     def test_split_empty(self):
-        from repro.core.messages import split_update
         old, new = split_update(upd(), 5)
         assert old.is_empty() and new.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the in-order shortcuts equal the general algebra
+# ---------------------------------------------------------------------------
+_ranges = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(0, 6)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=4,
+)
+#: Unsorted on purpose: nack replies are assembled interval by interval.
+_updates = st.builds(
+    lambda d, s, l: upd(d=d, s=s, l=l),
+    st.lists(st.integers(0, 66), max_size=5), _ranges, _ranges,
+)
+
+
+def _fields(u):
+    return (u.pubend, u.d_events, u.s_ranges, u.l_ranges)
+
+
+@given(_updates)
+@settings(max_examples=200)
+def test_tick_bounds_match_naive_min_max(update):
+    ticks = [e.timestamp for e in update.d_events]
+    lows = ticks + [s for s, _e in update.s_ranges + update.l_ranges]
+    highs = ticks + [e for _s, e in update.s_ranges + update.l_ranges]
+    if not highs:
+        assert update.tick_bounds() is None and update.max_tick() is None
+    else:
+        assert update.tick_bounds() == (min(lows), max(highs))
+        assert update.max_tick() == max(highs)
+
+
+@given(_updates, st.integers(-1, 70))
+@settings(max_examples=300)
+def test_split_update_matches_clip_pair(update, cutoff):
+    """Empty, head, old and straddling updates all split as two clips
+    would; the one-sided shapes come back as the instance received."""
+    old, new = split_update(update, cutoff)
+    hi = update.max_tick()
+    if hi is None:
+        assert old.is_empty() and new.is_empty()
+        return
+    assert _fields(old) == _fields(clip_update(update, 0, cutoff))
+    assert _fields(new) == _fields(clip_update(update, cutoff + 1, hi))
+    lo = update.tick_bounds()[0]
+    if lo > cutoff:
+        assert new is update
+    elif hi <= cutoff:
+        assert old is update
+    else:
+        assert old is not update and new is not update
+    # Bounds handed in by a caller splitting at several cutoffs.
+    old2, new2 = split_update(update, cutoff, update.tick_bounds())
+    assert (_fields(old2), _fields(new2)) == (_fields(old), _fields(new))
+
+
+def _three_pass_advance(tm, consumed, limit):
+    """``advance`` as three walks over the map: horizon, runs, forget."""
+    horizon = tm.doubt_horizon(consumed)
+    if limit is not None:
+        horizon = min(horizon, limit)
+    if horizon <= consumed:
+        return consumed, []
+    runs = [r for r in tm.runs_between(consumed + 1, horizon) if r.kind is not Tick.Q]
+    tm.forget_below(horizon + 1)
+    return horizon, runs
+
+
+_stream_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("d"), st.integers(0, 60), st.just(0)),
+        st.tuples(st.just("s"), st.integers(0, 60), st.integers(0, 8)),
+        st.tuples(st.just("l"), st.integers(0, 40), st.just(0)),
+        st.tuples(st.just("advance"), st.just(0), st.just(0)),
+        st.tuples(st.just("advance_to"), st.integers(0, 70), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@given(_stream_ops, st.integers(0, 20))
+@settings(max_examples=300)
+def test_one_pass_advance_matches_three_pass(ops, start):
+    """Same runs, same cursor, same map afterwards — including knowledge
+    accumulated at or below the cursor, which both must drop."""
+    stream = KnowledgeStream("P1", consumed=start)
+    model, model_consumed = TickMap(), start
+    for op, a, length in ops:
+        if op == "d":
+            event = ev(a)
+            stream.tickmap.set_d(a, event)
+            model.set_d(a, event)
+        elif op == "s":
+            stream.accumulate_silence(a, a + length)
+            model.set_s(a, a + length)
+        elif op == "l":
+            stream.tickmap.set_lost_below(a)
+            model.set_lost_below(a)
+        else:
+            limit = a if op == "advance_to" else None
+            runs = stream.advance(limit)
+            model_consumed, expected = _three_pass_advance(model, model_consumed, limit)
+            assert runs == expected
+            assert stream.consumed == model_consumed
+            assert stream.doubt_horizon == model.doubt_horizon(model_consumed)
+        for t in range(0, 72):
+            assert stream.tickmap.kind(t) is model.kind(t)
+        assert stream.tickmap.d_count == model.d_count
+        assert stream.tickmap.max_known() == model.max_known()
 
 
 class TestClassifyWithinBoundaries:
