@@ -14,20 +14,24 @@ Per-pubend traffic directions:
 
 Subclasses implement ``_handle_from_parent`` / ``_handle_from_child``;
 the base class owns link wiring, per-child filter engines (the union of
-all subscriptions below that child, used for intermediate filtering),
-and crash/recovery plumbing.
+all subscriptions below that child), D→S filtering of knowledge against
+them (:meth:`Broker._filter_for_child`), the costed, traced forward of
+an update to a child (:meth:`Broker._forward`), the epoch-verified
+subscription intake from children and the epoch-tagged union refresh
+toward the parent (:meth:`Broker._send_union_up`), and crash/recovery
+plumbing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core import messages as M
 from ..matching.engine import MatchingEngine
 from ..metrics.trace import event_tracer
 from ..net.link import Link, LinkEnd
 from ..net.node import Node
-from ..net.simtime import Scheduler
+from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.errors import ConfigurationError
 from .costs import DEFAULT_COSTS, CostModel
@@ -38,7 +42,7 @@ class Broker:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         name: str,
         cost_model: Optional[CostModel] = None,
         speed: float = 1.0,
@@ -184,16 +188,80 @@ class Broker:
             return
         send.send(msg)
 
-    def _trace_forward(self, update: M.KnowledgeUpdate, start_ms: float, span: str) -> None:
-        """Record a forward span for every traced event in ``update``.
+    def _forward(
+        self, child: str, update: M.KnowledgeUpdate, cost_ms: float,
+        start_ms: float, span: str,
+    ) -> None:
+        """Send ``update`` to ``child`` once ``cost_ms`` of CPU is paid.
 
-        ``start_ms`` is when the update entered this broker (intake or
-        durability time); the span closes now, as the update is handed
-        to the downlink — so the span covers this broker's CPU queue.
+        The send is a job on this broker's executor, so it keeps its
+        place behind everything queued before it.  ``start_ms`` is when
+        the update entered this broker (intake or durability time); the
+        ``span`` recorded for every traced event in it closes as the
+        update is handed to the downlink, so it covers this broker's CPU
+        queue.
         """
-        tracer = self._tracer
-        if tracer.tracing and update.d_events:
-            tracer.mark_events(update.d_events, span, self.name, start_ms=start_ms)
+
+        # Arguments bound as defaults: one closure cell per queued send
+        # (``self``) rather than five, each a collector-tracked
+        # allocation on the busiest path.  Closing over ``self`` keeps
+        # the job attributed to the submitting role's class.
+        def send(child=child, update=update, start_ms=start_ms, span=span) -> None:
+            tracer = self._tracer
+            if tracer.tracing and update.d_events:
+                tracer.mark_events(update.d_events, span, self.name, start_ms=start_ms)
+            self.send_to_child(child, update)
+
+        self.node.submit(cost_ms, send)
+
+    def _filter_for_child(
+        self, child: str, update: M.KnowledgeUpdate, keep_below: int = 0
+    ) -> M.KnowledgeUpdate:
+        """Convert D ticks that match nothing below ``child`` into S.
+
+        A cold union (post-recovery, pre-resync) must not filter:
+        passing events the child may not need is safe; hiding events it
+        does need would be silent loss.
+
+        ``keep_below``: D events below this tick are passed unfiltered.
+        A nack whose ``refilter_below`` is set is (partly) on behalf of
+        a subscription the union below ``child`` may not include yet —
+        a reconnect-anywhere registration, or a reconnect after the SHB
+        lost its registry, racing nacks already in flight through the
+        SHB's consolidator.  Converting its events to S here would be
+        taken as "nothing matched at this tick" and silently lose them;
+        the SHB refilters the raw events against the subscription's own
+        predicate instead.
+        """
+        if not self.child_filter_ready.get(child, True):
+            return update
+        engine = self.child_engines[child]
+        if engine.accepts_all() and len(update.s_ranges) <= 1 and len(update.l_ranges) <= 1:
+            # A wildcard below this link with nothing to coalesce: the
+            # filtered update would be a field-for-field copy, so ship
+            # the shared instance instead of allocating one per child
+            # (nothing on the receive path mutates a payload).
+            return update
+        out = M.KnowledgeUpdate(update.pubend)
+        out.s_ranges = list(update.s_ranges)
+        out.l_ranges = list(update.l_ranges)
+        if engine.accepts_all():
+            # A wildcard below this link: every D tick passes, no need
+            # to consult the aggregate per event.
+            out.d_events = list(update.d_events)
+            return out.coalesce()
+        # Classify the whole coalesced tick-range in one aggregate pass;
+        # keep_below events skip classification entirely.
+        pending = [e for e in update.d_events if e.timestamp >= keep_below]
+        flags = iter(engine.matches_any_batch([e.attributes for e in pending]))
+        for event in update.d_events:
+            if event.timestamp < keep_below or next(flags):
+                out.d_events.append(event)
+            else:
+                out.s_ranges.append((event.timestamp, event.timestamp))
+        # Filtering appends one single-tick S range per suppressed event;
+        # a run of non-matching events ships as one range instead.
+        return out.coalesce()
 
     # ------------------------------------------------------------------
     # Message handling (subclass responsibilities)
@@ -262,6 +330,39 @@ class Broker:
             self._sub_epoch_counter + 1, int(self.scheduler.now)
         )
         return self._sub_epoch_counter
+
+    def _send_union_up(
+        self, pairs: Iterable[Tuple[str, object]], want_ack: bool = False
+    ) -> int:
+        """Epoch-tagged full-union refresh toward the parent.
+
+        Sends one tagged ``SubscriptionAdd`` per ``(sub_id, predicate)``
+        and a closing ``SubscriptionSync`` with their count; the parent
+        swaps the set in only when the count matches (see
+        :meth:`_on_subscription_sync`), so a refresh partially eaten by
+        a lossy link can never warm an incomplete union.  With
+        ``want_ack`` the sync asks for a downward
+        :class:`~repro.core.messages.SubscriptionSynced` once the epoch
+        is applied at the tree root.  Returns the refresh's epoch.
+        """
+        epoch = self._next_sub_epoch()
+        count = 0
+        for sub_id, predicate in pairs:
+            self.send_up(M.SubscriptionAdd(sub_id, predicate, epoch=epoch))
+            count += 1
+        self.send_up(M.SubscriptionSync(count, epoch=epoch, want_ack=want_ack))
+        return epoch
+
+    def _ack_child_sync(self, child: str, epoch: int) -> None:
+        """Confirm ``child``'s refresh ``epoch`` as applied at the root.
+
+        Queued through the CPU queue: dissemination classifies
+        synchronously but *sends* via submitted jobs, so the ack must
+        not overtake knowledge classified under the pre-refresh union
+        (see :class:`~repro.core.messages.SubscriptionSynced`).
+        """
+        ack = M.SubscriptionSynced(epoch)
+        self.node.submit(0.02, lambda: self.send_to_child(child, ack))
 
     def _own_storage(self, *stores: object) -> None:
         """Tag storage devices with this broker's name.

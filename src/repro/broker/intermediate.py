@@ -22,7 +22,7 @@ from ..core.curiosity import NackConsolidator
 from ..metrics.trace import SPAN_INTERMEDIATE_FORWARD
 from ..core.release import ReleaseAggregator
 from ..core.tickmap import TickMap
-from ..net.simtime import Scheduler
+from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.intervals import IntervalSet
 from .base import Broker
@@ -35,10 +35,9 @@ RELEASE_RESEND_MS = 1_000.0
 class _PubendRelay:
     """Per-pubend relay state at an intermediate broker."""
 
-    def __init__(self, pubend: str, scheduler: Scheduler, cache_span_ms: int) -> None:
+    def __init__(self, pubend: str, scheduler: Clock) -> None:
         self.pubend = pubend
         self.cache = TickMap()
-        self.cache_span_ms = cache_span_ms
         self.consolidator = NackConsolidator(scheduler)
         self.release_agg = ReleaseAggregator(pubend)
         self.last_release_sent: Optional[Tuple[int, int]] = None
@@ -59,19 +58,13 @@ class _PubendRelay:
         #: child asked about, never hides one.
         self.refilter_floor: Dict[str, int] = {}
 
-    def trim_cache(self) -> None:
-        frontier = self.cache.max_known()
-        floor = frontier - self.cache_span_ms
-        if floor > 0:
-            self.cache.forget_below(floor)
-
 
 class IntermediateBroker(Broker):
     """A pure relay: no pubends, no subscribers, just scalability."""
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         name: str,
         cost_model: Optional[CostModel] = None,
         speed: float = 1.0,
@@ -108,13 +101,10 @@ class IntermediateBroker(Broker):
         self.scheduler.every(self.subscription_refresh_ms, self._refresh_upstream)
         self.scheduler.every(RELEASE_RESEND_MS, self._resend_release)
 
-    def _up_epoch(self, relay: _PubendRelay) -> int:
-        return max(relay.upstream_epoch, self._release_epoch_floor)
-
     def _relay(self, pubend: str) -> _PubendRelay:
         relay = self._relays.get(pubend)
         if relay is None:
-            relay = _PubendRelay(pubend, self.scheduler, self.cache_span_ms)
+            relay = _PubendRelay(pubend, self.scheduler)
             for child in self.child_names:
                 relay.release_agg.register_child(child)
                 relay.sent_cursor[child] = 0
@@ -169,21 +159,12 @@ class IntermediateBroker(Broker):
         due = [(c, ce) for (e, c, ce) in self._cover_upstream if e <= epoch]
         self._cover_upstream = [t for t in self._cover_upstream if t[0] > epoch]
         for child, child_epoch in due:
-            ack = M.SubscriptionSynced(child_epoch)
-            self.node.submit(
-                0.02, lambda c=child, a=ack: self.send_to_child(c, a)
-            )
+            self._ack_child_sync(child, child_epoch)
 
     def _on_knowledge(self, update: M.KnowledgeUpdate) -> None:
         relay = self._relay(update.pubend)
-        # Cache everything (bounded).
-        for start, end in update.l_ranges:
-            relay.cache.set_lost_below(end + 1)
-        for start, end in update.s_ranges:
-            relay.cache.set_s(start, end)
-        for event in update.d_events:
-            relay.cache.set_d(event.timestamp, event)
-        relay.trim_cache()
+        relay.cache.absorb(update)  # cache everything (bounded)
+        relay.cache.keep_span(self.cache_span_ms)
         # The bounds are a property of the update, not of the child.
         bounds = update.tick_bounds()
         if bounds is None:
@@ -197,12 +178,7 @@ class IntermediateBroker(Broker):
                 filtered = self._filter_for_child(child, new)
                 relay.sent_cursor[child] = max(cursor, hi)
                 cost = self.costs.forward_per_link_event_ms * max(1, len(new.d_events))
-
-                def job(c=child, u=filtered, t0=t0) -> None:
-                    self._trace_forward(u, t0, SPAN_INTERMEDIATE_FORWARD)
-                    self.send_to_child(c, u)
-
-                self.node.submit(cost, job)
+                self._forward(child, filtered, cost, t0, SPAN_INTERMEDIATE_FORWARD)
             if not old.is_empty():
                 self._route_old_knowledge(relay, child, old)
         # Interest satisfied for everything this update covered.
@@ -219,50 +195,9 @@ class IntermediateBroker(Broker):
                 child, pieces, keep_below=relay.refilter_floor.get(child, 0)
             )
             cost = self.costs.forward_per_link_event_ms * max(1, len(pieces.d_events))
-            t0 = self.scheduler.now
-
-            def job(c=child, u=filtered, t0=t0) -> None:
-                self._trace_forward(u, t0, SPAN_INTERMEDIATE_FORWARD)
-                self.send_to_child(c, u)
-
-            self.node.submit(cost, job)
-
-    def _filter_for_child(
-        self, child: str, update: M.KnowledgeUpdate, keep_below: int = 0
-    ) -> M.KnowledgeUpdate:
-        # A cold union (post-recovery, pre-resync) must not filter.
-        # ``keep_below``: refilter-span replies pass unfiltered — the
-        # child refilters them against the roaming subscription itself
-        # (see PublisherHostingBroker._filter_for_child).
-        if not self.child_filter_ready.get(child, True):
-            return update
-        engine = self.child_engines[child]
-        if engine.accepts_all() and len(update.s_ranges) <= 1 and len(update.l_ranges) <= 1:
-            # A wildcard below this link with nothing to coalesce: the
-            # filtered update would be a field-for-field copy, so ship
-            # the shared instance instead of allocating one per child
-            # (nothing on the receive path mutates a payload).
-            return update
-        out = M.KnowledgeUpdate(update.pubend)
-        out.s_ranges = list(update.s_ranges)
-        out.l_ranges = list(update.l_ranges)
-        if engine.accepts_all():
-            # A wildcard below this link: every D tick passes, no need
-            # to consult the aggregate per event.
-            out.d_events = list(update.d_events)
-            return out.coalesce()
-        # Classify the whole coalesced tick-range in one aggregate pass;
-        # keep_below events skip classification entirely.
-        pending = [e for e in update.d_events if e.timestamp >= keep_below]
-        flags = iter(engine.matches_any_batch([e.attributes for e in pending]))
-        for event in update.d_events:
-            if event.timestamp < keep_below or next(flags):
-                out.d_events.append(event)
-            else:
-                out.s_ranges.append((event.timestamp, event.timestamp))
-        # Filtering appends one single-tick S range per suppressed event;
-        # a run of non-matching events ships as one range instead.
-        return out.coalesce()
+            self._forward(
+                child, filtered, cost, self.scheduler.now, SPAN_INTERMEDIATE_FORWARD
+            )
 
     # ------------------------------------------------------------------
     # Upstream flow: nacks, release, subscriptions from children
@@ -299,40 +234,19 @@ class IntermediateBroker(Broker):
         relay = self._relay(nack.pubend)
         if nack.refilter_below > relay.refilter_floor.get(child, 0):
             relay.refilter_floor[child] = nack.refilter_below
-        wanted = IntervalSet(nack.ranges)
-        # Answer from the cache first.  Ticks below the nack's refilter
-        # boundary must not be cache-served: this cache's S ticks were
-        # filtered under a subscription union that may not include the
-        # (roaming) requester — only the pubend may answer those.
-        reply = M.KnowledgeUpdate(nack.pubend)
-        unresolved = IntervalSet()
-        for iv in wanted:
-            cacheable_start = max(iv.start, nack.refilter_below)
-            if cacheable_start > iv.start:
-                unresolved.add(iv.start, min(iv.end, cacheable_start - 1))
-            if cacheable_start > iv.end:
-                continue
-            d_events, s_ranges, l_ranges, q_set = relay.cache.classify_within(
-                cacheable_start, iv.end
-            )
-            reply.d_events.extend(d_events)
-            reply.s_ranges.extend(s_ranges)
-            reply.l_ranges.extend(l_ranges)
-            unresolved.update(q_set)
-        reply.coalesce()
+        # Answer from the cache first; the rest goes upstream.
+        reply, unresolved = relay.cache.answer(
+            nack.pubend, IntervalSet(nack.ranges), nack.refilter_below
+        )
         if not reply.is_empty():
             self.cache_hits += 1
             filtered = self._filter_for_child(
                 child, reply, keep_below=relay.refilter_floor.get(child, 0)
             )
             cost = self.costs.serve_nack_per_event_ms * max(1, len(reply.d_events))
-            t0 = self.scheduler.now
-
-            def job(filtered=filtered, t0=t0) -> None:
-                self._trace_forward(filtered, t0, SPAN_INTERMEDIATE_FORWARD)
-                self.send_to_child(child, filtered)
-
-            self.node.submit(cost, job)
+            self._forward(
+                child, filtered, cost, self.scheduler.now, SPAN_INTERMEDIATE_FORWARD
+            )
         if unresolved:
             self.cache_miss_ticks += unresolved.tick_count()
             relay.consolidator.register(child, unresolved)
@@ -347,15 +261,18 @@ class IntermediateBroker(Broker):
         relay.release_agg.update(child, msg.released, msg.latest_delivered, epoch=msg.epoch)
         agg = relay.release_agg.aggregate()
         if agg is not None and agg != relay.last_release_sent:
-            prev = relay.last_release_sent
-            if prev is not None and (agg[0] < prev[0] or agg[1] < prev[1]):
-                # A child's epoch bump lowered the aggregate; bump our
-                # own upstream epoch so the parent accepts it too.
-                relay.upstream_epoch = max(relay.upstream_epoch + 1, int(self.scheduler.now))
-            relay.last_release_sent = agg
-            self.send_up(
-                M.ReleaseUpdate(msg.pubend, agg[0], agg[1], epoch=self._up_epoch(relay))
-            )
+            self._send_release(relay, agg)
+
+    def _send_release(self, relay: _PubendRelay, agg: Tuple[int, int]) -> None:
+        """Report ``agg`` = (released, latest delivered) upstream."""
+        prev = relay.last_release_sent
+        if prev is not None and (agg[0] < prev[0] or agg[1] < prev[1]):
+            # A child's epoch bump lowered the aggregate; bump our own
+            # upstream epoch so the parent accepts it too.
+            relay.upstream_epoch = max(relay.upstream_epoch + 1, int(self.scheduler.now))
+        relay.last_release_sent = agg
+        epoch = max(relay.upstream_epoch, self._release_epoch_floor)
+        self.send_up(M.ReleaseUpdate(relay.pubend, agg[0], agg[1], epoch=epoch))
 
     # ------------------------------------------------------------------
     # Lossy-link resilience (periodic upstream re-sync)
@@ -371,16 +288,15 @@ class IntermediateBroker(Broker):
         if not self.child_filter_ready or not all(self.child_filter_ready.values()):
             return
         self._upstream_refresh_due = False
-        epoch = self._next_sub_epoch()
-        count = 0
-        for engine in self.child_engines.values():
-            for sub_id in engine.subscription_ids():
-                self.send_up(
-                    M.SubscriptionAdd(sub_id, engine.filter_of(sub_id), epoch=epoch)
-                )
-                count += 1
         want_ack = bool(self._pending_sync_acks)
-        self.send_up(M.SubscriptionSync(count, epoch=epoch, want_ack=want_ack))
+        epoch = self._send_union_up(
+            (
+                (sub_id, engine.filter_of(sub_id))
+                for engine in self.child_engines.values()
+                for sub_id in engine.subscription_ids()
+            ),
+            want_ack,
+        )
         if want_ack:
             # This refresh covers every child confirmation collected so
             # far: when the parent acks our epoch, theirs are answered.
@@ -391,18 +307,10 @@ class IntermediateBroker(Broker):
     def _resend_release(self) -> None:
         if self.node.is_down:
             return
-        for pubend, relay in self._relays.items():
+        for relay in self._relays.values():
             agg = relay.release_agg.aggregate()
             if agg is not None:
-                prev = relay.last_release_sent
-                if prev is not None and (agg[0] < prev[0] or agg[1] < prev[1]):
-                    relay.upstream_epoch = max(
-                        relay.upstream_epoch + 1, int(self.scheduler.now)
-                    )
-                relay.last_release_sent = agg
-                self.send_up(
-                    M.ReleaseUpdate(pubend, agg[0], agg[1], epoch=self._up_epoch(relay))
-                )
+                self._send_release(relay, agg)
 
     # ------------------------------------------------------------------
     # Failure handling: an intermediate has no persistent state

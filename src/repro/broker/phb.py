@@ -21,7 +21,7 @@ from ..core.pubend import Pubend
 from ..metrics.trace import SPAN_PHB_FORWARD
 from ..core.release import EarlyReleasePolicy
 from ..net.link import Link, LinkEnd
-from ..net.simtime import Scheduler
+from ..port.clock import Clock
 from ..port.executor import Executor
 from ..storage.disk import SimDisk
 from ..storage.table import PersistentTable
@@ -36,7 +36,7 @@ class PublisherHostingBroker(Broker):
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         name: str,
         cost_model: Optional[CostModel] = None,
         speed: float = 1.0,
@@ -79,8 +79,7 @@ class PublisherHostingBroker(Broker):
         if journal_volume is not None:
             # Journal-recovered floor; extended per pubend as each
             # recovered event log is created (see create_pubend).
-            for publisher, seq in self.seq_table.committed_items():
-                self._pub_seqs[publisher] = seq
+            self._pub_seqs = dict(self.seq_table.committed_items())
         self._commit_timer = scheduler.every(250.0, self.seq_table.commit)
         self.node.on_crash(self._on_node_crash)
 
@@ -101,14 +100,20 @@ class PublisherHostingBroker(Broker):
         pubend.on_knowledge = lambda upd, p=name: self._disseminate(upd)
         self.pubends[name] = pubend
         if journal is not None:
-            # Extend the dedup floor over the recovered log: the
-            # committed seq table may trail it (commits are periodic),
-            # exactly as in post-crash _on_node_recover.
-            for event in pubend.log.read_range(0, 2**60):
-                if event.publisher is not None and event.seq is not None:
-                    if event.seq > self._pub_seqs.get(event.publisher, 0):
-                        self._pub_seqs[event.publisher] = event.seq
+            # A journal-recovered log: as in post-crash _on_node_recover.
+            self._extend_seq_floor(pubend)
         return pubend
+
+    def _extend_seq_floor(self, pubend: Pubend) -> None:
+        """Raise the dedup floor over ``pubend``'s recovered log.
+
+        The committed seq table may trail the durable log (commits are
+        periodic), so the floor is the max of both.
+        """
+        for event in pubend.log.read_range(0, 2**60):
+            if event.publisher is not None and event.seq is not None:
+                if event.seq > self._pub_seqs.get(event.publisher, 0):
+                    self._pub_seqs[event.publisher] = event.seq
 
     def register_release_child(self, pubend: str, child: str) -> None:
         """Topology hook: ``child`` will report release state for ``pubend``."""
@@ -157,9 +162,10 @@ class PublisherHostingBroker(Broker):
         publisher: Optional[str],
         trace_t0: Optional[float] = None,
     ) -> None:
-        self.pubends[pubend].publish(
-            attributes, payload_bytes, publisher, trace_t0=trace_t0
-        )
+        target = self.pubends.get(pubend)
+        if target is None:
+            return  # no such pubend here: dropped, like a malformed frame
+        target.publish(attributes, payload_bytes, publisher, trace_t0=trace_t0)
         self.events_accepted += 1
 
     # ------------------------------------------------------------------
@@ -182,9 +188,14 @@ class PublisherHostingBroker(Broker):
     def _on_publisher_message(self, send_end: LinkEnd, msg: object) -> None:
         if not isinstance(msg, M.PublishRequest):
             return
+        pubend = msg.pubend or next(iter(self.pubends), None)
+        if pubend not in self.pubends:
+            # Checked before any floor moves: accepting the seq of an
+            # event no pubend will log would wedge the publisher behind
+            # a floor the durable table never reaches.
+            return
         if msg.publisher is None or msg.seq is None:
             # Unreliable fire-and-forget publish over a client link.
-            pubend = msg.pubend or next(iter(self.pubends))
             self._do_publish(
                 pubend, msg.attributes, msg.payload_bytes, msg.publisher,
                 trace_t0=msg.client_ms,
@@ -205,7 +216,6 @@ class PublisherHostingBroker(Broker):
             send_end.send(M.PublishAck(msg.publisher, self._pub_seqs.get(msg.publisher, 0)))
             return
         self._accepted_seqs[msg.publisher] = msg.seq
-        pubend = msg.pubend or next(iter(self.pubends))
 
         def durable(publisher: str = msg.publisher, seq: int = msg.seq) -> None:
             # FIFO links + ordered group commit keep seqs contiguous.
@@ -226,65 +236,11 @@ class PublisherHostingBroker(Broker):
     # ------------------------------------------------------------------
     def _disseminate(self, update: M.KnowledgeUpdate) -> None:
         t0 = self.scheduler.now  # dissemination starts at log durability
+        cost = self.costs.forward_per_link_event_ms * max(1, len(update.d_events))
         for child in self.child_names:
             filtered = self._filter_for_child(child, update)
             if not filtered.is_empty():
-                cost = self.costs.forward_per_link_event_ms * max(1, len(update.d_events))
-
-                def job(c=child, u=filtered, t0=t0) -> None:
-                    self._trace_forward(u, t0, SPAN_PHB_FORWARD)
-                    self.send_to_child(c, u)
-
-                self.node.submit(cost, job)
-
-    def _filter_for_child(
-        self, child: str, update: M.KnowledgeUpdate, keep_below: int = 0
-    ) -> M.KnowledgeUpdate:
-        """Convert D ticks that match nothing below ``child`` into S.
-
-        A cold union (post-recovery, pre-resync) must not filter:
-        passing events the child may not need is safe; hiding events it
-        does need would be silent loss.
-
-        ``keep_below``: D events below this tick are passed unfiltered.
-        A nack whose ``refilter_below`` is set is (partly) on behalf of
-        a subscription the union below ``child`` may not include yet —
-        a reconnect-anywhere registration, or a reconnect after the SHB
-        lost its registry, racing nacks already in flight through the
-        SHB's consolidator.  Converting its events to S here would be
-        taken as "nothing matched at this tick" and silently lose them;
-        the SHB refilters the raw events against the subscription's own
-        predicate instead.
-        """
-        if not self.child_filter_ready.get(child, True):
-            return update
-        engine = self.child_engines[child]
-        if engine.accepts_all() and len(update.s_ranges) <= 1 and len(update.l_ranges) <= 1:
-            # A wildcard below this link with nothing to coalesce: the
-            # filtered update would be a field-for-field copy, so ship
-            # the shared instance instead of allocating one per child
-            # (nothing on the receive path mutates a payload).
-            return update
-        out = M.KnowledgeUpdate(update.pubend)
-        out.s_ranges = list(update.s_ranges)
-        out.l_ranges = list(update.l_ranges)
-        if engine.accepts_all():
-            # A wildcard below this link: every D tick passes, no need
-            # to consult the aggregate per event.
-            out.d_events = list(update.d_events)
-            return out.coalesce()
-        # Classify the whole coalesced tick-range in one aggregate pass;
-        # keep_below events skip classification entirely.
-        pending = [e for e in update.d_events if e.timestamp >= keep_below]
-        flags = iter(engine.matches_any_batch([e.attributes for e in pending]))
-        for event in update.d_events:
-            if event.timestamp < keep_below or next(flags):
-                out.d_events.append(event)
-            else:
-                out.s_ranges.append((event.timestamp, event.timestamp))
-        # Filtering appends one single-tick S range per suppressed event;
-        # a run of non-matching events ships as one range instead.
-        return out.coalesce()
+                self._forward(child, filtered, cost, t0, SPAN_PHB_FORWARD)
 
     # ------------------------------------------------------------------
     # Upstream traffic from children
@@ -309,15 +265,8 @@ class PublisherHostingBroker(Broker):
             self._on_subscription_sync(child, msg)
             applied = self._applied_sub_epoch.get(child, -1)
             if msg.want_ack and applied >= msg.epoch:
-                # Root ack for a coverage-confirmation refresh.  Queued
-                # through the CPU queue: dissemination classifies
-                # synchronously but *sends* via submitted jobs, so the
-                # ack must not overtake knowledge classified under the
-                # pre-refresh union (see SubscriptionSynced).
-                ack = M.SubscriptionSynced(applied)
-                self.node.submit(
-                    0.02, lambda c=child, a=ack: self.send_to_child(c, a)
-                )
+                # Root ack for a coverage-confirmation refresh.
+                self._ack_child_sync(child, applied)
 
     def _serve_nack(self, child: str, nack: M.Nack) -> None:
         pubend = self.pubends.get(nack.pubend)
@@ -330,13 +279,7 @@ class PublisherHostingBroker(Broker):
         self.nacks_served += 1
         reply = self._filter_for_child(child, reply, keep_below=nack.refilter_below)
         cost = self.costs.serve_nack_per_event_ms * max(1, len(reply.d_events))
-        t0 = self.scheduler.now
-
-        def job(reply=reply, t0=t0) -> None:
-            self._trace_forward(reply, t0, SPAN_PHB_FORWARD)
-            self.send_to_child(child, reply)
-
-        self.node.submit(cost, job)
+        self._forward(child, reply, cost, self.scheduler.now, SPAN_PHB_FORWARD)
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -354,12 +297,7 @@ class PublisherHostingBroker(Broker):
             pubend.recover()
         # Rebuild the dedup floor: the committed table may trail the
         # durable log (commits are periodic), so take the max of both.
-        self._pub_seqs = {}
-        for publisher, seq in self.seq_table.committed_items():
-            self._pub_seqs[publisher] = seq
+        self._pub_seqs = dict(self.seq_table.committed_items())
         for pubend in self.pubends.values():
-            for event in pubend.log.read_range(0, 2**60):
-                if event.publisher is not None and event.seq is not None:
-                    if event.seq > self._pub_seqs.get(event.publisher, 0):
-                        self._pub_seqs[event.publisher] = event.seq
+            self._extend_seq_floor(pubend)
         self._commit_timer = self.scheduler.every(250.0, self.seq_table.commit)

@@ -29,12 +29,13 @@ from ..core import messages as M
 from ..core.catchup import CatchupStream
 from ..core.constream import ConsolidatedStream
 from ..core.curiosity import CuriosityStream, NackConsolidator
-from ..core.subscription import SubscriptionRegistry
+from ..core.subscription import DurableSubscription, SubscriptionRegistry
 from ..core.tickmap import TickMap
 from ..matching.engine import MatchingEngine
+from ..matching.predicates import Predicate
 from ..net.link import Link, LinkEnd
-from ..net.simtime import PeriodicHandle, Scheduler
 from ..pfs.pfs import PersistentFilteringSubsystem
+from ..port.clock import Clock, PeriodicTimerHandle
 from ..port.executor import Executor
 from ..storage.disk import SimDisk
 from ..storage.logvolume import LogVolume
@@ -57,7 +58,7 @@ class SubscriberHostingBroker(Broker):
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         name: str,
         pubend_names: List[str],
         cost_model: Optional[CostModel] = None,
@@ -145,7 +146,7 @@ class SubscriberHostingBroker(Broker):
         self.consolidators: Dict[str, NackConsolidator] = {}
         self._sessions: Dict[str, LinkEnd] = {}
         self._session_subs: Dict[int, Set[str]] = {}  # id(link_end) -> subs
-        self._timers: List[PeriodicHandle] = []
+        self._timers: List[PeriodicTimerHandle] = []
         self.catchup_durations_ms: List[Tuple[float, float]] = []  # (end time, duration)
         self.catchup_ticks_nacked = 0  # recovery request volume (ablations)
         self.events_enqueued = 0
@@ -350,34 +351,11 @@ class SubscriberHostingBroker(Broker):
         if sub is None:
             if req.predicate is None:
                 raise ProtocolError(f"first connect of {req.sub_id} must carry a predicate")
-            # The registration cursor: PFS records cover this
-            # subscription only from here on.  Persisted with the row —
-            # a later reconnect whose CT is below it must refilter that
-            # span rather than read PFS silence out of it.
-            registered_at = {
-                p: self.constreams[p].delivered_cursor for p in self.pubend_names
-            }
-            # During a recovery replay the PFS can be *ahead* of the
-            # cursor (records become durable before latestDelivered is
-            # committed), and those records were written under the old
-            # life's num assignment; a re-created subscription may be
-            # handed a recycled num.  Coverage therefore starts above
-            # whatever the stream already holds — replayed writes at or
-            # below pfs.last_timestamp are skip-acked, never rewritten.
-            # In steady state last_timestamp <= cursor, so this is the
-            # plain registration cursor.
-            pfs_cover_from = {
-                p: max(registered_at[p], self.pfs.last_timestamp(p))
-                for p in self.pubend_names
-            }
-            sub = self.registry.create(req.sub_id, req.predicate, pfs_from=pfs_cover_from)
-            self.engine.add(sub.sub_id, sub.predicate)
-            self.send_up(M.SubscriptionAdd(self._global_sub_id(sub.sub_id), sub.predicate))
-            self._maybe_clear_suspect()
+            sub = self._register(req.sub_id, req.predicate)
             if req.checkpoint is None:
                 # A new subscriber starts at the constream's cursor and
                 # is therefore immediately in non-catchup mode (§4.1).
-                checkpoint = dict(registered_at)
+                checkpoint = self._delivered_cursors()
             else:
                 # Reconnect-anywhere (the paper's feature 5): a durable
                 # subscriber from another SHB presents its CT here.
@@ -389,7 +367,7 @@ class SubscriberHostingBroker(Broker):
                 # nacked events; from here on the PFS covers it like
                 # any local subscription.
                 checkpoint = dict(req.checkpoint)
-                refilter_until = dict(pfs_cover_from)
+                refilter_until = dict(sub.pfs_from)
             for pubend, t in checkpoint.items():
                 if pubend in self.constreams:
                     self.registry.ack(sub.sub_id, pubend, t)
@@ -459,10 +437,7 @@ class SubscriberHostingBroker(Broker):
     def unsubscribe(self, sub_id: str) -> None:
         """Destroy a durable subscription entirely."""
         self._disconnect_sub(sub_id)
-        if sub_id in self.registry:
-            self.registry.drop(sub_id)
-            self.engine.remove(sub_id)
-            self.send_up(M.SubscriptionRemove(self._global_sub_id(sub_id)))
+        self._drop(sub_id)
 
     def register_durable(self, sub_id: str, predicate: object) -> None:
         """Register a durable subscription with no client session.
@@ -486,21 +461,55 @@ class SubscriberHostingBroker(Broker):
             raise ProtocolError(f"{self.name} is draining; no new subscriptions")
         if sub_id in self.registry:
             raise ProtocolError(f"{sub_id} is already registered at {self.name}")
-        registered_at = {
-            p: self.constreams[p].delivered_cursor for p in self.pubend_names
-        }
-        pfs_cover_from = {
-            p: max(registered_at[p], self.pfs.last_timestamp(p))
+        sub = self._register(sub_id, predicate)
+        # A new subscriber starts at the constream's cursor (§4.1): it
+        # is owed nothing below the registration point.
+        for pubend, t in self._delivered_cursors().items():
+            self.registry.ack(sub.sub_id, pubend, t)
+
+    def _delivered_cursors(self) -> Dict[str, int]:
+        return {p: self.constreams[p].delivered_cursor for p in self.pubend_names}
+
+    def _register(
+        self, sub_id: str, predicate: Predicate, floor: Optional[Dict[str, int]] = None
+    ) -> DurableSubscription:
+        """Create a durable subscription here and announce it upstream.
+
+        The row's ``pfs_from`` — where PFS records start covering the
+        subscription — is the registration cursor, raised to ``floor``
+        where given.  Persisted with the row: a later reconnect whose
+        CT is below it must refilter that span rather than read PFS
+        silence out of it.  During a recovery replay the PFS can be
+        *ahead* of the cursor (records become durable before
+        latestDelivered is committed), and those records were written
+        under the old life's num assignment; a re-created subscription
+        may be handed a recycled num.  Coverage therefore starts above
+        whatever the stream already holds — replayed writes at or below
+        ``pfs.last_timestamp`` are skip-acked, never rewritten.  In
+        steady state ``last_timestamp <= cursor``, so this is the plain
+        registration cursor.
+        """
+        floor = floor or {}
+        pfs_from = {
+            p: max(
+                floor.get(p, 0),
+                self.constreams[p].delivered_cursor,
+                self.pfs.last_timestamp(p),
+            )
             for p in self.pubend_names
         }
-        sub = self.registry.create(sub_id, predicate, pfs_from=pfs_cover_from)
+        sub = self.registry.create(sub_id, predicate, pfs_from=pfs_from)
         self.engine.add(sub.sub_id, sub.predicate)
         self.send_up(M.SubscriptionAdd(self._global_sub_id(sub.sub_id), sub.predicate))
         self._maybe_clear_suspect()
-        # A new subscriber starts at the constream's cursor (§4.1): it
-        # is owed nothing below the registration point.
-        for pubend, t in registered_at.items():
-            self.registry.ack(sub.sub_id, pubend, t)
+        return sub
+
+    def _drop(self, sub_id: str) -> None:
+        """Destroy a registered subscription here and withdraw it upstream."""
+        if sub_id in self.registry:
+            self.registry.drop(sub_id)
+            self.engine.remove(sub_id)
+            self.send_up(M.SubscriptionRemove(self._global_sub_id(sub_id)))
 
     # ------------------------------------------------------------------
     # Dynamic topology: supervised join / drain / migration
@@ -627,8 +636,7 @@ class SubscriberHostingBroker(Broker):
         if HOOKS.enabled:
             HOOKS.fire("migrate.install.pre", self.name)
         self._note_migration_epoch(msg.sub_id, msg.epoch)
-        sub = self.registry.get(msg.sub_id)
-        if sub is None:
+        if msg.sub_id not in self.registry:
             assert msg.predicate is not None
             # Provisional PFS coverage starts at *this* SHB's stream
             # position: records below it were matched without this
@@ -636,18 +644,7 @@ class SubscriberHostingBroker(Broker):
             # _on_connect).  The source's cursor is folded in for the
             # degenerate case of a destination whose own cursors lag
             # it.  Finalized upward at coverage confirmation.
-            pfs_from = {
-                p: max(
-                    msg.pfs_from.get(p, 0),
-                    self.constreams[p].delivered_cursor,
-                    self.pfs.last_timestamp(p),
-                )
-                for p in self.pubend_names
-            }
-            sub = self.registry.create(msg.sub_id, msg.predicate, pfs_from=pfs_from)
-            self.engine.add(sub.sub_id, sub.predicate)
-            self.send_up(M.SubscriptionAdd(self._global_sub_id(sub.sub_id), sub.predicate))
-            self._maybe_clear_suspect()
+            self._register(msg.sub_id, msg.predicate, floor=msg.pfs_from)
         for pubend, t in msg.released_ct.items():
             if pubend in self.constreams:
                 self.registry.ack(msg.sub_id, pubend, t)
@@ -673,14 +670,7 @@ class SubscriberHostingBroker(Broker):
             # Retry of a handoff whose coverage was already confirmed
             # durably (migrated_in is written only at finalization):
             # just re-ack; a lost MigrateInstalled heals here.
-            def installed_durable() -> None:
-                if HOOKS.enabled:
-                    HOOKS.fire("migrate.install.durable", self.name)
-                self._report_release()
-                send_end.send(M.MigrateInstalled(handoff_id, sub_id, epoch))
-
-            self.meta_table.commit()
-            self.registry.commit(installed_durable)
+            self._commit_install(handoff_id, sub_id, epoch, send_end)
             return
         # Stage the adoption durably now, then start (or restart — a
         # retry refreshes the epoch and reply end, healing lost acks)
@@ -735,10 +725,7 @@ class SubscriberHostingBroker(Broker):
         def tombstone_durable() -> None:
             if HOOKS.enabled:
                 HOOKS.fire("migrate.commit.tombstone", self.name)
-            if sub_id in self.registry:
-                self.registry.drop(sub_id)
-                self.engine.remove(sub_id)
-                self.send_up(M.SubscriptionRemove(self._global_sub_id(sub_id)))
+            self._drop(sub_id)
             self._migrating.pop(sub_id, None)
             self.registry.commit(done)
 
@@ -763,9 +750,7 @@ class SubscriberHostingBroker(Broker):
             _dest, epoch = value
             if epoch >= self.meta_table.get(f"migrated_in:{sub_id}", -1):
                 self._pin_release_floors(sub_id)
-                self.registry.drop(sub_id)
-                self.engine.remove(sub_id)
-                self.send_up(M.SubscriptionRemove(self._global_sub_id(sub_id)))
+                self._drop(sub_id)
             else:
                 self.meta_table.delete(key)
 
@@ -879,23 +864,7 @@ class SubscriberHostingBroker(Broker):
         refilter_below = 0
         if stream is not None and not stream.caches_valid:
             refilter_below = stream.refilter_until + 1
-        cache = self.event_cache[pubend]
-        reply = M.KnowledgeUpdate(pubend)
-        unresolved = IntervalSet()
-        for iv in ranges:
-            cacheable_start = max(iv.start, refilter_below)
-            if cacheable_start > iv.start:
-                unresolved.add(iv.start, min(iv.end, cacheable_start - 1))
-            if cacheable_start > iv.end:
-                continue
-            d_events, s_ranges, l_ranges, q_set = cache.classify_within(
-                cacheable_start, iv.end
-            )
-            reply.d_events.extend(d_events)
-            reply.s_ranges.extend(s_ranges)
-            reply.l_ranges.extend(l_ranges)
-            unresolved.update(q_set)
-        reply.coalesce()
+        reply, unresolved = self.event_cache[pubend].answer(pubend, ranges, refilter_below)
         if not reply.is_empty():
             self.cache_served_nacks += 1
             # Serve synchronously: the stream's curiosity must see these
@@ -1043,22 +1012,24 @@ class SubscriberHostingBroker(Broker):
                 sub_id, {p: floor for p in self.pubend_names}
             )
             self.meta_table.put(f"migrated_in:{sub_id}", epoch)
+            self._commit_install(handoff_id, sub_id, epoch, send_end)
 
-            def installed_durable(
-                h: str = handoff_id, s: str = sub_id, e: int = epoch,
-                end: LinkEnd = send_end,
-            ) -> None:
-                if HOOKS.enabled:
-                    HOOKS.fire("migrate.install.durable", self.name)
-                # Report the (possibly regressed, epoch-bumped) floor
-                # eagerly: the sooner the root sees this SHB covering
-                # the subscription, the shorter the source's pin has
-                # to bridge.
-                self._report_release()
-                end.send(M.MigrateInstalled(h, s, e))
+    def _commit_install(
+        self, handoff_id: str, sub_id: str, epoch: int, send_end: LinkEnd
+    ) -> None:
+        """Commit the install; once durable, acknowledge it to the supervisor."""
 
-            self.meta_table.commit()
-            self.registry.commit(installed_durable)
+        def installed_durable() -> None:
+            if HOOKS.enabled:
+                HOOKS.fire("migrate.install.durable", self.name)
+            # Report the (possibly regressed, epoch-bumped) floor
+            # eagerly: the sooner the root sees this SHB covering the
+            # subscription, the shorter the source's pin has to bridge.
+            self._report_release()
+            send_end.send(M.MigrateInstalled(handoff_id, sub_id, epoch))
+
+        self.meta_table.commit()
+        self.registry.commit(installed_durable)
 
     def _handle_from_parent_batch(self, msgs: List[object]) -> None:
         """Batched uplink intake: fold every knowledge update of one
@@ -1107,15 +1078,8 @@ class SubscriberHostingBroker(Broker):
             for event in update.d_events:
                 tracer.note_arrival(event.event_id)
         cache = self.event_cache[pubend]
-        for start, end in update.l_ranges:
-            cache.set_lost_below(end + 1)
-        for start, end in update.s_ranges:
-            cache.set_s(start, end)
-        for event in update.d_events:
-            cache.set_d(event.timestamp, event)
-        floor = cache.max_known() - self.event_cache_span_ms
-        if floor > 0:
-            cache.forget_below(floor)
+        cache.absorb(update)
+        cache.keep_span(self.event_cache_span_ms)
 
     def _route_to_catchups(self, pubend: str, old: M.KnowledgeUpdate) -> None:
         consolidator = self.consolidators[pubend]
@@ -1146,12 +1110,8 @@ class SubscriberHostingBroker(Broker):
             self.head_curiosity[pubend].set_want(unknown)
 
     def _refresh_subscriptions(self, want_ack: bool = False) -> Optional[int]:
-        """Epoch-tagged full-union refresh toward the parent.
-
-        The receiving broker stages the epoch's adds and swaps them in
-        only when the count matches the sync (see Broker), so a refresh
-        partially eaten by a lossy link can never warm an incomplete
-        union upstream; the next refresh simply retries.
+        """Epoch-tagged full-union refresh toward the parent
+        (:meth:`Broker._send_union_up`).
 
         Suppressed while the registry is suspect: an epoch sync from a
         registry that lost rows would *replace* the parent's union with
@@ -1162,25 +1122,15 @@ class SubscriberHostingBroker(Broker):
         parent filtering with the pre-crash union, a superset of
         everything we might still host.
 
-        With ``want_ack`` the sync requests a downward
-        :class:`~repro.core.messages.SubscriptionSynced` once the epoch
-        is applied at the tree root (relayed hop by hop); returns this
-        refresh's epoch so the caller can wait for that ack, or None
-        when the refresh was suppressed.
+        Returns the refresh's epoch, so a ``want_ack`` caller can wait
+        for the root's confirmation, or None when it was suppressed.
         """
         if self.registry_suspect:
             return None
-        epoch = self._next_sub_epoch()
-        count = 0
-        for sub in self.registry.all():
-            self.send_up(
-                M.SubscriptionAdd(
-                    self._global_sub_id(sub.sub_id), sub.predicate, epoch=epoch
-                )
-            )
-            count += 1
-        self.send_up(M.SubscriptionSync(count, epoch=epoch, want_ack=want_ack))
-        return epoch
+        return self._send_union_up(
+            ((self._global_sub_id(sub.sub_id), sub.predicate) for sub in self.registry.all()),
+            want_ack,
+        )
 
     def _commit_tables(self) -> None:
         self.meta_table.commit()

@@ -38,14 +38,7 @@ class KnowledgeStream:
         """Fold a knowledge update into the map (idempotent, monotone)."""
         if update.pubend != self.pubend:
             raise ValueError(f"update for {update.pubend} on stream {self.pubend}")
-        for start, end in update.l_ranges:
-            # L is globally a prefix of time (the release protocol only
-            # converts prefixes), so an L range extends the prefix.
-            self.tickmap.set_lost_below(end + 1)
-        for start, end in update.s_ranges:
-            self.tickmap.set_s(start, end)
-        for event in update.d_events:
-            self.tickmap.set_d(event.timestamp, event)
+        self.tickmap.absorb(update)
 
     def accumulate_many(self, updates: Iterable[KnowledgeUpdate]) -> None:
         """Fold a whole batch of updates before any consumption.

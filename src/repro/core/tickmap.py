@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..util.intervals import Interval, IntervalSet
 from .events import Event
+from .messages import KnowledgeUpdate
 from .ticks import Tick
 
 
@@ -109,6 +110,17 @@ class TickMap:
         for old in self._d_times[:cut]:
             del self._d[old]
         del self._d_times[:cut]
+
+    def absorb(self, update: KnowledgeUpdate) -> None:
+        """Fold a knowledge update into the map (idempotent, monotone)."""
+        for _start, end in update.l_ranges:
+            # L is globally a prefix of time (the release protocol only
+            # converts prefixes), so an L range extends the prefix.
+            self.set_lost_below(end + 1)
+        for start, end in update.s_ranges:
+            self.set_s(start, end)
+        for event in update.d_events:
+            self.set_d(event.timestamp, event)
 
     # ------------------------------------------------------------------
     # Queries
@@ -271,9 +283,45 @@ class TickMap:
                 q_set.add(run.start, run.end)
         return d_events, s_ranges, l_ranges, q_set
 
+    def answer(
+        self, pubend: str, ranges: IntervalSet, refilter_below: int = 0
+    ) -> Tuple[KnowledgeUpdate, IntervalSet]:
+        """Answer a nack for ``ranges`` from this map as a cache.
+
+        Returns ``(reply, unresolved)``: the coalesced knowledge the map
+        holds for those ticks, and the ticks it must ask upstream about
+        — its Q ticks plus every tick below ``refilter_below``.  Those
+        are never cache-served: a cache's S ticks were filtered under a
+        subscription union that may not include the (roaming)
+        requester, so only the pubend may answer them.
+        """
+        reply = KnowledgeUpdate(pubend)
+        unresolved = IntervalSet()
+        for iv in ranges:
+            cacheable_start = max(iv.start, refilter_below)
+            if cacheable_start > iv.start:
+                unresolved.add(iv.start, min(iv.end, cacheable_start - 1))
+            if cacheable_start > iv.end:
+                continue
+            d_events, s_ranges, l_ranges, q_set = self.classify_within(
+                cacheable_start, iv.end
+            )
+            reply.d_events.extend(d_events)
+            reply.s_ranges.extend(s_ranges)
+            reply.l_ranges.extend(l_ranges)
+            unresolved.update(q_set)
+        reply.coalesce()
+        return reply, unresolved
+
     # ------------------------------------------------------------------
     # Memory management
     # ------------------------------------------------------------------
+    def keep_span(self, span: int) -> None:
+        """Bound a cache: forget ticks more than ``span`` below the newest."""
+        floor = self.max_known() - span
+        if floor > 0:
+            self.forget_below(floor)
+
     def forget_below(self, t: int) -> None:
         """Drop storage for ticks below ``t`` *without* declaring them L.
 

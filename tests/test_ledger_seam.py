@@ -31,3 +31,41 @@ def test_ledger_wrappers_install_on_this_tree():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+_OWNERS = """
+import sys
+sys.path[:0] = [{ledger!r}, {src!r}]
+import spans
+tracer = spans.Tracer()
+spans.install(tracer, rt=False)
+from repro.broker.intermediate import IntermediateBroker
+from repro.broker.phb import PublisherHostingBroker
+from repro.core.messages import KnowledgeUpdate
+from repro.net.simtime import Scheduler
+
+sim = Scheduler()
+for broker in (IntermediateBroker(sim, "mid"), PublisherHostingBroker(sim, "phb")):
+    jobs = []
+    broker.node.submit = lambda cost_ms, fn: jobs.append(fn)
+    broker._forward("child", KnowledgeUpdate("P1"), 0.1, sim.now, "span")
+    print(type(broker).__name__, tracer.owner(jobs[0]))
+"""
+
+
+def test_shared_forward_jobs_are_charged_to_the_submitting_role():
+    """``Broker._forward`` lives in broker/base.py, a module no layer is
+    named after; its job is charged to the role whose ``self`` it
+    closes over.  A helper that stopped closing over ``self`` would move
+    per-layer self time into ``other``."""
+    script = _OWNERS.format(
+        ledger=str(ROOT / "benchmarks" / "ledger"), src=str(ROOT / "src")
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == [
+        "IntermediateBroker broker.intermediate",
+        "PublisherHostingBroker broker.phb",
+    ]

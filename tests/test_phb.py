@@ -1,5 +1,7 @@
 """Tests for the publisher hosting broker (dissemination + nack service)."""
 
+import contextlib
+
 import pytest
 
 from repro.broker.base import Broker
@@ -113,6 +115,49 @@ class TestNackService:
         sim, phb, child = env
         child.send_up(M.Nack("P9", [(1, 10)]))
         sim.run_until(50)  # no crash, no reply
+
+
+class _Acks:
+    """A publisher session's send end: records what the PHB acks."""
+
+    def __init__(self):
+        self.acks = []
+
+    def send(self, msg):
+        self.acks.append(msg)
+
+
+class TestUnknownPubend:
+    """A request naming no hosted pubend is dropped before any floor moves."""
+
+    def test_reliable_request_does_not_poison_the_seq_floor(self, env):
+        sim, phb, _child = env
+        session = _Acks()
+        # Over TCP a raise here would end the session; the floors are
+        # what outlive it, so they are what is checked.
+        with contextlib.suppress(KeyError):
+            phb._on_publisher_message(session, M.PublishRequest(
+                {"g": 0}, 250, publisher="pub1", seq=1, pubend="NOPE"
+            ))
+        phb._on_publisher_message(session, M.PublishRequest(
+            {"g": 0}, 250, publisher="pub1", seq=1, pubend="P1"
+        ))
+        sim.run_until(100)
+        assert session.acks == [M.PublishAck("pub1", 1)]
+        assert phb.duplicates_rejected == 0
+
+    def test_unknown_pubend_is_dropped_without_raising(self, env):
+        sim, phb, _child = env
+        session = _Acks()
+        phb._on_publisher_message(session, M.PublishRequest(
+            {"g": 0}, 250, publisher="pub1", seq=1, pubend="NOPE"
+        ))
+        phb._on_publisher_message(session, M.PublishRequest({"g": 0}, 250, pubend="NOPE"))
+        phb.publish("NOPE", {"g": 0})
+        sim.run_until(100)
+        assert phb.events_accepted == 0
+        assert session.acks == []
+        assert phb._accepted_seqs == {} and phb._pub_seqs == {}
 
 
 class TestReleaseProtocol:

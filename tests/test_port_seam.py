@@ -17,8 +17,9 @@ And for protocol code to depend on ports, not on the simulator:
   ``python -m repro.sim.crashpoints`` runs without runpy finding the
   module already imported.
 
-The ``Scheduler`` imports that remain in protocol packages are a
-separate, open ROADMAP item and are not checked here.
+* protocol code names the ``port.Clock`` it runs on, not the sim
+  ``Scheduler``; the modules that still import ``net.simtime`` are an
+  allow-list that may only shrink.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 SIM_NODE_IMPORTERS = {
     "broker/base.py": "default executor of a broker built without one (the sim's)",
     "broker/topology.py": "the simulator's topology builders construct sim machines",
+}
+
+#: Protocol-package modules still typed against the sim Clock
+#: (``net.simtime.Scheduler`` / ``PeriodicHandle``) instead of the
+#: ``port.Clock`` port.  Each entry is open work; none may be added.
+SIM_CLOCK_IMPORTERS = {
+    "broker/topology.py",
+    "client/publisher.py",
+    "client/subscriber.py",
+    "core/catchup.py",
+    "core/constream.py",
+    "core/curiosity.py",
+    "core/pubend.py",
+    "jms/session.py",
+    "metrics/collector.py",
+    "metrics/trace.py",
+    "storage/disk.py",
+    "workloads/generator.py",
 }
 
 
@@ -127,6 +146,33 @@ def _absolute_imports(name: str, tree: ast.Module) -> Iterator[str]:
             base = package[: len(package) - (node.level - 1)] if node.level else []
             module = ".".join([*base, *([node.module] if node.module else [])])
             yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def _protocol_packages():
+    """Every package but the simulator, its substrate and the adapters."""
+    return sorted(
+        p.name for p in SRC.iterdir()
+        if p.is_dir() and p.name not in ("sim", "net", "adapters", "port", "__pycache__")
+    )
+
+
+def _imports_sim_clock(name: str, tree: ast.Module) -> bool:
+    return any(
+        module == "repro.net.simtime" or module.startswith("repro.net.simtime.")
+        for module in _absolute_imports(name, tree)
+    )
+
+
+def test_protocol_code_names_the_clock_port():
+    importers = {
+        name for name, tree in _modules(*_protocol_packages())
+        if _imports_sim_clock(name, tree)
+    }
+    assert importers <= SIM_CLOCK_IMPORTERS, (
+        f"type these against port.Clock instead: {sorted(importers - SIM_CLOCK_IMPORTERS)}"
+    )
+    stale = SIM_CLOCK_IMPORTERS - importers
+    assert not stale, f"no longer import net.simtime; drop from SIM_CLOCK_IMPORTERS: {sorted(stale)}"
 
 
 def test_nothing_outside_sim_imports_the_simulator_package():

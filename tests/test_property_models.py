@@ -7,7 +7,9 @@ real implementation and a naive model (a Python ``set`` / ``dict``)
 through the same randomized operation sequence and checks they agree
 after every step.  Randomness comes from an explicitly seeded
 ``random.Random`` so failures replay exactly; the seeds are part of the
-test matrix, not hidden state.
+test matrix, not hidden state.  The relay-cache tests at the end build
+their maps with hypothesis instead, and hold each :class:`TickMap`
+method to the inline code the brokers carried before it existed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import random
 from typing import Dict, List, Set, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.core.events import Event
+from repro.core.messages import KnowledgeUpdate
 from repro.core.tickmap import TickMap
 from repro.core.ticks import Tick
 from repro.util.intervals import IntervalSet, coalesce_ranges
@@ -256,3 +261,115 @@ def test_tickmap_runs_and_classify_reconstruct_model(seed):
             t for t in range(a, b + 1)
             if _model_kind(t, lost_below, d, s) is Tick.Q
         }
+
+
+# ---------------------------------------------------------------------------
+# A TickMap as a relay cache: answer / absorb / keep_span against the
+# inline code the brokers carried before these methods existed.
+# ---------------------------------------------------------------------------
+_EVENTS = {t: Event("P", t, {"n": t}) for t in range(80)}
+
+_map_ops = hst.lists(
+    hst.one_of(
+        hst.tuples(hst.just("d"), hst.integers(0, 60), hst.just(0)),
+        hst.tuples(hst.just("s"), hst.integers(0, 60), hst.integers(0, 8)),
+        hst.tuples(hst.just("l"), hst.integers(0, 40), hst.just(0)),
+    ),
+    max_size=30,
+)
+_spans = hst.lists(
+    hst.tuples(hst.integers(0, 66), hst.integers(0, 8)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=4,
+)
+_updates = hst.builds(
+    lambda d, s, l: KnowledgeUpdate(
+        "P", d_events=[_EVENTS[t] for t in d], s_ranges=s, l_ranges=l
+    ),
+    hst.lists(hst.integers(0, 66), max_size=5), _spans, _spans,
+)
+
+
+def _built(ops) -> TickMap:
+    tm = TickMap()
+    for op, a, length in ops:
+        if op == "d":
+            tm.set_d(a, _EVENTS[a])
+        elif op == "s":
+            tm.set_s(a, a + length)
+        else:
+            tm.set_lost_below(a)
+    return tm
+
+
+def _state(tm: TickMap):
+    return (
+        [tm.kind(t) for t in range(-2, 76)],
+        [tm.event_at(t) for t in range(76)],
+        tm.lost_below, tm.max_known(), tm.d_count,
+        tm.s_over_d_conflicts, tm.d_over_s_upgrades,
+    )
+
+
+def _inline_answer(cache, pubend, ranges, refilter_below):
+    """The nack-from-cache loop as the intermediate and SHB wrote it."""
+    reply = KnowledgeUpdate(pubend)
+    unresolved = IntervalSet()
+    for iv in ranges:
+        cacheable_start = max(iv.start, refilter_below)
+        if cacheable_start > iv.start:
+            unresolved.add(iv.start, min(iv.end, cacheable_start - 1))
+        if cacheable_start > iv.end:
+            continue
+        d_events, s_ranges, l_ranges, q_set = cache.classify_within(
+            cacheable_start, iv.end
+        )
+        reply.d_events.extend(d_events)
+        reply.s_ranges.extend(s_ranges)
+        reply.l_ranges.extend(l_ranges)
+        unresolved.update(q_set)
+    reply.coalesce()
+    return reply, unresolved
+
+
+@given(_map_ops, _spans)
+@settings(max_examples=300)
+def test_answer_matches_the_inline_nack_loop(ops, nacked):
+    tm = _built(ops)
+    before = _state(tm)
+    ranges = IntervalSet(nacked)
+    # Refilter boundaries at, below and above every range's ends.
+    boundaries = {0} | {
+        t + k for iv in ranges for t in (iv.start, iv.end) for k in (-1, 0, 1)
+    }
+    for refilter_below in sorted(boundaries):
+        reply, unresolved = tm.answer("P", ranges, refilter_below)
+        want_reply, want_unresolved = _inline_answer(tm, "P", ranges, refilter_below)
+        assert (reply.pubend, reply.d_events, reply.s_ranges, reply.l_ranges) == (
+            want_reply.pubend, want_reply.d_events, want_reply.s_ranges, want_reply.l_ranges
+        )
+        assert unresolved.as_tuples() == want_unresolved.as_tuples()
+    assert _state(tm) == before  # answering reads; it never mutates
+
+
+@given(_map_ops, hst.lists(_updates, max_size=4))
+@settings(max_examples=300)
+def test_absorb_matches_the_three_loop_fold(ops, updates):
+    tm, model = _built(ops), _built(ops)
+    for update in updates:
+        tm.absorb(update)
+        for _start, end in update.l_ranges:
+            model.set_lost_below(end + 1)
+        for start, end in update.s_ranges:
+            model.set_s(start, end)
+        for event in update.d_events:
+            model.set_d(event.timestamp, event)
+        assert _state(tm) == _state(model)
+
+
+@given(_map_ops, hst.integers(0, 70))
+@settings(max_examples=300)
+def test_keep_span_is_forget_below_the_newest_minus_span(ops, span):
+    tm, model = _built(ops), _built(ops)
+    tm.keep_span(span)
+    model.forget_below(model.max_known() - span)
+    assert _state(tm) == _state(model)
