@@ -121,9 +121,9 @@ class BrokerProcess:
 
         def first(msg: object) -> None:
             if isinstance(msg, M.PublishRequest):
-                self.phb.attach_publisher_channel(conn)
+                self.phb.attach_publisher(conn)
             else:
-                self.shb.attach_client_channel(conn)
+                self.shb.attach_client(conn)
             conn.deliver(msg)
 
         conn.on_message(first)

@@ -14,22 +14,36 @@ satisfies the port contracts:
   (my send end, my receive end + its CPU receive cost) behind the
   channel API the protocol classes attach to.
 
-The channel wrapper adds no scheduler events and no state of its own —
-``send`` and ``on_message`` go straight through to the wrapped
-:class:`~repro.net.link.LinkEnd`\\ s — so wiring clients through it is
-behavior-identical (and digest-identical) to wiring the ends directly.
+Every simulated client session — subscriber, reliable publisher,
+migration supervisor — is opened by :func:`dial`: a fresh link to the
+broker, both sides as channels, exactly what a TCP connect plus accept
+gives the rt substrate.  The broker's ``attach_*`` and the client's
+session code therefore take the same :class:`repro.port.Connection` on
+both substrates.  A graceful disconnect leaves the link up for the
+messages still in flight on it; the client severs it (``close``) when
+it opens its next session.  The channel wrapper adds no scheduler
+events and no state of its own — ``send`` and ``on_message`` go
+straight through to the wrapped :class:`~repro.net.link.LinkEnd`\\ s.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Tuple
 
 from ..net.link import Link, LinkEnd
 from ..net.node import Node
 from ..net.simtime import Scheduler
+from ..port.executor import Executor
 from ..storage.disk import SimDisk
 
-__all__ = ["Scheduler", "Node", "SimDisk", "Link", "LinkEnd", "SimChannel", "channel_pair"]
+__all__ = [
+    "Scheduler", "Node", "SimDisk", "Link", "LinkEnd", "SimChannel", "channel_pair",
+    "dial", "CLIENT_LINK_LATENCY_MS",
+]
+
+#: One-way latency of every simulated client link (subscriber,
+#: publisher and supervisor sessions alike).
+CLIENT_LINK_LATENCY_MS = 0.5
 
 
 class SimChannel:
@@ -40,7 +54,7 @@ class SimChannel:
     this side owns.
     """
 
-    __slots__ = ("_send_end", "_recv_end", "_recv_cost", "link")
+    __slots__ = ("send", "_recv_end", "_recv_cost", "link")
 
     def __init__(
         self,
@@ -50,12 +64,11 @@ class SimChannel:
         recv_cost: Callable[[Any], float],
     ) -> None:
         self.link = link
-        self._send_end = send_end
+        #: The wrapped end's own bound ``send``: every simulated delivery
+        #: goes through here, so no wrapper frame of our own.
+        self.send: Callable[[Any], None] = send_end.send
         self._recv_end = recv_end
         self._recv_cost = recv_cost
-
-    def send(self, msg: Any) -> None:
-        self._send_end.send(msg)
 
     def on_message(self, fn: Callable[[Any], None]) -> None:
         self._recv_end.on_receive(fn, self._recv_cost)
@@ -85,3 +98,24 @@ def channel_pair(
     a_side = SimChannel(link, send_end=a_sends, recv_end=b_sends, recv_cost=a_recv_cost)
     b_side = SimChannel(link, send_end=b_sends, recv_end=a_sends, recv_cost=b_recv_cost)
     return a_side, b_side
+
+
+def dial(
+    client_node: Executor, broker: Any, broker_recv_cost: Callable[[Any], float]
+) -> Tuple[SimChannel, SimChannel]:
+    """Open a client session to ``broker``: ``(client_side, broker_side)``.
+
+    The caller hands ``broker_side`` to the broker's ``attach_*``.  The
+    link batches with the broker's delivery window (an SHB's
+    ``batch_window_ms``; unbatched for a broker without one), so one
+    knob configures the whole last hop.  The client pays the cost
+    model's ``client_recv_cost`` per message, the broker
+    ``broker_recv_cost``.
+    """
+    link = Link(
+        broker.scheduler, client_node, broker.node, CLIENT_LINK_LATENCY_MS,
+        batch_window_ms=getattr(broker, "batch_window_ms", 0.0),
+    )
+    return channel_pair(
+        link, client_node, broker.node, broker.costs.client_recv_cost, broker_recv_cost
+    )

@@ -34,7 +34,7 @@ from ..net.node import Node
 from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.errors import ConfigurationError
-from .costs import DEFAULT_COSTS, CostModel
+from .costs import DEFAULT_COSTS
 
 
 class Broker:
@@ -44,17 +44,15 @@ class Broker:
         self,
         scheduler: Clock,
         name: str,
-        cost_model: Optional[CostModel] = None,
-        speed: float = 1.0,
         node: Optional[Executor] = None,
     ) -> None:
         self.scheduler = scheduler
         self.name = name
-        self.costs = cost_model if cost_model is not None else DEFAULT_COSTS
+        self.costs = DEFAULT_COSTS
         #: Brokers may share an executor (the paper's 1-broker topology
         #: runs PHB and SHB roles on the same machine).  The default is
-        #: the simulator's costed FIFO node; ``speed`` only scales that.
-        self.node: Executor = node if node is not None else Node(scheduler, name, speed=speed)
+        #: the simulator's costed FIFO node.
+        self.node: Executor = node if node is not None else Node(scheduler, name)
         self.parent_name: Optional[str] = None
         self._parent_send: Optional[LinkEnd] = None
         self._child_sends: Dict[str, LinkEnd] = {}

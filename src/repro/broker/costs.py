@@ -80,8 +80,14 @@ class CostModel:
             return self.client_connect_ms
         return 0.02
 
+    def phb_publisher_recv_cost(self, msg: object) -> float:
+        """PHB-side CPU cost of a message arriving from a publisher."""
+        if isinstance(msg, M.PublishRequest):
+            return self.publish_ms
+        return 0.02
+
     def client_recv_cost(self, msg: object) -> float:
-        """Client-machine CPU cost of a message from the SHB."""
+        """Client-machine CPU cost of a message from its broker."""
         if isinstance(msg, M.EventMessage):
             return self.client_recv_event_ms
         return self.client_recv_control_ms

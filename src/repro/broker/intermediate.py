@@ -26,7 +26,6 @@ from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.intervals import IntervalSet
 from .base import Broker
-from .costs import CostModel
 
 #: Releases are re-reported upstream at this period (see ``__init__``).
 RELEASE_RESEND_MS = 1_000.0
@@ -66,13 +65,11 @@ class IntermediateBroker(Broker):
         self,
         scheduler: Clock,
         name: str,
-        cost_model: Optional[CostModel] = None,
-        speed: float = 1.0,
         node: Optional[Executor] = None,
         cache_span_ms: int = 30_000,
         subscription_refresh_ms: float = 2_000.0,
     ) -> None:
-        super().__init__(scheduler, name, cost_model, speed, node)
+        super().__init__(scheduler, name, node)
         self.cache_span_ms = cache_span_ms
         self.subscription_refresh_ms = subscription_refresh_ms
         self._relays: Dict[str, _PubendRelay] = {}

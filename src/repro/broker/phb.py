@@ -20,15 +20,14 @@ from ..core import messages as M
 from ..core.pubend import Pubend
 from ..metrics.trace import SPAN_PHB_FORWARD
 from ..core.release import EarlyReleasePolicy
-from ..net.link import Link, LinkEnd
 from ..port.clock import Clock
 from ..port.executor import Executor
+from ..port.transport import Connection
 from ..storage.disk import SimDisk
 from ..storage.table import PersistentTable
 from ..util.errors import ConfigurationError
 from ..util.intervals import IntervalSet
 from .base import Broker
-from .costs import CostModel
 
 
 class PublisherHostingBroker(Broker):
@@ -38,14 +37,12 @@ class PublisherHostingBroker(Broker):
         self,
         scheduler: Clock,
         name: str,
-        cost_model: Optional[CostModel] = None,
-        speed: float = 1.0,
         node: Optional[Executor] = None,
         disk: Optional[SimDisk] = None,
         nack_reply_max_events: int = 375,
         journal_volume: Optional[object] = None,
     ) -> None:
-        super().__init__(scheduler, name, cost_model, speed, node)
+        super().__init__(scheduler, name, node)
         #: The broker's log device, shared by all hosted pubends.
         self.disk = disk if disk is not None else SimDisk(scheduler, f"{name}-log")
         self._own_storage(self.disk)
@@ -171,21 +168,12 @@ class PublisherHostingBroker(Broker):
     # ------------------------------------------------------------------
     # Reliable publishing (exactly-once from publisher to pubend)
     # ------------------------------------------------------------------
-    def attach_publisher(self, link: Link, client_node: Executor) -> None:
-        """Wire a reliable publisher's link (see ReliablePublisher)."""
-        recv_end = link.end_for_sender(client_node)
-        send_end = link.end_for_sender(self.node)
-        recv_end.on_receive(
-            lambda msg: self._on_publisher_message(send_end, msg),
-            lambda msg: self.costs.publish_ms if isinstance(msg, M.PublishRequest) else 0.02,
-        )
-
-    def attach_publisher_channel(self, chan) -> None:
-        """Wire a transport-port channel (rt substrate) as a publisher
-        session; acks go back over the same duck-typed channel."""
+    def attach_publisher(self, chan: Connection) -> None:
+        """Wire a reliable publisher's session (see ReliablePublisher);
+        acks go back over the same channel."""
         chan.on_message(lambda msg: self._on_publisher_message(chan, msg))
 
-    def _on_publisher_message(self, send_end: LinkEnd, msg: object) -> None:
+    def _on_publisher_message(self, chan: Connection, msg: object) -> None:
         if not isinstance(msg, M.PublishRequest):
             return
         pubend = msg.pubend or next(iter(self.pubends), None)
@@ -213,7 +201,7 @@ class PublisherHostingBroker(Broker):
             # re-acknowledging the durable floor makes the publisher
             # resend everything after it, in order.
             self.duplicates_rejected += 1
-            send_end.send(M.PublishAck(msg.publisher, self._pub_seqs.get(msg.publisher, 0)))
+            chan.send(M.PublishAck(msg.publisher, self._pub_seqs.get(msg.publisher, 0)))
             return
         self._accepted_seqs[msg.publisher] = msg.seq
 
@@ -222,7 +210,7 @@ class PublisherHostingBroker(Broker):
             if seq > self._pub_seqs.get(publisher, 0):
                 self._pub_seqs[publisher] = seq
                 self.seq_table.put(publisher, seq)
-            send_end.send(M.PublishAck(publisher, self._pub_seqs[publisher]))
+            chan.send(M.PublishAck(publisher, self._pub_seqs[publisher]))
 
         self.pubends[pubend].publish(
             msg.attributes, msg.payload_bytes, msg.publisher,

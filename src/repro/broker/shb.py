@@ -33,10 +33,10 @@ from ..core.subscription import DurableSubscription, SubscriptionRegistry
 from ..core.tickmap import TickMap
 from ..matching.engine import MatchingEngine
 from ..matching.predicates import Predicate
-from ..net.link import Link, LinkEnd
 from ..pfs.pfs import PersistentFilteringSubsystem
 from ..port.clock import Clock, PeriodicTimerHandle
 from ..port.executor import Executor
+from ..port.transport import Connection
 from ..storage.disk import SimDisk
 from ..storage.logvolume import LogVolume
 from ..storage.table import PersistentTable
@@ -44,7 +44,6 @@ from ..util.crashhooks import HOOKS
 from ..util.errors import ProtocolError
 from ..util.intervals import IntervalSet
 from .base import Broker
-from .costs import CostModel
 
 #: Timer periods no caller varies: release reports up the tree, the
 #: head gap check, and the head curiosity's base re-nack interval.
@@ -61,8 +60,6 @@ class SubscriberHostingBroker(Broker):
         scheduler: Clock,
         name: str,
         pubend_names: List[str],
-        cost_model: Optional[CostModel] = None,
-        speed: float = 1.0,
         node: Optional[Executor] = None,
         disk: Optional[SimDisk] = None,
         commit_interval_ms: float = 250.0,
@@ -78,11 +75,11 @@ class SubscriberHostingBroker(Broker):
         pfs_volume: Optional[LogVolume] = None,
         journal_volume: Optional[LogVolume] = None,
     ) -> None:
-        super().__init__(scheduler, name, cost_model, speed, node)
+        super().__init__(scheduler, name, node)
         #: Delivery batching (0 = the seed's one-job-per-message path).
         #: When positive, constream fan-out hands each subscriber its
-        #: events per pump as one CPU job, and client links are created
-        #: with the same batching window (see DurableSubscriber.connect).
+        #: events per pump as one CPU job, and simulated client links
+        #: are created with the same batching window (adapters.sim.dial).
         self.batch_window_ms = batch_window_ms
         self.pubend_names = sorted(pubend_names)
         #: One durable device for PFS records and tables (the paper used
@@ -144,8 +141,8 @@ class SubscriberHostingBroker(Broker):
         self.catchups: Dict[Tuple[str, str], CatchupStream] = {}
         self.head_curiosity: Dict[str, CuriosityStream] = {}
         self.consolidators: Dict[str, NackConsolidator] = {}
-        self._sessions: Dict[str, LinkEnd] = {}
-        self._session_subs: Dict[int, Set[str]] = {}  # id(link_end) -> subs
+        self._sessions: Dict[str, Connection] = {}
+        self._session_subs: Dict[Connection, Set[str]] = {}
         self._timers: List[PeriodicTimerHandle] = []
         self.catchup_durations_ms: List[Tuple[float, float]] = []  # (end time, duration)
         self.catchup_ticks_nacked = 0  # recovery request volume (ablations)
@@ -203,7 +200,7 @@ class SubscriberHostingBroker(Broker):
         #: every such tick is behind us and ``pfs_from`` is finalized
         #: past them.  Volatile: the supervisor's install retries
         #: restart the confirmation after a crash.
-        self._cover_pending: Dict[str, Tuple[Optional[int], str, int, LinkEnd]] = {}
+        self._cover_pending: Dict[str, Tuple[Optional[int], str, int, Connection]] = {}
 
         if journal_volume is not None or pfs_volume is not None:
             # Process restart (rt substrate): the journal-recovered
@@ -293,23 +290,14 @@ class SubscriberHostingBroker(Broker):
     # ------------------------------------------------------------------
     # Client attachment
     # ------------------------------------------------------------------
-    def attach_client(self, link: Link, client_node: Executor) -> LinkEnd:
-        """Wire a client's link; returns the client's send end."""
-        recv_end = link.end_for_sender(client_node)
-        send_end = link.end_for_sender(self.node)
-        recv_end.on_receive(
-            lambda msg: self._on_client_message(send_end, msg),
-            self.costs.shb_client_recv_cost,
-        )
-        link.on_disconnect(lambda: self._client_link_down(send_end))
-        return recv_end
+    def attach_client(self, chan: Connection) -> None:
+        """Wire a client session: a port channel from the sim's ``dial``
+        or the rt listener.
 
-    def attach_client_channel(self, chan) -> None:
-        """Wire a transport-port channel (rt substrate) as a client session.
-
-        The session handle is duck-typed — anything with ``send`` works
-        — so the same dispatch, disconnect and delivery paths serve TCP
-        connections and sim link ends alike.
+        The channel object is the session's identity: ``_sessions``
+        maps each connected subscription to the channel it connected
+        on, and ``_session_subs`` holds the reverse for the channel's
+        close.
         """
         chan.on_message(lambda msg: self._on_client_message(chan, msg))
         chan.on_close(lambda: self._client_link_down(chan))
@@ -323,28 +311,32 @@ class SubscriberHostingBroker(Broker):
         """
         self._client_extensions[msg_type] = handler
 
-    def _on_client_message(self, send_end: LinkEnd, msg: object) -> None:
+    def _on_client_message(self, chan: Connection, msg: object) -> None:
         if isinstance(msg, M.ConnectRequest):
-            self._on_connect(send_end, msg)
+            self._on_connect(chan, msg)
         elif isinstance(msg, M.AckCheckpoint):
             self._on_ack(msg)
         elif isinstance(msg, M.DisconnectRequest):
-            self._disconnect_sub(msg.sub_id)
+            # Only the session's own channel may end it: a request read
+            # off a replaced session (two TCP connections are not
+            # ordered against each other) must not end the new one.
+            if self._sessions.get(msg.sub_id) is chan:
+                self._disconnect_sub(msg.sub_id)
         elif isinstance(msg, M.MigrateRequest):
-            self._on_migrate_request(send_end, msg)
+            self._on_migrate_request(chan, msg)
         elif isinstance(msg, M.MigrateInstall):
-            self._on_migrate_install(send_end, msg)
+            self._on_migrate_install(chan, msg)
         elif isinstance(msg, M.MigrateCommit):
-            self._on_migrate_commit(send_end, msg)
+            self._on_migrate_commit(chan, msg)
         else:
             handler = self._client_extensions.get(type(msg))
             if handler is not None:
-                handler(send_end, msg)
+                handler(chan, msg)
 
-    def _on_connect(self, send_end: LinkEnd, req: M.ConnectRequest) -> None:
+    def _on_connect(self, chan: Connection, req: M.ConnectRequest) -> None:
         refusal = self._connect_refusal(req.sub_id)
         if refusal is not None:
-            send_end.send(refusal)
+            chan.send(refusal)
             return
         sub = self.registry.get(req.sub_id)
         refilter_until: Dict[str, int] = {}
@@ -389,9 +381,9 @@ class SubscriberHostingBroker(Broker):
             # we noticed); the new session replaces it.
             self._disconnect_sub(sub.sub_id)
         sub.connected = True
-        self._sessions[sub.sub_id] = send_end
-        self._session_subs.setdefault(id(send_end), set()).add(sub.sub_id)
-        send_end.send(M.ConnectAccept(sub.sub_id, dict(checkpoint)))
+        self._sessions[sub.sub_id] = chan
+        self._session_subs.setdefault(chan, set()).add(sub.sub_id)
+        chan.send(M.ConnectAccept(sub.sub_id, dict(checkpoint)))
         for pubend in self.pubend_names:
             constream = self.constreams[pubend]
             start = checkpoint.get(pubend, constream.delivered_cursor)
@@ -414,19 +406,20 @@ class SubscriberHostingBroker(Broker):
             if pubend in self.constreams and ack.sub_id in self.registry:
                 self.registry.ack(ack.sub_id, pubend, t)
 
-    def _client_link_down(self, send_end: LinkEnd) -> None:
-        for sub_id in list(self._session_subs.get(id(send_end), ())):
+    def _client_link_down(self, chan: Connection) -> None:
+        for sub_id in list(self._session_subs.get(chan, ())):
             self._disconnect_sub(sub_id)
 
     def _disconnect_sub(self, sub_id: str) -> None:
         sub = self.registry.get(sub_id)
         if sub is not None:
             sub.connected = False
-        end = self._sessions.pop(sub_id, None)
-        if end is not None:
-            subs = self._session_subs.get(id(end))
-            if subs is not None:
-                subs.discard(sub_id)
+        chan = self._sessions.pop(sub_id, None)
+        if chan is not None:
+            subs = self._session_subs[chan]
+            subs.discard(sub_id)
+            if not subs:
+                del self._session_subs[chan]
         for pubend in self.pubend_names:
             self.constreams[pubend].remove_subscriber(sub_id)
             catchup = self.catchups.pop((sub_id, pubend), None)
@@ -574,7 +567,7 @@ class SubscriberHostingBroker(Broker):
         if epoch > self._migration_epoch(sub_id):
             self.meta_table.put(f"migrateEpoch:{sub_id}", epoch)
 
-    def _on_migrate_request(self, send_end: LinkEnd, req: M.MigrateRequest) -> None:
+    def _on_migrate_request(self, chan: Connection, req: M.MigrateRequest) -> None:
         """Source side, phase 1: snapshot the subscription's durable state.
 
         Read-only except for the in-flight marker — the subscription
@@ -588,7 +581,7 @@ class SubscriberHostingBroker(Broker):
             HOOKS.fire("migrate.offer.pre", self.name)
         sub = self.registry.get(req.sub_id)
         if sub is None:
-            send_end.send(
+            chan.send(
                 M.MigrateOffer(req.handoff_id, req.sub_id, req.epoch, found=False)
             )
             return
@@ -597,7 +590,7 @@ class SubscriberHostingBroker(Broker):
         jms_ct: Dict[str, int] = {}
         if self.ct_service is not None:
             jms_ct = self.ct_service.export_ct(req.sub_id)  # type: ignore[attr-defined]
-        send_end.send(
+        chan.send(
             M.MigrateOffer(
                 req.handoff_id,
                 req.sub_id,
@@ -610,7 +603,7 @@ class SubscriberHostingBroker(Broker):
             )
         )
 
-    def _on_migrate_install(self, send_end: LinkEnd, msg: M.MigrateInstall) -> None:
+    def _on_migrate_install(self, chan: Connection, msg: M.MigrateInstall) -> None:
         """Destination side, phase 2: adopt the subscription durably.
 
         Idempotent: re-creation is guarded by the registry, acks are
@@ -670,7 +663,7 @@ class SubscriberHostingBroker(Broker):
             # Retry of a handoff whose coverage was already confirmed
             # durably (migrated_in is written only at finalization):
             # just re-ack; a lost MigrateInstalled heals here.
-            self._commit_install(handoff_id, sub_id, epoch, send_end)
+            self._commit_install(handoff_id, sub_id, epoch, chan)
             return
         # Stage the adoption durably now, then start (or restart — a
         # retry refreshes the epoch and reply end, healing lost acks)
@@ -680,9 +673,9 @@ class SubscriberHostingBroker(Broker):
         self.meta_table.commit()
         self.registry.commit()
         refresh_epoch = self._refresh_subscriptions(want_ack=True)
-        self._cover_pending[sub_id] = (refresh_epoch, handoff_id, epoch, send_end)
+        self._cover_pending[sub_id] = (refresh_epoch, handoff_id, epoch, chan)
 
-    def _on_migrate_commit(self, send_end: LinkEnd, msg: M.MigrateCommit) -> None:
+    def _on_migrate_commit(self, chan: Connection, msg: M.MigrateCommit) -> None:
         """Source side, phase 3: withdraw the migrated subscription.
 
         The tombstone commits *before* the registry row drop: a crash
@@ -701,7 +694,7 @@ class SubscriberHostingBroker(Broker):
         def done() -> None:
             if HOOKS.enabled:
                 HOOKS.fire("migrate.commit.durable", self.name)
-            send_end.send(M.MigrateDone(handoff_id, sub_id, epoch))
+            chan.send(M.MigrateDone(handoff_id, sub_id, epoch))
 
         if sub_id not in self.registry:
             # Duplicate commit: the withdrawal already happened; re-ack
@@ -1002,7 +995,7 @@ class SubscriberHostingBroker(Broker):
         if not due:
             return
         floor = int(self.scheduler.now)
-        for sub_id, (refresh_epoch, handoff_id, epoch, send_end) in due:
+        for sub_id, (refresh_epoch, handoff_id, epoch, chan) in due:
             del self._cover_pending[sub_id]
             if epoch < self._migration_epoch(sub_id):
                 continue  # superseded while awaiting confirmation
@@ -1012,10 +1005,10 @@ class SubscriberHostingBroker(Broker):
                 sub_id, {p: floor for p in self.pubend_names}
             )
             self.meta_table.put(f"migrated_in:{sub_id}", epoch)
-            self._commit_install(handoff_id, sub_id, epoch, send_end)
+            self._commit_install(handoff_id, sub_id, epoch, chan)
 
     def _commit_install(
-        self, handoff_id: str, sub_id: str, epoch: int, send_end: LinkEnd
+        self, handoff_id: str, sub_id: str, epoch: int, chan: Connection
     ) -> None:
         """Commit the install; once durable, acknowledge it to the supervisor."""
 
@@ -1026,7 +1019,7 @@ class SubscriberHostingBroker(Broker):
             # eagerly: the sooner the root sees this SHB covering the
             # subscription, the shorter the source's pin has to bridge.
             self._report_release()
-            send_end.send(M.MigrateInstalled(handoff_id, sub_id, epoch))
+            chan.send(M.MigrateInstalled(handoff_id, sub_id, epoch))
 
         self.meta_table.commit()
         self.registry.commit(installed_durable)

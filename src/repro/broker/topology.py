@@ -21,7 +21,6 @@ from ..net.simtime import Scheduler
 from ..storage.disk import SimDisk
 from ..util.errors import ConfigurationError
 from .base import Broker
-from .costs import CostModel
 from .intermediate import IntermediateBroker
 from .phb import PublisherHostingBroker
 from .shb import SubscriberHostingBroker
@@ -102,16 +101,13 @@ def build_two_broker(
     scheduler: Scheduler,
     pubends: List[str],
     policy: Optional[EarlyReleasePolicy] = None,
-    cost_model: Optional[CostModel] = None,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
     **shb_kwargs: object,
 ) -> Overlay:
     """The paper's 2-broker network: one PHB directly feeding one SHB."""
     return build_star(
-        scheduler, pubends, n_shbs=1, policy=policy, cost_model=cost_model,
-        link_latency_ms=link_latency_ms, batch_window_ms=batch_window_ms,
-        **shb_kwargs,
+        scheduler, pubends, n_shbs=1, policy=policy,
+        batch_window_ms=batch_window_ms, **shb_kwargs,
     )
 
 
@@ -120,8 +116,6 @@ def build_star(
     pubends: List[str],
     n_shbs: int,
     policy: Optional[EarlyReleasePolicy] = None,
-    cost_model: Optional[CostModel] = None,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
     **shb_kwargs: object,
 ) -> Overlay:
@@ -134,9 +128,8 @@ def build_star(
     if n_shbs < 1:
         raise ConfigurationError("need at least one SHB")
     return build_tree(
-        scheduler, pubends, [n_shbs], policy=policy, cost_model=cost_model,
-        link_latency_ms=link_latency_ms, batch_window_ms=batch_window_ms,
-        **shb_kwargs,
+        scheduler, pubends, [n_shbs], policy=policy,
+        batch_window_ms=batch_window_ms, **shb_kwargs,
     )
 
 
@@ -145,8 +138,6 @@ def build_chain(
     pubends: List[str],
     n_intermediates: int,
     policy: Optional[EarlyReleasePolicy] = None,
-    cost_model: Optional[CostModel] = None,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
     **shb_kwargs: object,
 ) -> Overlay:
@@ -154,7 +145,6 @@ def build_chain(
     publisher→PHB, three broker hops, SHB→subscriber are the 5 hops)."""
     return build_tree(
         scheduler, pubends, [1] * (n_intermediates + 1), policy=policy,
-        cost_model=cost_model, link_latency_ms=link_latency_ms,
         batch_window_ms=batch_window_ms, **shb_kwargs,
     )
 
@@ -163,7 +153,6 @@ def build_single_broker(
     scheduler: Scheduler,
     pubends: List[str],
     policy: Optional[EarlyReleasePolicy] = None,
-    cost_model: Optional[CostModel] = None,
     batch_window_ms: float = 0.0,
     **shb_kwargs: object,
 ) -> Overlay:
@@ -181,11 +170,11 @@ def build_single_broker(
     node = Node(scheduler, "broker1", speed=1.35)
     disk = SimDisk(scheduler, "broker1-disk")
     shb_kwargs.setdefault("batch_window_ms", batch_window_ms)
-    phb = PublisherHostingBroker(scheduler, "phb", cost_model=cost_model, node=node, disk=disk)
+    phb = PublisherHostingBroker(scheduler, "phb", node=node, disk=disk)
     for pubend in pubends:
         phb.create_pubend(pubend, policy=policy)
     shb = SubscriberHostingBroker(
-        scheduler, "shb1", pubends, cost_model=cost_model, node=node, disk=disk, **shb_kwargs
+        scheduler, "shb1", pubends, node=node, disk=disk, **shb_kwargs
     )
     overlay = Overlay(scheduler, phb, shbs=[shb])
     overlay.links.append(
@@ -200,8 +189,6 @@ def build_tree(
     pubends: List[str],
     fanout: List[int],
     policy: Optional[EarlyReleasePolicy] = None,
-    cost_model: Optional[CostModel] = None,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
     **shb_kwargs: object,
 ) -> Overlay:
@@ -214,7 +201,7 @@ def build_tree(
     if not fanout:
         raise ConfigurationError("fanout must have at least one level")
     shb_kwargs.setdefault("batch_window_ms", batch_window_ms)
-    phb = PublisherHostingBroker(scheduler, "phb", cost_model=cost_model)
+    phb = PublisherHostingBroker(scheduler, "phb")
     for pubend in pubends:
         phb.create_pubend(pubend, policy=policy)
     overlay = Overlay(scheduler, phb)
@@ -227,17 +214,15 @@ def build_tree(
                 if is_leaf_level:
                     name = f"shb{len(overlay.shbs) + 1}"
                     child: Broker = SubscriberHostingBroker(
-                        scheduler, name, pubends, cost_model=cost_model, **shb_kwargs
+                        scheduler, name, pubends, **shb_kwargs
                     )
                     overlay.shbs.append(child)  # type: ignore[arg-type]
                 else:
                     name = f"ib{len(overlay.intermediates) + 1}"
-                    child = IntermediateBroker(scheduler, name, cost_model=cost_model)
+                    child = IntermediateBroker(scheduler, name)
                     overlay.intermediates.append(child)  # type: ignore[arg-type]
                 overlay.links.append(
-                    Broker.connect(
-                        parent, child, link_latency_ms, batch_window_ms=batch_window_ms
-                    )
+                    Broker.connect(parent, child, batch_window_ms=batch_window_ms)
                 )
                 next_frontier.append(child)
         frontier = next_frontier
@@ -252,8 +237,6 @@ def attach_shb(
     overlay: Overlay,
     name: str,
     parent: Optional[Broker] = None,
-    cost_model: Optional[CostModel] = None,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
     fast_forward: bool = True,
     **shb_kwargs: object,
@@ -271,8 +254,7 @@ def attach_shb(
     parent = parent if parent is not None else overlay.phb
     shb_kwargs.setdefault("batch_window_ms", batch_window_ms)
     shb = SubscriberHostingBroker(
-        overlay.scheduler, name, overlay.pubend_names,
-        cost_model=cost_model, **shb_kwargs,
+        overlay.scheduler, name, overlay.pubend_names, **shb_kwargs,
     )
     if fast_forward:
         shb.fast_forward(
@@ -280,7 +262,7 @@ def attach_shb(
         )
     overlay.shbs.append(shb)
     overlay.links.append(
-        Broker.connect(parent, shb, link_latency_ms, batch_window_ms=batch_window_ms)
+        Broker.connect(parent, shb, batch_window_ms=batch_window_ms)
     )
     for pubend in overlay.pubend_names:
         parent.register_release_child(pubend, shb.name)  # type: ignore[union-attr]
@@ -291,16 +273,14 @@ def attach_intermediate(
     overlay: Overlay,
     name: str,
     parent: Optional[Broker] = None,
-    cost_model: Optional[CostModel] = None,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
 ) -> IntermediateBroker:
     """Admit a new (childless) intermediate under ``parent`` mid-run."""
     parent = parent if parent is not None else overlay.phb
-    mid = IntermediateBroker(overlay.scheduler, name, cost_model=cost_model)
+    mid = IntermediateBroker(overlay.scheduler, name)
     overlay.intermediates.append(mid)
     overlay.links.append(
-        Broker.connect(parent, mid, link_latency_ms, batch_window_ms=batch_window_ms)
+        Broker.connect(parent, mid, batch_window_ms=batch_window_ms)
     )
     # Unlike a fresh SHB (which owes nothing until it registers a
     # subscription itself), a fresh intermediate may acquire a subtree
@@ -363,7 +343,6 @@ def reparent_broker(
     overlay: Overlay,
     broker: Broker,
     new_parent: Broker,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
 ) -> Link:
     """Move ``broker`` (and its whole subtree) under ``new_parent``.
@@ -377,9 +356,7 @@ def reparent_broker(
     old_parent = overlay.parent_of(broker)
     if old_parent is not None:
         _sever_uplink(overlay, old_parent, broker)
-    new_link = Broker.connect(
-        new_parent, broker, link_latency_ms, batch_window_ms=batch_window_ms
-    )
+    new_link = Broker.connect(new_parent, broker, batch_window_ms=batch_window_ms)
     overlay.links.append(new_link)
     # The new parent's union for this child starts *empty* but wiring
     # marks it warm — it would D→S-filter every event the subtree's
@@ -472,8 +449,6 @@ def build_deep_overlay(
     shbs_per_leaf: int = 2,
     spares_per_level: int = 0,
     policy: Optional[EarlyReleasePolicy] = None,
-    cost_model: Optional[CostModel] = None,
-    link_latency_ms: float = 1.0,
     batch_window_ms: float = 0.0,
     **shb_kwargs: object,
 ) -> Federation:
@@ -505,8 +480,7 @@ def build_deep_overlay(
     for k in range(n_trees):
         tag = f"t{k + 1}" if n_trees > 1 else ""
         phb = PublisherHostingBroker(
-            scheduler, f"phb{k + 1}" if n_trees > 1 else "phb",
-            cost_model=cost_model,
+            scheduler, f"phb{k + 1}" if n_trees > 1 else "phb"
         )
         for j in range(pubends_per_tree):
             name = f"p{k + 1}.{j + 1}" if n_trees > 1 else f"p{j + 1}"
@@ -521,16 +495,13 @@ def build_deep_overlay(
                 for _ in range(width):
                     mid = attach_intermediate(
                         tree, f"{prefix}ib{len(tree.intermediates) + 1}",
-                        parent=parent, cost_model=cost_model,
-                        link_latency_ms=link_latency_ms,
-                        batch_window_ms=batch_window_ms,
+                        parent=parent, batch_window_ms=batch_window_ms,
                     )
                     next_frontier.append(mid)
             for m in range(spares_per_level):
                 spare = attach_intermediate(
                     tree, f"{prefix}spare{level + 1}.{m + 1}",
-                    parent=frontier[m % len(frontier)], cost_model=cost_model,
-                    link_latency_ms=link_latency_ms,
+                    parent=frontier[m % len(frontier)],
                     batch_window_ms=batch_window_ms,
                 )
                 federation.spares.setdefault((k, level + 1), []).append(spare)
@@ -539,9 +510,7 @@ def build_deep_overlay(
             for _ in range(shbs_per_leaf):
                 attach_shb(
                     tree, f"{prefix}shb{len(tree.shbs) + 1}",
-                    parent=parent, cost_model=cost_model,
-                    link_latency_ms=link_latency_ms,
-                    batch_window_ms=batch_window_ms,
+                    parent=parent, batch_window_ms=batch_window_ms,
                     **shb_kwargs,
                 )
     return federation

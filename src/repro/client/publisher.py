@@ -20,12 +20,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
+from ..adapters.sim import dial
 from ..broker.phb import PublisherHostingBroker
 from ..core import messages as M
 from ..core.events import PAPER_PAYLOAD_BYTES
-from ..net.link import Link, LinkEnd
-from ..net.simtime import PeriodicHandle, Scheduler
+from ..port.clock import Clock, PeriodicTimerHandle
 from ..port.executor import Executor
+from ..port.transport import Connection
 
 AttributeFn = Callable[[int], Dict[str, object]]
 
@@ -35,7 +36,7 @@ class PeriodicPublisher:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         phb: PublisherHostingBroker,
         pubend: str,
         rate_per_s: float,
@@ -53,7 +54,7 @@ class PeriodicPublisher:
         self.payload_bytes = payload_bytes
         self.name = name or f"pub-{pubend}"
         self.published = 0
-        self._timer: Optional[PeriodicHandle] = None
+        self._timer: Optional[PeriodicTimerHandle] = None
 
     def start(self, first_delay_ms: Optional[float] = None) -> None:
         if self._timer is not None:
@@ -79,7 +80,7 @@ class PeriodicPublisher:
 
 
 class ReliablePublisher:
-    """Exactly-once publishing over a client link to the PHB.
+    """Exactly-once publishing over a client session to the PHB.
 
     Events queue locally, are transmitted with monotonically increasing
     sequence numbers inside a bounded window, and are retransmitted
@@ -90,16 +91,18 @@ class ReliablePublisher:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         phb: Optional[PublisherHostingBroker],
         node: Optional[Executor],
         name: str,
         pubend: str,
         window: int = 64,
         retransmit_ms: float = 500.0,
-        link_latency_ms: float = 0.5,
-        channel: Optional[object] = None,
+        channel: Optional[Connection] = None,
     ) -> None:
+        """Publish over ``channel`` (e.g. a TCP connection to the PHB),
+        or, without one, over a session dialled from ``node`` to the
+        simulated ``phb``."""
         self.scheduler = scheduler
         self.phb = phb
         self.node = node
@@ -109,15 +112,9 @@ class ReliablePublisher:
         self.retransmit_ms = retransmit_ms
         if channel is None:
             assert phb is not None and node is not None
-            link = Link(scheduler, node, phb.node, link_latency_ms)
-            phb.attach_publisher(link, node)
-            self._send: LinkEnd = link.end_for_sender(node)
-            link.end_for_sender(phb.node).on_receive(self._on_message, lambda _m: 0.01)
-        else:
-            # rt substrate: an already-open transport channel to the
-            # PHB; acks arrive over the same channel (wired below, once
-            # the ack-tracking state exists).
-            self._send = channel  # type: ignore[assignment]
+            channel, phb_side = dial(node, phb, phb.costs.phb_publisher_recv_cost)
+            phb.attach_publisher(phb_side)
+        self._send = channel
         self._next_seq = 1
         self._acked_seq = 0
         #: Unacknowledged, transmitted requests (seq ascending).
@@ -128,18 +125,19 @@ class ReliablePublisher:
         self._last_progress = scheduler.now
         self.published = 0
         self.retransmissions = 0
-        if channel is not None:
-            channel.on_message(self._on_message)  # type: ignore[attr-defined]
+        # Acks arrive over the same channel, wired once the
+        # ack-tracking state exists.
+        channel.on_message(self._on_message)
 
-    def rebind(self, channel: object) -> None:
+    def rebind(self, channel: Connection) -> None:
         """Adopt a fresh channel after a reconnect (rt substrate).
 
         The unacked window is retransmitted immediately — the PHB's
         sequence dedup absorbs anything that did survive the old
         connection — and the backlog pump resumes.
         """
-        channel.on_message(self._on_message)  # type: ignore[attr-defined]
-        self._send = channel  # type: ignore[assignment]
+        channel.on_message(self._on_message)
+        self._send = channel
         self._last_progress = self.scheduler.now
         for request in self._unacked:
             self.retransmissions += 1

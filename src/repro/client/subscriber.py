@@ -22,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..adapters.sim import dial
 from ..broker.shb import SubscriberHostingBroker
 from ..core import messages as M
 from ..core.checkpoint import CheckpointToken
 from ..matching.predicates import Predicate
 from ..metrics.trace import event_tracer
-from ..net.link import Link, LinkEnd
-from ..net.simtime import PeriodicHandle, Scheduler
+from ..port.clock import Clock, PeriodicTimerHandle
 from ..port.executor import Executor
+from ..port.transport import Connection
 from ..util.errors import NotConnectedError
 
 
@@ -50,7 +51,7 @@ class DurableSubscriber:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         sub_id: str,
         node: Optional[Executor],
         predicate: Predicate,
@@ -80,12 +81,12 @@ class DurableSubscriber:
         self.ct = CheckpointToken()
         self.committed_ct = CheckpointToken()
         self._since_commit = 0
-        self._shb: Optional[SubscriberHostingBroker] = None
-        self._link: Optional[Link] = None
-        self._send: Optional[LinkEnd] = None
-        self._sever: Optional[object] = None  # drops the current session
-        self._ack_timer: Optional[PeriodicHandle] = None
-        self._connect_timer: Optional[PeriodicHandle] = None
+        #: The current session's channel — or, after a graceful
+        #: disconnect, the last one, still consuming its in-flight tail
+        #: until the next session opens.
+        self._send: Optional[Connection] = None
+        self._ack_timer: Optional[PeriodicTimerHandle] = None
+        self._connect_timer: Optional[PeriodicTimerHandle] = None
         self._pending_request: Optional[M.ConnectRequest] = None
         self._first_connect_done = False
         self.connected = False
@@ -104,55 +105,31 @@ class DurableSubscriber:
     # ------------------------------------------------------------------
     # Connection lifecycle
     # ------------------------------------------------------------------
-    def connect(
-        self,
-        shb: SubscriberHostingBroker,
-        latency_ms: float = 0.5,
-        batch_window_ms: Optional[float] = None,
-    ) -> None:
-        """Connect (first time or reconnect) to an SHB.
+    def connect(self, shb: SubscriberHostingBroker) -> None:
+        """Connect (first time or reconnect) to a simulated SHB: dial it
+        and run the session over the channel (:meth:`connect_channel`)."""
+        if self.connected:
+            raise NotConnectedError(f"{self.sub_id} is already connected")
+        chan, shb_side = dial(self.node, shb, shb.costs.shb_client_recv_cost)
+        shb.attach_client(shb_side)
+        self.connect_channel(chan)
 
-        The client link's batching window defaults to the SHB's
-        ``batch_window_ms`` so one knob configures the whole last hop.
+    def connect_channel(self, chan: Connection) -> None:
+        """Open a session over a transport-port channel (a sim ``dial``
+        or a TCP connection): connect request (CT and predicate on
+        reconnect), ack timer, connect-request retry.
+
+        The previous session's channel closes now.  A graceful
+        :meth:`disconnect` leaves it open so the events already in
+        flight on it are still consumed.
         """
         if self.connected:
             raise NotConnectedError(f"{self.sub_id} is already connected")
-        if batch_window_ms is None:
-            batch_window_ms = getattr(shb, "batch_window_ms", 0.0)
-        self._shb = shb
-        link = Link(
-            self.scheduler, self.node, shb.node, latency_ms,
-            batch_window_ms=batch_window_ms,
-        )
-        self._send = shb.attach_client(link, self.node)
-        self._link = link
-        self._sever = link.sever
-        shb_end = link.end_for_sender(shb.node)
-        shb_end.on_receive(self._on_message, shb.costs.client_recv_cost)
-        link.on_disconnect(self._on_link_down)
-        self._start_session()
-
-    def connect_channel(self, chan) -> None:
-        """Connect over a transport-port channel (rt substrate).
-
-        The channel stands in for the sim link: sends go through it and
-        its close event is the link-down signal.  The session protocol
-        itself — connect request (CT and predicate on reconnect), ack
-        timer, connect-request retry — is exactly what :meth:`connect`
-        runs.
-        """
-        if self.connected:
-            raise NotConnectedError(f"{self.sub_id} is already connected")
-        self._shb = None
-        self._link = None
-        self._send = chan
-        self._sever = chan.close
+        old, self._send = self._send, chan
+        if old is not None:
+            old.close()
         chan.on_message(self._on_message)
-        chan.on_close(self._on_link_down)
-        self._start_session()
-
-    def _start_session(self) -> None:
-        assert self._send is not None
+        chan.on_close(lambda: self._on_close(chan))
         if self._first_connect_done:
             # The predicate rides along so a reconnect to a *different*
             # SHB (reconnect-anywhere) can register the subscription
@@ -163,7 +140,7 @@ class DurableSubscriber:
             )
         else:
             request = M.ConnectRequest(self.sub_id, predicate=self.predicate)
-        self._send.send(request)
+        chan.send(request)
         self.connected = True
         self._ack_timer = self.scheduler.every(self.ack_interval_ms, self._send_ack)
         if self.connect_retry_ms is not None:
@@ -173,26 +150,21 @@ class DurableSubscriber:
             )
 
     def disconnect(self) -> None:
-        """Graceful disconnect (sends a DisconnectRequest first)."""
+        """Graceful disconnect: a DisconnectRequest, after which the
+        channel stays open for its in-flight tail (see :meth:`connect_channel`)."""
         if not self.connected:
             return
-        assert self._send is not None
         self._send.send(M.DisconnectRequest(self.sub_id))
-        # A transport channel is ours to close; a sim link is shared
-        # bookkeeping and is simply abandoned after the request.
-        sever = self._sever if self._link is None else None
         self._drop_connection()
-        if sever is not None:
-            sever()  # type: ignore[operator]
 
     def crash(self) -> None:
-        """Involuntary disconnect: the link just drops.
+        """Involuntary disconnect: the channel just drops.
 
         The CT rolls back to the committed snapshot, exactly as an
         application recovering from its own failure would observe.
         """
-        if self.connected and self._sever is not None:
-            self._sever()  # type: ignore[operator]
+        if self.connected:
+            self._send.close()
         self._drop_connection()
         self.ct = self.committed_ct.copy()
 
@@ -202,9 +174,6 @@ class DurableSubscriber:
             self._ack_timer = None
         self._cancel_connect_retry()
         self.connected = False
-        self._link = None
-        self._send = None
-        self._sever = None
 
     def _cancel_connect_retry(self) -> None:
         if self._connect_timer is not None:
@@ -215,14 +184,15 @@ class DurableSubscriber:
     def _retry_connect(self) -> None:
         """Retransmit an unanswered ConnectRequest (the SHB may have
         been down, or crashed after receiving it but before accepting)."""
-        if not self.connected or self._pending_request is None or self._send is None:
+        if not self.connected or self._pending_request is None:
             self._cancel_connect_retry()
             return
         self._send.send(self._pending_request)
 
-    def _on_link_down(self) -> None:
-        # SHB crashed (or the link was severed out from under us).
-        if self.connected:
+    def _on_close(self, chan: Connection) -> None:
+        # The SHB crashed, or the channel was severed out from under us.
+        # A session we already left does not end the one we are in.
+        if chan is self._send and self.connected:
             self._drop_connection()
 
     # ------------------------------------------------------------------
@@ -243,10 +213,9 @@ class DurableSubscriber:
     def _on_refused(self, msg: M.ConnectRefused) -> None:
         """The SHB cannot host us (draining, or we migrated away)."""
         self.last_refusal = (msg.reason, msg.redirect_to)
-        sever = self._sever
-        self._drop_connection()
-        if sever is not None:
-            sever()  # type: ignore[operator]
+        if self.connected:
+            self._drop_connection()
+            self._send.close()
 
     def _on_accept(self, msg: M.ConnectAccept) -> None:
         self._cancel_connect_retry()
@@ -298,7 +267,7 @@ class DurableSubscriber:
     # Acks
     # ------------------------------------------------------------------
     def _send_ack(self) -> None:
-        if self.connected and self._send is not None:
+        if self.connected:
             # Ack the *committed* CT: acknowledging past it could turn
             # a client crash into message loss.
             self._send.send(M.AckCheckpoint(self.sub_id, self.committed_ct.as_dict()))

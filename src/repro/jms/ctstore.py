@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..broker.shb import SubscriberHostingBroker
-from ..net.link import LinkEnd
+from ..port.transport import Connection
 from ..storage.table import PersistentTable
 from .messages import JMSCommitDone, JMSCommitRequest, JMSCTLookup, JMSCTLookupReply
 
@@ -72,7 +72,7 @@ class CheckpointCommitService:
         self.costs = costs if costs is not None else CommitCosts()
         self.table = PersistentTable(f"{shb.name}.jms_ct", disk=None)
         # pending[i]: sub_id -> (latest ct, reply targets)
-        self._pending: List[Dict[str, Tuple[Dict[str, int], List[Tuple[LinkEnd, int]]]]] = [
+        self._pending: List[Dict[str, Tuple[Dict[str, int], List[Tuple[Connection, int]]]]] = [
             {} for _ in range(n_connections)
         ]
         self._busy = [False] * n_connections
@@ -92,17 +92,17 @@ class CheckpointCommitService:
     def _connection_for(self, sub_id: str) -> int:
         return sum(ord(c) for c in sub_id) % self.n_connections
 
-    def _on_commit_request(self, send_end: LinkEnd, msg: JMSCommitRequest) -> None:
+    def _on_commit_request(self, chan: Connection, msg: JMSCommitRequest) -> None:
         conn = self._connection_for(msg.sub_id)
         slot = self._pending[conn]
         entry = slot.get(msg.sub_id)
         if entry is None:
-            slot[msg.sub_id] = (dict(msg.checkpoint), [(send_end, msg.request_id)])
+            slot[msg.sub_id] = (dict(msg.checkpoint), [(chan, msg.request_id)])
         else:
             # Coalesce: keep only the newest CT, notify everyone waiting.
             self.updates_coalesced += 1
             entry[0].update(msg.checkpoint)
-            entry[1].append((send_end, msg.request_id))
+            entry[1].append((chan, msg.request_id))
         if not self._busy[conn]:
             # Wait batch_delay_ms before opening the transaction so the
             # rest of this commit round joins the batch.
@@ -113,9 +113,9 @@ class CheckpointCommitService:
         self._busy[conn] = False
         self._start_cycle(conn)
 
-    def _on_lookup(self, send_end: LinkEnd, msg: JMSCTLookup) -> None:
+    def _on_lookup(self, chan: Connection, msg: JMSCTLookup) -> None:
         ct = self.table.get_committed(msg.sub_id, {})
-        send_end.send(JMSCTLookupReply(msg.sub_id, dict(ct), msg.request_id))
+        chan.send(JMSCTLookupReply(msg.sub_id, dict(ct), msg.request_id))
 
     # ------------------------------------------------------------------
     # Commit pipeline
@@ -136,7 +136,7 @@ class CheckpointCommitService:
     def _complete_cycle(
         self,
         conn: int,
-        batch: Dict[str, Tuple[Dict[str, int], List[Tuple[LinkEnd, int]]]],
+        batch: Dict[str, Tuple[Dict[str, int], List[Tuple[Connection, int]]]],
     ) -> None:
         if self.shb.node.is_down:
             return  # the SHB crashed mid-transaction: nothing committed
@@ -153,8 +153,8 @@ class CheckpointCommitService:
         self.commits += 1
         self.updates_committed += len(batch)
         for sub_id, (_ct, waiters) in batch.items():
-            for send_end, request_id in waiters:
-                send_end.send(JMSCommitDone(sub_id, request_id))
+            for chan, request_id in waiters:
+                chan.send(JMSCommitDone(sub_id, request_id))
         self._busy[conn] = False
         if self._pending[conn]:
             self._start_cycle(conn)

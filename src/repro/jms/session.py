@@ -118,7 +118,7 @@ class JMSDurableSubscriber(DurableSubscriber):
         self._send_commit()
 
     def _send_commit(self) -> None:
-        if not self.connected or self._send is None:
+        if not self.connected:
             return
         self._awaiting_commit = True
         self._uncommitted = 0
@@ -141,7 +141,7 @@ class JMSDurableSubscriber(DurableSubscriber):
     def lookup_ct(self) -> None:
         """Ask the SHB for the stored CT (call after connect, before
         relying on local state after a client crash)."""
-        if self._send is None:
+        if not self.connected:
             return
         self._next_request_id += 1
         self._send.send(JMSCTLookup(self.sub_id, self._next_request_id))

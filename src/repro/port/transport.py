@@ -18,10 +18,16 @@ The contract the protocol relies on:
   best-effort: a silent peer death may surface only as message loss.
 * **Identity** — the channel object's identity names the session;
   brokers key their per-session state by it (``_sessions`` in the SHB).
+* **Graceful disconnect** — a client ends a session with a
+  ``DisconnectRequest`` and keeps consuming what is already in flight;
+  it closes the old channel when its next session opens.  ``close``
+  and a crash drop the channel at once.
 
 A :class:`Listener` accepts inbound channels on the broker side; the
-sim builds channels directly from links (see
-:mod:`repro.adapters.sim`), so only the asyncio adapter listens.
+sim dials each client session as a fresh link
+(:func:`repro.adapters.sim.dial`), so only the asyncio adapter listens.
+Either way the broker's ``attach_client`` / ``attach_publisher`` takes
+the channel, and the client runs the same session code over it.
 """
 
 from __future__ import annotations

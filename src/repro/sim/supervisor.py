@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..adapters.sim import SimChannel, dial
 from ..broker.base import Broker
 from ..broker.intermediate import IntermediateBroker
 from ..broker.shb import SubscriberHostingBroker
@@ -48,7 +49,6 @@ from ..broker.topology import (
     detach_broker,
 )
 from ..core import messages as M
-from ..net.link import Link
 from ..net.node import Node
 from ..net.simtime import PeriodicHandle
 from ..util.errors import ConfigurationError
@@ -121,14 +121,12 @@ class Supervisor:
         self,
         overlay: Overlay,
         retry_ms: float = 150.0,
-        client_latency_ms: float = 0.5,
         detach_grace_ms: float = 2_500.0,
     ) -> None:
         self.overlay = overlay
         self.scheduler = overlay.scheduler
         self.node = Node(self.scheduler, "supervisor")
         self.retry_ms = retry_ms
-        self.client_latency_ms = client_latency_ms
         #: How long a drained SHB keeps reporting after its last row
         #: drops before it is detached.  Must cover the handoff release
         #: pins (``SubscriberHostingBroker.migration_pin_ms``): detach
@@ -136,8 +134,7 @@ class Supervisor:
         #: detaching while a pin is still the binding floor would reopen
         #: the window the pin closes.
         self.detach_grace_ms = detach_grace_ms
-        self._links: Dict[str, Link] = {}
-        self._sends: Dict[str, object] = {}
+        self._channels: Dict[str, SimChannel] = {}
         self._epoch_counter = 0
         self._handoff_seq = 0
         self.migrations: List[MigrationHandle] = []
@@ -358,7 +355,7 @@ class Supervisor:
         ]
 
     # ------------------------------------------------------------------
-    # Control links
+    # Control sessions
     # ------------------------------------------------------------------
     def _resolve(self, ref: ShbRef) -> SubscriberHostingBroker:
         if isinstance(ref, SubscriberHostingBroker):
@@ -369,23 +366,19 @@ class Supervisor:
         raise ConfigurationError(f"no SHB named {ref}")
 
     def _send_to(self, shb_name: str, msg: object) -> None:
-        """Send on the control link, (re)establishing it as needed.
+        """Send on the control session, dialling a new one whenever
+        the last one's link is severed (client links are not restored).
 
-        A crash of the SHB severs the link permanently (client links
-        are not restored); the next retry tick reconnects once the node
-        is back.  While the node is down the send is simply skipped —
-        the retry timer tries again.
+        While the node is down the send is simply skipped — the retry
+        timer tries again.
         """
         shb = self._resolve(shb_name)
         if shb.node.is_down:
             return
-        link = self._links.get(shb.name)
-        if link is None or link.down:
-            link = Link(self.scheduler, self.node, shb.node, self.client_latency_ms)
-            send = shb.attach_client(link, self.node)
-            link.end_for_sender(shb.node).on_receive(
-                self._on_message, lambda _msg: 0.01
-            )
-            self._links[shb.name] = link
-            self._sends[shb.name] = send
-        self._sends[shb.name].send(msg)  # type: ignore[attr-defined]
+        chan = self._channels.get(shb.name)
+        if chan is None or chan.link.down:
+            chan, shb_side = dial(self.node, shb, shb.costs.shb_client_recv_cost)
+            shb.attach_client(shb_side)
+            chan.on_message(self._on_message)
+            self._channels[shb.name] = chan
+        chan.send(msg)

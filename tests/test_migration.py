@@ -21,8 +21,8 @@ from repro import (
     Scheduler,
     build_star,
 )
+from repro.adapters.sim import dial
 from repro.core import messages as M
-from repro.net.link import Link
 from repro.sim.supervisor import Supervisor
 
 
@@ -40,15 +40,13 @@ class Ctl:
 
     def __init__(self, sim, shb, name):
         self.node = Node(sim, name)
-        link = Link(sim, self.node, shb.node, 0.5)
-        self.send_end = shb.attach_client(link, self.node)
+        self.chan, shb_side = dial(self.node, shb, shb.costs.shb_client_recv_cost)
+        shb.attach_client(shb_side)
         self.inbox = []
-        link.end_for_sender(shb.node).on_receive(
-            self.inbox.append, lambda _msg: 0.01
-        )
+        self.chan.on_message(self.inbox.append)
 
     def send(self, msg):
-        self.send_end.send(msg)
+        self.chan.send(msg)
 
     def take(self, kind):
         got = [m for m in self.inbox if isinstance(m, kind)]

@@ -20,6 +20,11 @@ And for protocol code to depend on ports, not on the simulator:
 * protocol code names the ``port.Clock`` it runs on, not the sim
   ``Scheduler``; the modules that still import ``net.simtime`` are an
   allow-list that may only shrink.
+
+* protocol code talks over ``port.Connection`` sessions, not sim
+  links: clients dial through ``adapters.sim.dial`` and brokers attach
+  channels; the modules that still import ``net.link`` are an
+  allow-list that may only shrink.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ SIM_NODE_IMPORTERS = {
 #: ``port.Clock`` port.  Each entry is open work; none may be added.
 SIM_CLOCK_IMPORTERS = {
     "broker/topology.py",
-    "client/publisher.py",
-    "client/subscriber.py",
     "core/catchup.py",
     "core/constream.py",
     "core/curiosity.py",
@@ -57,6 +60,14 @@ SIM_CLOCK_IMPORTERS = {
     "metrics/trace.py",
     "storage/disk.py",
     "workloads/generator.py",
+}
+
+#: Protocol-package modules that still import the sim ``net.link``.
+#: Each entry is open work; none may be added.
+SIM_LINK_IMPORTERS = {
+    "broker/base.py",
+    "broker/topology.py",
+    "metrics/collector.py",
 }
 
 
@@ -156,23 +167,29 @@ def _protocol_packages():
     )
 
 
-def _imports_sim_clock(name: str, tree: ast.Module) -> bool:
-    return any(
-        module == "repro.net.simtime" or module.startswith("repro.net.simtime.")
-        for module in _absolute_imports(name, tree)
+def _check_shrink_only(target: str, allowed: set, port: str) -> None:
+    """Protocol-package modules importing ``target`` (or a name in it)
+    are exactly ``allowed``: no new importer, no stale entry."""
+    importers = {
+        name for name, tree in _modules(*_protocol_packages())
+        if any(
+            module == target or module.startswith(f"{target}.")
+            for module in _absolute_imports(name, tree)
+        )
+    }
+    assert importers <= allowed, (
+        f"type these against {port} instead: {sorted(importers - allowed)}"
     )
+    stale = allowed - importers
+    assert not stale, f"no longer import {target}; drop from the allow-list: {sorted(stale)}"
 
 
 def test_protocol_code_names_the_clock_port():
-    importers = {
-        name for name, tree in _modules(*_protocol_packages())
-        if _imports_sim_clock(name, tree)
-    }
-    assert importers <= SIM_CLOCK_IMPORTERS, (
-        f"type these against port.Clock instead: {sorted(importers - SIM_CLOCK_IMPORTERS)}"
-    )
-    stale = SIM_CLOCK_IMPORTERS - importers
-    assert not stale, f"no longer import net.simtime; drop from SIM_CLOCK_IMPORTERS: {sorted(stale)}"
+    _check_shrink_only("repro.net.simtime", SIM_CLOCK_IMPORTERS, "port.Clock")
+
+
+def test_protocol_code_talks_over_the_transport_port():
+    _check_shrink_only("repro.net.link", SIM_LINK_IMPORTERS, "port.Connection")
 
 
 def test_nothing_outside_sim_imports_the_simulator_package():
