@@ -17,9 +17,9 @@ the base class owns link wiring, per-child filter engines (the union of
 all subscriptions below that child), D→S filtering of knowledge against
 them (:meth:`Broker._filter_for_child`), the costed, traced forward of
 an update to a child (:meth:`Broker._forward`), the epoch-verified
-subscription intake from children and the epoch-tagged union refresh
-toward the parent (:meth:`Broker._send_union_up`), and crash/recovery
-plumbing.
+subscription intake from children — digest or full set — and the
+digest-or-full union refresh toward the parent
+(:meth:`Broker._send_union_up`), and crash/recovery plumbing.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core import messages as M
 from ..matching.engine import MatchingEngine
+from ..matching.predicates import Predicate
 from ..metrics.trace import event_tracer
 from ..net.link import Link, LinkEnd
 from ..net.node import Node
@@ -35,6 +36,10 @@ from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.errors import ConfigurationError
 from .costs import DEFAULT_COSTS
+
+#: Period of the subscription refresh every SHB and intermediate sends
+#: its parent: one digest sync per uplink (see Broker._send_union_up).
+SUBSCRIPTION_REFRESH_MS = 2_000.0
 
 
 class Broker:
@@ -73,6 +78,10 @@ class Broker:
         self._staged_subs: Dict[str, Dict[int, Dict[str, object]]] = {}
         self._applied_sub_epoch: Dict[str, int] = {}
         self._sub_epoch_counter = 0
+        #: A full-set refresh owed to the parent, which answered a
+        #: digest with SubscriptionResend: None, or the ``want_ack`` to
+        #: send it with.  Kept until a refresh actually goes out.
+        self._resend_owed: Optional[bool] = None
         #: Shared per-scheduler event tracer (disabled by default; see
         #: repro.metrics.trace).  Hop sites guard on ``tracing`` so an
         #: idle tracer costs one attribute check per forwarded batch.
@@ -295,20 +304,33 @@ class Broker:
     def _on_subscription_sync(self, child: str, msg: M.SubscriptionSync) -> bool:
         """Apply a sync; returns True iff the child's union is now warm.
 
-        A sync only takes effect when every add of its epoch arrived
-        (count check): the staged set then atomically replaces the live
-        union.  On a mismatch (adds lost or still in flight) nothing
-        changes — the child's next refresh retries with a fresh epoch.
+        A digest sync is compared with our copy of the child's union.
+        On a match the epoch is applied and the child is warm.  On a
+        mismatch the child goes cold — knowledge passes unfiltered,
+        always safe — and is asked for its full set
+        (:class:`~repro.core.messages.SubscriptionResend`, the sync's
+        ``want_ack`` echoed).  A full-set sync only takes effect when
+        every add of its epoch arrived (count check): the staged set
+        then atomically replaces the live union.  On a count mismatch
+        (adds lost or still in flight) nothing changes — the child's
+        next refresh retries with a fresh epoch.
         """
         if msg.epoch <= self._applied_sub_epoch.get(child, -1):
             return self.child_filter_ready.get(child, False)
-        staged = self._staged_subs.get(child, {}).pop(msg.epoch, {})
-        if len(staged) != msg.sub_count:
-            return self.child_filter_ready.get(child, False)
-        # Periodic refreshes almost always re-state the same set; diff
-        # into the live engine instead of rebuilding its indexes (and
-        # losing its match cache) from scratch.
-        self.child_engines[child].replace_all(staged)
+        engine = self.child_engines[child]
+        if msg.digest is not None:
+            if (len(engine), engine.digest) != (msg.sub_count, msg.digest):
+                self.child_filter_ready[child] = False
+                self.send_to_child(child, M.SubscriptionResend(msg.epoch, msg.want_ack))
+                return False
+        else:
+            staged = self._staged_subs.get(child, {}).pop(msg.epoch, {})
+            if len(staged) != msg.sub_count:
+                return self.child_filter_ready.get(child, False)
+            # A resent set mostly re-states what we hold; diff into the
+            # live engine instead of rebuilding its indexes (and losing
+            # its match cache) from scratch.
+            engine.replace_all(staged)
         self._applied_sub_epoch[child] = msg.epoch
         remaining = self._staged_subs.get(child)
         if remaining:
@@ -329,27 +351,62 @@ class Broker:
         )
         return self._sub_epoch_counter
 
-    def _send_union_up(
-        self, pairs: Iterable[Tuple[str, object]], want_ack: bool = False
-    ) -> int:
-        """Epoch-tagged full-union refresh toward the parent.
+    def _union_summary(self) -> Optional[Tuple[int, int]]:
+        """``(count, digest)`` of the union this broker announces
+        upstream, or None while it must not speak for it."""
+        raise NotImplementedError
 
-        Sends one tagged ``SubscriptionAdd`` per ``(sub_id, predicate)``
-        and a closing ``SubscriptionSync`` with their count; the parent
-        swaps the set in only when the count matches (see
-        :meth:`_on_subscription_sync`), so a refresh partially eaten by
-        a lossy link can never warm an incomplete union.  With
-        ``want_ack`` the sync asks for a downward
-        :class:`~repro.core.messages.SubscriptionSynced` once the epoch
-        is applied at the tree root.  Returns the refresh's epoch.
+    def _union_pairs(self) -> Iterable[Tuple[str, Predicate]]:
+        """The ``(sub_id, predicate)`` pairs :meth:`_union_summary`
+        summarises."""
+        raise NotImplementedError
+
+    def _send_union_up(self, want_ack: bool = False) -> Optional[int]:
+        """One epoch-numbered subscription refresh toward the parent.
+
+        Normally one digest ``SubscriptionSync`` of
+        :meth:`_union_summary`; the parent compares it with its copy
+        (see :meth:`_on_subscription_sync`).  Only when the parent
+        asked (:meth:`_on_subscription_resend`) does the full set go:
+        one tagged ``SubscriptionAdd`` per pair and a closing sync with
+        their count, which the parent swaps in only when the count
+        matches, so a refresh partially eaten by a lossy link can never
+        warm an incomplete union.  With ``want_ack`` the sync asks for
+        a downward :class:`~repro.core.messages.SubscriptionSynced`
+        once the epoch is applied at the tree root.  Returns the
+        refresh's epoch, or None — nothing sent — while the broker must
+        not speak for its union.
         """
+        summary = self._union_summary()
+        if summary is None:
+            return None
         epoch = self._next_sub_epoch()
+        if self._resend_owed is None:
+            count, digest = summary
+            self.send_up(M.SubscriptionSync(count, epoch, want_ack, digest))
+            return epoch
+        want_ack = want_ack or self._resend_owed
+        self._resend_owed = None
         count = 0
-        for sub_id, predicate in pairs:
+        for sub_id, predicate in self._union_pairs():
             self.send_up(M.SubscriptionAdd(sub_id, predicate, epoch=epoch))
             count += 1
         self.send_up(M.SubscriptionSync(count, epoch=epoch, want_ack=want_ack))
         return epoch
+
+    def _refresh_upstream(self) -> None:
+        """The periodic refresh (every :data:`SUBSCRIPTION_REFRESH_MS`)."""
+        self._send_union_up()
+
+    def _on_subscription_resend(self, msg: M.SubscriptionResend) -> None:
+        """The parent's copy of our union disagreed with our digest.
+
+        The full set is owed until a refresh actually goes out: one
+        held back now (a cold child, a suspect registry) sends it
+        later, still with the echoed ``want_ack``.
+        """
+        self._resend_owed = bool(self._resend_owed) or msg.want_ack
+        self._refresh_upstream()
 
     def _ack_child_sync(self, child: str, epoch: int) -> None:
         """Confirm ``child``'s refresh ``epoch`` as applied at the root.
@@ -392,11 +449,17 @@ class Broker:
     def _mark_children_cold(self) -> None:
         for child in self.child_filter_ready:
             self.child_filter_ready[child] = False
-        # Staged epochs and the applied-epoch floor were volatile too;
-        # forgetting the floor lets a child whose own epoch counter
-        # restarted (it also crashed) re-warm us.
+            # The unions were volatile: emptied, as a real restart
+            # would leave them, so a child's digest can never re-warm
+            # us from memory the crash should have taken.
+            self.child_engines[child] = MatchingEngine()
+        # Staged epochs, the applied-epoch floor and a full set owed to
+        # our own parent were volatile too; forgetting the floor lets a
+        # child whose own epoch counter restarted (it also crashed)
+        # re-warm us.
         self._staged_subs.clear()
         self._applied_sub_epoch.clear()
+        self._resend_owed = None
 
     def _on_node_recover(self) -> None:
         """Subclasses rebuild volatile state here."""

@@ -15,17 +15,19 @@ to the children whose registered interest intersects them.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..core import messages as M
 from ..core.curiosity import NackConsolidator
 from ..metrics.trace import SPAN_INTERMEDIATE_FORWARD
 from ..core.release import ReleaseAggregator
 from ..core.tickmap import TickMap
+from ..matching.engine import DIGEST_MASK
+from ..matching.predicates import Predicate
 from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.intervals import IntervalSet
-from .base import Broker
+from .base import SUBSCRIPTION_REFRESH_MS, Broker
 
 #: Releases are re-reported upstream at this period (see ``__init__``).
 RELEASE_RESEND_MS = 1_000.0
@@ -67,11 +69,9 @@ class IntermediateBroker(Broker):
         name: str,
         node: Optional[Executor] = None,
         cache_span_ms: int = 30_000,
-        subscription_refresh_ms: float = 2_000.0,
     ) -> None:
         super().__init__(scheduler, name, node)
         self.cache_span_ms = cache_span_ms
-        self.subscription_refresh_ms = subscription_refresh_ms
         self._relays: Dict[str, _PubendRelay] = {}
         self.cache_hits = 0
         self.cache_miss_ticks = 0
@@ -95,7 +95,7 @@ class IntermediateBroker(Broker):
         # every report.  The floor, reset to the recovery time, keeps
         # post-recovery epochs monotone across the crash.
         self._release_epoch_floor = 0
-        self.scheduler.every(self.subscription_refresh_ms, self._refresh_upstream)
+        self.scheduler.every(SUBSCRIPTION_REFRESH_MS, self._refresh_upstream)
         self.scheduler.every(RELEASE_RESEND_MS, self._resend_release)
 
     def _relay(self, pubend: str) -> _PubendRelay:
@@ -143,6 +143,8 @@ class IntermediateBroker(Broker):
             self._on_knowledge(msg)
         elif isinstance(msg, M.SubscriptionSynced):
             self._on_cover_ack(msg.epoch)
+        elif isinstance(msg, M.SubscriptionResend):
+            self._on_subscription_resend(msg)
 
     def _on_cover_ack(self, epoch: int) -> None:
         """A refresh of ours is applied root-to-here; ack the children
@@ -220,11 +222,15 @@ class IntermediateBroker(Broker):
                 # its epoch; the next upstream refresh carries it.
                 prev = self._pending_sync_acks.get(child, -1)
                 self._pending_sync_acks[child] = max(prev, msg.epoch)
-            if warmed and (self._upstream_refresh_due or self._pending_sync_acks):
+            if warmed and (
+                self._upstream_refresh_due
+                or self._pending_sync_acks
+                or self._resend_owed is not None
+            ):
                 # First full warm-up after our recovery — or a
-                # confirmation waiting — push the verified union up
-                # now rather than next interval (_refresh_upstream
-                # holds back until every child has re-synced).
+                # confirmation or a resend waiting — push the verified
+                # union up now rather than next interval (refreshes
+                # hold back until every child has re-synced).
                 self._refresh_upstream()
 
     def _on_nack(self, child: str, nack: M.Nack) -> None:
@@ -274,29 +280,39 @@ class IntermediateBroker(Broker):
     # ------------------------------------------------------------------
     # Lossy-link resilience (periodic upstream re-sync)
     # ------------------------------------------------------------------
-    def _refresh_upstream(self) -> None:
-        """Re-send the whole subscription union upstream, epoch-tagged.
+    def _union_summary(self) -> Optional[Tuple[int, int]]:
+        """The union of every child's, summed from the child engines'
+        own digests: O(children) per refresh.
 
-        Skipped while any child is cold: an incomplete union must not
+        None while any child is cold: an incomplete union must not
         warm the parent (it would filter events the cold child needs).
         """
         if self._parent_send is None or self.node.is_down:
-            return
+            return None
         if not self.child_filter_ready or not all(self.child_filter_ready.values()):
+            return None
+        engines = self.child_engines.values()
+        return (
+            sum(len(engine) for engine in engines),
+            sum(engine.digest for engine in engines) & DIGEST_MASK,
+        )
+
+    def _union_pairs(self) -> Iterable[Tuple[str, Predicate]]:
+        for engine in self.child_engines.values():
+            for sub_id in engine.subscription_ids():
+                yield sub_id, engine.filter_of(sub_id)  # type: ignore[misc]
+
+    def _refresh_upstream(self) -> None:
+        """Refresh the parent (:meth:`Broker._send_union_up`), carrying
+        every child confirmation collected so far."""
+        want_ack = bool(self._pending_sync_acks)
+        epoch = self._send_union_up(want_ack)
+        if epoch is None:
             return
         self._upstream_refresh_due = False
-        want_ack = bool(self._pending_sync_acks)
-        epoch = self._send_union_up(
-            (
-                (sub_id, engine.filter_of(sub_id))
-                for engine in self.child_engines.values()
-                for sub_id in engine.subscription_ids()
-            ),
-            want_ack,
-        )
         if want_ack:
-            # This refresh covers every child confirmation collected so
-            # far: when the parent acks our epoch, theirs are answered.
+            # When the parent acks this epoch (or a later one), the
+            # children's confirmations are answered.
             for child, child_epoch in self._pending_sync_acks.items():
                 self._cover_upstream.append((epoch, child, child_epoch))
             self._pending_sync_acks.clear()

@@ -23,7 +23,7 @@ exact scenario of Figures 7 and 8.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core import messages as M
 from ..core.catchup import CatchupStream
@@ -31,7 +31,7 @@ from ..core.constream import ConsolidatedStream
 from ..core.curiosity import CuriosityStream, NackConsolidator
 from ..core.subscription import DurableSubscription, SubscriptionRegistry
 from ..core.tickmap import TickMap
-from ..matching.engine import MatchingEngine
+from ..matching.engine import MatchingEngine, union_digest
 from ..matching.predicates import Predicate
 from ..pfs.pfs import PersistentFilteringSubsystem
 from ..port.clock import Clock, PeriodicTimerHandle
@@ -43,7 +43,7 @@ from ..storage.table import PersistentTable
 from ..util.crashhooks import HOOKS
 from ..util.errors import ProtocolError
 from ..util.intervals import IntervalSet
-from .base import Broker
+from .base import SUBSCRIPTION_REFRESH_MS, Broker
 
 #: Timer periods no caller varies: release reports up the tree, the
 #: head gap check, and the head curiosity's base re-nack interval.
@@ -66,7 +66,6 @@ class SubscriberHostingBroker(Broker):
         catchup_buffer_qs: int = 5000,
         event_cache_span_ms: int = 120_000,
         use_pfs_for_catchup: bool = True,
-        subscription_refresh_ms: float = 2_000.0,
         batch_window_ms: float = 0.0,
         nack_backoff_factor: float = 1.0,
         nack_backoff_max_ms: Optional[float] = None,
@@ -92,7 +91,6 @@ class SubscriberHostingBroker(Broker):
         #: catchup streams to recover by wholesale refiltering instead
         #: of PFS reads.
         self.use_pfs_for_catchup = use_pfs_for_catchup
-        self.subscription_refresh_ms = subscription_refresh_ms
         #: Re-nack policy for the head curiosity streams.  The defaults
         #: reproduce fixed-interval retries exactly; chaos scenarios
         #: turn on backoff + jitter + a budget (see CuriosityStream).
@@ -155,7 +153,7 @@ class SubscriberHostingBroker(Broker):
         #: registry cannot name (the rows died uncommitted in the
         #: crash).  While suspect, this SHB must not speak with
         #: authority about which subscriptions it hosts — see
-        #: _refresh_subscriptions and _report_release.  Cleared by
+        #: _union_summary and _report_release.  Cleared by
         #: _maybe_clear_suspect once re-registrations cover every
         #: PFS-referenced num.
         self.registry_suspect = False
@@ -221,6 +219,7 @@ class SubscriberHostingBroker(Broker):
     # ------------------------------------------------------------------
     def _build_volatile(self) -> None:
         self.engine = MatchingEngine()
+        self._union_memo: Optional[Tuple[int, int]] = None
         for sub in self.registry.all():
             self.engine.add(sub.sub_id, sub.predicate)
             sub.connected = False
@@ -273,7 +272,7 @@ class SubscriberHostingBroker(Broker):
             # Soft-state refresh: upstream subscription unions are
             # volatile (a recovered parent holds them cold until this
             # refresh re-syncs them).
-            self.scheduler.every(self.subscription_refresh_ms, self._refresh_subscriptions),
+            self.scheduler.every(SUBSCRIPTION_REFRESH_MS, self._refresh_upstream),
         ]
 
     def _teardown_volatile(self) -> None:
@@ -493,6 +492,7 @@ class SubscriberHostingBroker(Broker):
         }
         sub = self.registry.create(sub_id, predicate, pfs_from=pfs_from)
         self.engine.add(sub.sub_id, sub.predicate)
+        self._union_memo = None
         self.send_up(M.SubscriptionAdd(self._global_sub_id(sub.sub_id), sub.predicate))
         self._maybe_clear_suspect()
         return sub
@@ -502,6 +502,7 @@ class SubscriberHostingBroker(Broker):
         if sub_id in self.registry:
             self.registry.drop(sub_id)
             self.engine.remove(sub_id)
+            self._union_memo = None
             self.send_up(M.SubscriptionRemove(self._global_sub_id(sub_id)))
 
     # ------------------------------------------------------------------
@@ -672,7 +673,7 @@ class SubscriberHostingBroker(Broker):
         # supervisor's install retries re-attempt until it clears.
         self.meta_table.commit()
         self.registry.commit()
-        refresh_epoch = self._refresh_subscriptions(want_ack=True)
+        refresh_epoch = self._send_union_up(want_ack=True)
         self._cover_pending[sub_id] = (refresh_epoch, handoff_id, epoch, chan)
 
     def _on_migrate_commit(self, chan: Connection, msg: M.MigrateCommit) -> None:
@@ -973,6 +974,8 @@ class SubscriberHostingBroker(Broker):
             self._on_knowledge(msg)
         elif isinstance(msg, M.SubscriptionSynced):
             self._on_subscription_synced(msg.epoch)
+        elif isinstance(msg, M.SubscriptionResend):
+            self._on_subscription_resend(msg)
 
     def _on_subscription_synced(self, acked_epoch: int) -> None:
         """Root coverage confirmation: finalize pending installs.
@@ -1102,28 +1105,28 @@ class SubscriberHostingBroker(Broker):
             unknown = knowledge.unknown_up_to(frontier)
             self.head_curiosity[pubend].set_want(unknown)
 
-    def _refresh_subscriptions(self, want_ack: bool = False) -> Optional[int]:
-        """Epoch-tagged full-union refresh toward the parent
-        (:meth:`Broker._send_union_up`).
+    def _union_summary(self) -> Optional[Tuple[int, int]]:
+        """The registry's ``(count, digest)`` under global ids, memoized
+        until the registry changes (:meth:`_register`, :meth:`_drop`,
+        a rebuild).
 
-        Suppressed while the registry is suspect: an epoch sync from a
-        registry that lost rows would *replace* the parent's union with
-        a subset (in the worst case, replace it with nothing) and still
-        mark it warm — the parent would then convert live D ticks for
-        the lost subscriptions to S, and the recovering constream would
-        accept that silence as final.  Holding our tongue leaves the
-        parent filtering with the pre-crash union, a superset of
-        everything we might still host.
-
-        Returns the refresh's epoch, so a ``want_ack`` caller can wait
-        for the root's confirmation, or None when it was suppressed.
+        None while the registry is suspect: a refresh from a registry
+        that lost rows would make the parent's union a subset (in the
+        worst case, nothing) of what we host and still call it warm —
+        the parent would then convert live D ticks for the lost
+        subscriptions to S, and the recovering constream would accept
+        that silence as final.  Holding our tongue leaves the parent
+        filtering with the pre-crash union, a superset of everything we
+        might still host.
         """
         if self.registry_suspect:
             return None
-        return self._send_union_up(
-            ((self._global_sub_id(sub.sub_id), sub.predicate) for sub in self.registry.all()),
-            want_ack,
-        )
+        if self._union_memo is None:
+            self._union_memo = (len(self.registry), union_digest(self._union_pairs()))
+        return self._union_memo
+
+    def _union_pairs(self) -> Iterable[Tuple[str, Predicate]]:
+        return ((self._global_sub_id(sub.sub_id), sub.predicate) for sub in self.registry.all())
 
     def _commit_tables(self) -> None:
         self.meta_table.commit()
@@ -1195,7 +1198,7 @@ class SubscriberHostingBroker(Broker):
         self._release_epoch_floor = int(self.scheduler.now)
         self._build_volatile()
         self._reconcile_migrations()
-        self._refresh_subscriptions()
+        self._refresh_upstream()
 
     def _maybe_clear_suspect(self) -> None:
         """Leave suspect mode once every PFS-referenced num is claimed.
@@ -1211,7 +1214,7 @@ class SubscriberHostingBroker(Broker):
         if self.pfs.live_subscriber_nums() - known:
             return
         self.registry_suspect = False
-        self._refresh_subscriptions()
+        self._refresh_upstream()
         self._report_release()
 
     def resync_upstream(self) -> None:
@@ -1239,7 +1242,7 @@ class SubscriberHostingBroker(Broker):
         """
         if self.node.is_down:
             return
-        self._refresh_subscriptions()
+        self._refresh_upstream()
         self._report_release()
         for curiosity in self.head_curiosity.values():
             curiosity.kick()

@@ -244,21 +244,24 @@ class SubscriptionRemove:
 
 @dataclass
 class SubscriptionSync:
-    """Marks a complete subscription refresh from the sender's subtree.
+    """One numbered subscription refresh from the sender's subtree.
 
-    Subscription unions at upstream brokers are volatile soft state: a
-    recovered broker treats each child's union as *cold* and passes
-    events unfiltered (correct, just less efficient) until the child's
-    next refresh completes — which this message signals.  SHBs emit it
-    after periodically re-sending all their SubscriptionAdds;
-    intermediate brokers forward it once every one of their own
-    children is warm.
+    Subscription unions at upstream brokers are volatile soft state,
+    kept fresh by one sync per uplink per refresh interval.  It comes
+    in two shapes:
 
-    ``epoch`` ties the sync to a numbered refresh: the receiver marks
-    the child warm only if it actually received all ``sub_count`` adds
-    of that epoch.  On a lossless link the count always matches; on a
-    lossy one a partial refresh leaves the child cold (unfiltered —
-    safe) until a later refresh survives intact.
+    * **Digest** (``digest`` set, no adds): ``(sub_count, digest)``
+      summarises the sender's whole union (see
+      :func:`~repro.matching.engine.pair_digest`).  The receiver
+      compares it with its own copy: on a match the epoch is applied
+      and the child is warm; on a mismatch the child goes *cold*
+      (knowledge passes unfiltered — safe) and the receiver answers
+      :class:`SubscriptionResend`.
+    * **Full set** (``digest`` None): closes ``sub_count`` epoch-tagged
+      :class:`SubscriptionAdd` messages.  The receiver swaps the staged set in
+      only if it actually received all of them, so a partial refresh
+      eaten by a lossy link leaves the child cold until a later one
+      survives intact.
 
     ``want_ack`` requests a :class:`SubscriptionSynced` confirmation
     once the refresh has been applied *at the tree root* — set by a
@@ -268,6 +271,26 @@ class SubscriptionSync:
     """
 
     sub_count: int
+    epoch: int
+    want_ack: bool = False
+    digest: Optional[int] = None
+
+    @property
+    def size_bytes(self) -> int:
+        return CONTROL_HEADER_BYTES
+
+
+@dataclass
+class SubscriptionResend:
+    """Downstream repair request: the child's digest did not match.
+
+    ``epoch`` names the mismatched digest sync and ``want_ack`` echoes
+    its flag.  The child answers with a full-set refresh carrying that
+    ``want_ack``; the root's ack of the later epoch covers the earlier
+    one, so a coverage confirmation waiting on the digest is finalized
+    by the full set.
+    """
+
     epoch: int
     want_ack: bool = False
 

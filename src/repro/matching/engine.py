@@ -32,8 +32,12 @@ per-link aggregation for free.
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from .aggregate import SubscriptionAggregate
 from .counting import CountingMatcher
@@ -42,6 +46,57 @@ from .predicates import Atom, Predicate
 
 #: Entries kept in the per-timestamp match cache before FIFO eviction.
 MATCH_CACHE_LIMIT = 4096
+
+#: Union digests are sums of per-pair hashes modulo 2**64.
+DIGEST_MASK = (1 << 64) - 1
+
+#: Predicates whose canonical bytes are memoized (see pair_digest).
+_CANONICAL_LIMIT = 4096
+_canonical_bytes: Dict[int, Tuple[Predicate, bytes]] = {}
+
+
+def _canonical(value: Any) -> str:
+    """A text form of ``value`` that is the same in every process.
+
+    ``repr`` is not: a frozenset's iteration order — and with it the
+    repr of ``In.values`` — follows the string hash seed.  Sets are
+    therefore spelled out sorted, and predicates field by field.
+    """
+    if isinstance(value, (frozenset, set)):
+        return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(_canonical(v) for v in value) + ")"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ",".join(
+            _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+        return f"{type(value).__name__}({fields})"
+    return repr(value)
+
+
+def pair_digest(sub_id: str, predicate: Predicate) -> int:
+    """The 64-bit hash of one ``(sub_id, predicate)`` union member.
+
+    A union's digest is the sum of its members' hashes modulo 2**64:
+    order-independent, updatable per add and remove, and a function of
+    the set alone.  ``crc32 | adler32 << 32`` over a canonical encoding
+    keeps it identical across processes and hash seeds using ``zlib``
+    only.  A predicate's encoding is memoized by identity (the entry
+    holds the predicate, so its id cannot be reused while cached).
+    """
+    entry = _canonical_bytes.get(id(predicate))
+    if entry is None:
+        if len(_canonical_bytes) >= _CANONICAL_LIMIT:
+            _canonical_bytes.clear()
+        entry = (predicate, _canonical(predicate).encode())
+        _canonical_bytes[id(predicate)] = entry
+    data = sub_id.encode() + b"\0" + entry[1]
+    return zlib.crc32(data) | zlib.adler32(data) << 32
+
+
+def union_digest(pairs: Iterable[Tuple[str, Predicate]]) -> int:
+    """The digest of ``(sub_id, predicate)`` pairs, from scratch."""
+    return sum(pair_digest(s, p) for s, p in pairs) & DIGEST_MASK
 
 
 def decompose_safe(predicate: Predicate) -> Tuple[Tuple[Atom, ...], Optional[Predicate]]:
@@ -72,6 +127,9 @@ class MatchingEngine:
         self._match_cache: "OrderedDict[str, Tuple[Mapping[str, Any], FrozenSet[str]]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
+        # Registry digest (see pair_digest): computed on first read,
+        # then kept up to date by add/remove.
+        self._digest: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Registry
@@ -81,6 +139,8 @@ class MatchingEngine:
         if sub_id in self._filters:
             self.remove(sub_id)
         self._filters[sub_id] = predicate
+        if self._digest is not None:
+            self._digest = (self._digest + pair_digest(sub_id, predicate)) & DIGEST_MASK
         atoms, residual = decompose_safe(predicate)
         self._counting.add(sub_id, atoms, residual)
         self._aggregate.add(sub_id, atoms, residual)
@@ -95,6 +155,8 @@ class MatchingEngine:
         predicate = self._filters.pop(sub_id, None)
         if predicate is None:
             return
+        if self._digest is not None:
+            self._digest = (self._digest - pair_digest(sub_id, predicate)) & DIGEST_MASK
         self._counting.remove(sub_id)
         self._aggregate.remove(sub_id)
         # Removal can only *shrink* cached match sets — no predicate
@@ -128,6 +190,15 @@ class MatchingEngine:
 
     def filter_of(self, sub_id: str) -> Optional[Predicate]:
         return self._filters.get(sub_id)
+
+    @property
+    def digest(self) -> int:
+        """Order-independent digest of the registry's ``(sub_id,
+        predicate)`` pairs; a parent compares its copy of a child's
+        union with the child's own through it."""
+        if self._digest is None:
+            self._digest = union_digest(self._filters.items())
+        return self._digest
 
     # ------------------------------------------------------------------
     # Matching

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..broker.topology import (
     Federation,
@@ -309,16 +309,10 @@ def prepare_scale(
     share ``n_groups`` distinct predicates (the shared-signature
     regime), so each event matches ~``N_tree/n_groups`` subscribers in
     its tree.
-
-    The per-SHB subscription refresh defaults to a period past the end
-    of the run: a full-registry anti-entropy resend of 10^5 rows per
-    tick would swamp a short scale run with control traffic that the
-    incremental ``SubscriptionAdd`` path already covers.
     """
     from ..client.publisher import PeriodicPublisher
     from ..matching.predicates import In
 
-    shb_kwargs.setdefault("subscription_refresh_ms", 300_000.0)
     topo = dict(topology or scale_topology(n_subscribers))
     sim = Scheduler()
     federation = build_deep_overlay(sim, **topo, **shb_kwargs)  # type: ignore[arg-type]
@@ -1216,6 +1210,164 @@ def run_migration_soak(
         violations=violations,
         stalled_subscribers=stalled,
         final_placement=scn.supervisor.placement(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Union repair: corrupted soft state converges through the digest refresh
+# ---------------------------------------------------------------------------
+@dataclass
+class UnionRepairResult:
+    """Outcome of one seeded union-corruption run.
+
+    ``corruptions`` lists ``(kind, parent, child, at_ms)``; ``unrepaired``
+    names each one whose parent copy was not equal to the child's union,
+    and warm, two refresh intervals later.
+    """
+
+    seed: int
+    corruptions: List[Tuple[str, str, str, float]]
+    unrepaired: List[str]
+    add_lost: bool
+    converged_at_ms: Optional[float]
+    violations: List[str]
+
+    @property
+    def ok(self) -> bool:
+        return not (self.unrepaired or self.violations) and self.add_lost
+
+
+def run_union_repair(seed: int, rate_per_s: float = 100.0) -> UnionRepairResult:
+    """Corrupt warm subscription unions; the digest refresh repairs them.
+
+    On a PHB → 2 intermediates → 4 SHBs tree with two subscribers per
+    SHB (one group each), a warm union is corrupted at the PHB and at an
+    intermediate in each of three ways — an id dropped, a stale id
+    added, the union emptied — and one new subscriber's immediate
+    ``SubscriptionAdd`` is lost on a lossy uplink.  Corruption is
+    illegal state, not a fault the protocol masks: events classified
+    against a corrupted warm union may be silenced, so publishing for
+    the groups below the corrupted child is paused from just before the
+    corruption until the repair deadline.  Within two refresh intervals
+    the parent's copy must equal the child's union and be warm again,
+    and the run must end with a clean :meth:`Scenario.verdict`.
+    """
+    from ..broker.base import SUBSCRIPTION_REFRESH_MS, Broker
+    from ..client.publisher import PeriodicPublisher
+    from ..matching.predicates import Eq
+    from ..net.link import FaultSpec
+
+    rng = random.Random(f"union-repair:{seed}")
+    sim = Scheduler()
+    overlay = build_tree(sim, ["P1"], [2, 2])
+    scn = Scenario(sim, overlay)
+    shbs, mids = overlay.shbs, overlay.intermediates
+    late_group = 2 * len(shbs)
+    spare_group = late_group + 1  # published during a pause; nobody's
+    for s_idx, shb in enumerate(shbs):
+        for group in (2 * s_idx, 2 * s_idx + 1):
+            scn.subscriber(f"ur{group + 1}", f"ur-m{group + 1}", Eq("group", group), shb)
+    sim.every(331.0, scn.supervise)
+    sim.every(100.0, scn.record_truth)
+    for shb in shbs:
+        scn.probe(shb)
+
+    repair_ms = 2 * SUBSCRIPTION_REFRESH_MS
+    #: (from_ms, until_ms, groups) publishing windows to skip.
+    paused: List[Tuple[float, float, Set[int]]] = []
+
+    def group_of(i: int) -> Dict[str, object]:
+        group = i % (late_group + 1)
+        for lo, hi, groups in paused:
+            if lo <= sim.now < hi and group in groups:
+                return {"group": spare_group}
+        return {"group": group}
+
+    pub = PeriodicPublisher(sim, overlay.phb, "P1", rate_per_s, attribute_fn=group_of)
+    pub.start()
+
+    def groups_below(child: Broker) -> Set[int]:
+        return {
+            group
+            for s_idx, shb in enumerate(shbs)
+            if child in (shb, overlay.parent_of(shb))
+            for group in (2 * s_idx, 2 * s_idx + 1)
+        }
+
+    corruptions: List[Tuple[str, str, str, float]] = []
+    unrepaired: List[str] = []
+
+    def check(kind: str, parent: Broker, child: Broker) -> None:
+        engine = parent.child_engines[child.name]
+        held = {s: engine.filter_of(s) for s in engine.subscription_ids()}
+        warm = parent.child_filter_ready[child.name]
+        if not warm or held != dict(child._union_pairs()):
+            unrepaired.append(
+                f"{kind} at {parent.name}/{child.name}: "
+                f"{'warm' if warm else 'cold'}, {len(held)} held"
+            )
+
+    def corrupt(kind: str, parent: Broker, child: Broker) -> None:
+        engine = parent.child_engines[child.name]
+        if kind == "drop":
+            engine.remove(rng.choice(sorted(engine.subscription_ids())))
+        elif kind == "stale":
+            engine.add(f"{child.name}/stale", Eq("group", spare_group))
+        else:
+            engine.replace_all({})
+        corruptions.append((kind, parent.name, child.name, sim.now))
+        sim.at(sim.now + repair_ms, lambda: check(kind, parent, child))
+
+    # One corruption per window; a window starts mid-interval, so two
+    # refresh ticks fall inside its repair deadline.
+    t = 2 * SUBSCRIPTION_REFRESH_MS
+    for kind in ("drop", "stale", "empty"):
+        for at_phb in (True, False):
+            mid = rng.choice(mids)
+            parent: Broker = overlay.phb if at_phb else mid
+            child: Broker = mid if at_phb else rng.choice(
+                [s for s in shbs if overlay.parent_of(s) is mid]
+            )
+            at = t + rng.uniform(100.0, SUBSCRIPTION_REFRESH_MS - 100.0)
+            paused.append((at - 200.0, at + repair_ms, groups_below(child)))
+            sim.at(at, lambda k=kind, p=parent, c=child: corrupt(k, p, c))
+            t += repair_ms + SUBSCRIPTION_REFRESH_MS
+
+    # The lossy add: a new subscriber registers while its SHB's uplink
+    # drops everything; its group is never published before the repair.
+    shb = rng.choice(shbs)
+    mid = overlay.parent_of(shb)
+    uplink = overlay.link_between(mid, shb).b_to_a
+    at = t + rng.uniform(100.0, SUBSCRIPTION_REFRESH_MS - 100.0)
+    paused.append((0.0, at + repair_ms, {late_group}))
+    lost: List[bool] = []
+
+    def register_late() -> None:
+        uplink.set_faults(FaultSpec(drop_p=1.0), seed)
+        scn.subscriber("ur-late", "ur-m-late", Eq("group", late_group), shb)
+
+    def heal() -> None:
+        uplink.set_faults(None)
+        lost.append(f"{shb.name}/ur-late" not in mid.child_engines[shb.name])
+        corruptions.append(("lost-add", mid.name, shb.name, at))
+
+    sim.at(at, register_late)
+    sim.at(at + 50.0, heal)
+    sim.at(at + repair_ms, lambda: check("lost-add", mid, shb))
+    end = at + repair_ms + SUBSCRIPTION_REFRESH_MS
+    sim.at(end, pub.stop)
+    sim.run_until(end)
+    converged_at = scn.converge(end + 20_000.0, 500.0)
+    violations = scn.verdict()
+    if converged_at is None:
+        violations.append("no convergence within 20 s after publishing stopped")
+    return UnionRepairResult(
+        seed=seed,
+        corruptions=corruptions,
+        unrepaired=unrepaired,
+        add_lost=lost == [True],
+        converged_at_ms=converged_at,
+        violations=violations,
     )
 
 

@@ -214,12 +214,12 @@ class TestSuspectRegistryMode:
         shb.send_up = lambda msg: sent.append(msg)
 
         shb.registry_suspect = True
-        shb._refresh_subscriptions()
+        shb._refresh_upstream()
         shb._report_release()
         assert sent == []
 
         shb.registry_suspect = False
-        shb._refresh_subscriptions()
+        shb._refresh_upstream()
         shb._report_release()
         kinds = {type(m) for m in sent}
         assert M.SubscriptionSync in kinds

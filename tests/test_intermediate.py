@@ -6,6 +6,7 @@ from repro.broker.base import Broker
 from repro.broker.intermediate import IntermediateBroker
 from repro.core import messages as M
 from repro.core.events import Event
+from repro.matching.engine import union_digest
 from repro.matching.predicates import Eq, Everything
 from repro.net.simtime import Scheduler
 
@@ -118,6 +119,74 @@ class TestForwarding:
         sim.run_until(40)
         assert mid.child_filter_ready["a"] is True
         assert sorted(mid.child_engines["a"].subscription_ids()) == ["s1", "s2"]
+
+
+def resends(leaf):
+    return [m for m in leaf.received if isinstance(m, M.SubscriptionResend)]
+
+
+class TestDigestRefresh:
+    def test_matching_digest_warms_a_cold_child(self, env):
+        sim, root, mid, a, b = env
+        mid.child_filter_ready["a"] = False
+        mid.child_engines["a"].add("s1", Eq("g", 0))
+        a.send_up(M.SubscriptionSync(1, 7, digest=union_digest([("s1", Eq("g", 0))])))
+        sim.run_until(20)
+        assert mid.child_filter_ready["a"] is True
+        assert mid._applied_sub_epoch["a"] == 7
+        assert resends(a) == []
+
+    def test_mismatch_goes_cold_and_asks_for_the_full_set(self, env):
+        sim, root, mid, a, b = env
+        mid.child_engines["a"].add("s1", Eq("g", 0))
+        pairs = [("s1", Eq("g", 0)), ("s2", Eq("g", 1))]
+        a.send_up(M.SubscriptionSync(2, 7, want_ack=True, digest=union_digest(pairs)))
+        sim.run_until(20)
+        assert mid.child_filter_ready["a"] is False
+        assert resends(a) == [M.SubscriptionResend(7, want_ack=True)]
+        # The full set answers it and warms the child.
+        for sub_id, predicate in pairs:
+            a.send_up(M.SubscriptionAdd(sub_id, predicate, epoch=8))
+        a.send_up(M.SubscriptionSync(2, epoch=8, want_ack=True))
+        sim.run_until(40)
+        assert mid.child_filter_ready["a"] is True
+        assert sorted(mid.child_engines["a"].subscription_ids()) == ["s1", "s2"]
+
+    def test_stale_epoch_digest_is_ignored(self, env):
+        sim, root, mid, a, b = env
+        mid.child_engines["a"].add("s1", Eq("g", 0))
+        a.send_up(M.SubscriptionSync(1, 9, digest=union_digest([("s1", Eq("g", 0))])))
+        a.send_up(M.SubscriptionSync(0, 8, digest=0))  # overtaken, mismatched
+        sim.run_until(20)
+        assert mid.child_filter_ready["a"] is True
+        assert resends(a) == []
+
+    def test_periodic_refresh_is_one_digest(self, env):
+        sim, root, mid, a, b = env
+        mid.child_engines["a"].add("s1", Eq("g", 0))
+        mid.child_engines["b"].add("s2", Eq("g", 1))
+        root.received.clear()
+        mid._refresh_upstream()
+        sim.run_until(20)
+        (sync,) = [m for _c, m in root.received]
+        assert (sync.sub_count, sync.digest) == (
+            2, union_digest([("s1", Eq("g", 0)), ("s2", Eq("g", 1))])
+        )
+
+    def test_resend_while_a_child_is_cold_keeps_want_ack(self, env):
+        sim, root, mid, a, b = env
+        mid.child_filter_ready["a"] = False
+        root.received.clear()
+        root.send_to_child("mid", M.SubscriptionResend(3, want_ack=True))
+        sim.run_until(20)
+        assert root.received == []  # held back: the union is incomplete
+        a.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=4))
+        a.send_up(M.SubscriptionSync(1, epoch=4))
+        sim.run_until(40)
+        sent = [m for _c, m in root.received]
+        assert [type(m) for m in sent] == [M.SubscriptionAdd, M.SubscriptionSync]
+        assert sent[0].sub_id == "s1" and sent[0].epoch == sent[1].epoch
+        assert sent[1].want_ack is True and sent[1].digest is None
 
 
 class TestNackHandling:

@@ -7,6 +7,7 @@ import pytest
 from repro.broker.base import Broker
 from repro.broker.phb import PublisherHostingBroker
 from repro.core import messages as M
+from repro.matching.engine import union_digest
 from repro.matching.predicates import Eq
 from repro.net.link import Link
 from repro.net.node import Node
@@ -85,6 +86,41 @@ class TestDissemination:
             for s, e in u.s_ranges:
                 covered.add(s, e)
         assert covered and covered.max() >= 150
+
+
+class TestDigestRefresh:
+    def synced(self, child):
+        return [m for m in child.received if isinstance(m, M.SubscriptionSynced)]
+
+    def test_matching_want_ack_digest_is_acked(self, env):
+        sim, phb, child = env
+        child.send_up(M.SubscriptionAdd("s1", Eq("g", 0)))
+        digest = union_digest([("s1", Eq("g", 0))])
+        child.send_up(M.SubscriptionSync(1, 5, want_ack=True, digest=digest))
+        sim.run_until(10)
+        assert phb.child_filter_ready["child"] is True
+        assert self.synced(child) == [M.SubscriptionSynced(5)]
+
+    def test_mismatched_want_ack_install_is_finalized_by_the_full_set(self, env):
+        # A migration destination's confirmation refresh whose digest
+        # disagrees (its immediate add was lost): the PHB goes cold and
+        # asks for the full set, and acking the full set's later epoch
+        # covers the digest's — the install is finalized all the same.
+        sim, phb, child = env
+        pairs = [("s1", Eq("g", 0))]
+        child.send_up(M.SubscriptionSync(1, 5, want_ack=True, digest=union_digest(pairs)))
+        sim.run_until(10)
+        assert phb.child_filter_ready["child"] is False
+        assert [m for m in child.received if isinstance(m, M.SubscriptionResend)] == [
+            M.SubscriptionResend(5, want_ack=True)
+        ]
+        assert self.synced(child) == []
+        child.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=6))
+        child.send_up(M.SubscriptionSync(1, epoch=6, want_ack=True))
+        sim.run_until(20)
+        assert phb.child_filter_ready["child"] is True
+        (ack,) = self.synced(child)
+        assert ack.epoch >= 5
 
 
 class TestNackService:

@@ -29,6 +29,27 @@ class TestColdFilters:
         sim.run_until(5_000)
         assert overlay.phb.child_filter_ready == {"shb1": True}
 
+    def test_recovery_empties_unions_and_rewarms_through_the_full_set(self):
+        # A restart loses the unions, so the child's digest cannot
+        # match: the PHB asks for the full set and warms from it.
+        sim = Scheduler()
+        overlay = build_two_broker(sim, ["P1"])
+        shb = overlay.shbs[0]
+        sub = DurableSubscriber(sim, "s1", Node(sim, "c"), Eq("group", 1))
+        sub.connect(shb)
+        sim.run_until(100)
+        assert "shb1/s1" in overlay.phb.child_engines["shb1"]
+        overlay.phb.fail_for(100)
+        sim.run_until(300)
+        assert len(overlay.phb.child_engines["shb1"]) == 0
+        asked = []
+        answer = shb._on_subscription_resend
+        shb._on_subscription_resend = lambda msg: (asked.append(msg), answer(msg))
+        sim.run_until(5_000)
+        assert len(asked) == 1
+        assert overlay.phb.child_filter_ready["shb1"] is True
+        assert "shb1/s1" in overlay.phb.child_engines["shb1"]
+
     def test_events_in_cold_window_not_lost(self):
         """Events published after PHB recovery but before the filter
         resync must reach matching subscribers (unfiltered pass)."""
