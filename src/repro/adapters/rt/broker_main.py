@@ -21,7 +21,8 @@ simulation runs — only the four ports differ:
 
 ``kill -9`` at any moment and restart with the same ``--data-dir``:
 the journals replay at construction, torn tails truncate to the acked
-prefix, and the protocol's own recovery (publisher retransmission,
+prefix, the brokers boot through the crash-recovery hooks a simulated
+crash fires, and the protocol's own recovery (publisher retransmission,
 subscriber catchup) covers the rest — that is the contract the
 quickstart (examples/rt_quickstart.py) asserts end to end.
 
@@ -97,22 +98,13 @@ class BrokerProcess:
         Broker.connect(self.phb, self.shb, latency_ms=0.1)
         for pubend in sorted(pubends):
             self.phb.register_release_child(pubend, self.shb.name)
-        # The PHB's subscription union and release floor are volatile —
-        # a restarted broker must re-announce the recovered registry
-        # before any event flows, or the downstream knowledge filter
-        # turns D ticks into silence (events the PFS then never logs).
-        # Until that announcement the union is cold (knowledge passes
-        # unfiltered), as after a simulated crash: a registry that lost
-        # rows uncommitted in the kill is suspect and holds its tongue,
-        # and an empty union taken for warm would silence every event
-        # published before the lost subscribers re-register.
-        self.phb.child_filter_ready[self.shb.name] = False
-        self.shb.resync_upstream()
-        # ... and learn how far the recovered event logs reach, so that
-        # the tail it missed is nacked now rather than once the clock
-        # has caught up with the log's newest timestamp.
-        for pubend in self.phb.pubends.values():
-            pubend.announce_head()
+        # Boot: a restart is a crash this process did not witness, so
+        # both roles recover through the hooks a simulated crash fires
+        # (docs/PROTOCOL.md §11.3); a first boot takes the same path.
+        # After wiring: cold-marking walks the children and the SHB's
+        # refresh needs its uplink.
+        node.crash()
+        node.recover()
         self.listener = TcpListener()
         self.listener.on_connection(self._route)
 

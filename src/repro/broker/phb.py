@@ -73,10 +73,6 @@ class PublisherHostingBroker(Broker):
         )
         self._pub_seqs: Dict[str, int] = {}       # durable floor (acks)
         self._accepted_seqs: Dict[str, int] = {}  # staged floor (gap check)
-        if journal_volume is not None:
-            # Journal-recovered floor; extended per pubend as each
-            # recovered event log is created (see create_pubend).
-            self._pub_seqs = dict(self.seq_table.committed_items())
         self._commit_timer = scheduler.every(250.0, self.seq_table.commit)
         self.node.on_crash(self._on_node_crash)
 
@@ -96,21 +92,7 @@ class PublisherHostingBroker(Broker):
         )
         pubend.on_knowledge = lambda upd, p=name: self._disseminate(upd)
         self.pubends[name] = pubend
-        if journal is not None:
-            # A journal-recovered log: as in post-crash _on_node_recover.
-            self._extend_seq_floor(pubend)
         return pubend
-
-    def _extend_seq_floor(self, pubend: Pubend) -> None:
-        """Raise the dedup floor over ``pubend``'s recovered log.
-
-        The committed seq table may trail the durable log (commits are
-        periodic), so the floor is the max of both.
-        """
-        for event in pubend.log.read_range(0, 2**60):
-            if event.publisher is not None and event.seq is not None:
-                if event.seq > self._pub_seqs.get(event.publisher, 0):
-                    self._pub_seqs[event.publisher] = event.seq
 
     def register_release_child(self, pubend: str, child: str) -> None:
         """Topology hook: ``child`` will report release state for ``pubend``."""
@@ -287,5 +269,8 @@ class PublisherHostingBroker(Broker):
         # durable log (commits are periodic), so take the max of both.
         self._pub_seqs = dict(self.seq_table.committed_items())
         for pubend in self.pubends.values():
-            self._extend_seq_floor(pubend)
+            for event in pubend.log.read_range(0, 2**60):
+                if event.publisher is not None and event.seq is not None:
+                    if event.seq > self._pub_seqs.get(event.publisher, 0):
+                        self._pub_seqs[event.publisher] = event.seq
         self._commit_timer = self.scheduler.every(250.0, self.seq_table.commit)

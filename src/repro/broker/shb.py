@@ -105,8 +105,9 @@ class SubscriberHostingBroker(Broker):
         # just the simulated kind.  Stream creation order is fixed —
         # journals first, then ``pfs:{p}`` sorted — because a LogVolume
         # numbers streams by creation order and a recovered volume must
-        # repeat it.
-        self.journal_volume = journal_volume
+        # repeat it.  The tables replay their journals here; the PFS
+        # index is rebuilt by the crash hooks a boot fires
+        # (adapters/rt/broker_main.py).
 
         def _journal(key: str) -> Optional[object]:
             if journal_volume is None:
@@ -127,7 +128,6 @@ class SubscriberHostingBroker(Broker):
         if pfs_volume is not None:
             for p in self.pubend_names:
                 self.pfs._state(p)
-            self.pfs.recover()
         self._own_storage(self.disk, self.pfs_volume)
         if journal_volume is not None:
             self._own_storage(journal_volume)
@@ -200,19 +200,8 @@ class SubscriberHostingBroker(Broker):
         #: restart the confirmation after a crash.
         self._cover_pending: Dict[str, Tuple[Optional[int], str, int, Connection]] = {}
 
-        if journal_volume is not None or pfs_volume is not None:
-            # Process restart (rt substrate): the journal-recovered
-            # registry and PFS stand in for the crash-surviving state
-            # of _on_node_recover — same suspect check, same release
-            # epoch floor (the rt clock is epoch time, so the floor is
-            # monotone across restarts too).
-            known = {sub.num for sub in self.registry.all()}
-            self.registry_suspect = bool(self.pfs.live_subscriber_nums() - known)
-            self._release_epoch_floor = int(scheduler.now)
         self.node.on_crash(self._on_node_crash)
         self._build_volatile()
-        if journal_volume is not None:
-            self._reconcile_migrations()
 
     # ------------------------------------------------------------------
     # Volatile state construction (initial boot and post-crash recovery)
@@ -916,23 +905,26 @@ class SubscriberHostingBroker(Broker):
             if isinstance(msg, M.GapMessage):
                 self.gaps_enqueued += 1
         enqueued_ms = self.scheduler.now
+        chan = self._sessions.get(sub_id)
         self.node.submit(
             cost,
-            lambda: self._do_send(sub_id, msg, on_sent, via_catchup, enqueued_ms),
+            lambda: self._do_send(sub_id, chan, msg, on_sent, via_catchup, enqueued_ms),
         )
 
     def _do_send(
         self,
         sub_id: str,
+        chan: Optional[Connection],
         msg: object,
-        on_sent=None,
-        via_catchup: bool = False,
-        enqueued_ms: Optional[float] = None,
+        on_sent,
+        via_catchup: bool,
+        enqueued_ms: float,
     ) -> None:
-        end = self._sessions.get(sub_id)
-        if end is not None:
-            end.send(msg)
-            if enqueued_ms is not None and isinstance(msg, M.EventMessage):
+        # Session fence: a job queued for one session never goes out on
+        # the next, which catches these ticks up from its own checkpoint.
+        if chan is not None and self._sessions.get(sub_id) is chan:
+            chan.send(msg)
+            if isinstance(msg, M.EventMessage):
                 tracer = self._tracer
                 if tracer.tracing:
                     tracer.on_deliver(
@@ -950,17 +942,23 @@ class SubscriberHostingBroker(Broker):
         self.delivery_batches += 1
         cost = self.costs.deliver_event_ms * len(msgs)
         enqueued_ms = self.scheduler.now
-        self.node.submit(cost, lambda: self._do_send_batch(sub_id, msgs, enqueued_ms))
+        chan = self._sessions.get(sub_id)
+        self.node.submit(
+            cost, lambda: self._do_send_batch(sub_id, chan, msgs, enqueued_ms)
+        )
 
     def _do_send_batch(
-        self, sub_id: str, msgs: List[M.EventMessage], enqueued_ms: Optional[float] = None
+        self,
+        sub_id: str,
+        chan: Optional[Connection],
+        msgs: List[M.EventMessage],
+        enqueued_ms: float,
     ) -> None:
-        end = self._sessions.get(sub_id)
-        if end is not None:
+        if chan is not None and self._sessions.get(sub_id) is chan:  # the fence
             tracer = self._tracer
             for msg in msgs:
-                end.send(msg)
-                if enqueued_ms is not None and tracer.tracing:
+                chan.send(msg)
+                if tracer.tracing:
                     tracer.on_deliver(
                         msg.event.event_id, sub_id, via_catchup=False,
                         start_ms=enqueued_ms,
@@ -1216,22 +1214,6 @@ class SubscriberHostingBroker(Broker):
         self.registry_suspect = False
         self._refresh_upstream()
         self._report_release()
-
-    def resync_upstream(self) -> None:
-        """Re-announce all soft state the parent holds for this SHB.
-
-        A process restart (rt substrate) is an extreme uplink outage:
-        the journal-recovered registry is authoritative here, but the
-        parent's copy of the subscription union and release floor died
-        with the old process (or, for a restarted parent, with it).
-        Until the union is re-announced the PHB's downstream filter
-        converts every D tick to silence — ``latestDelivered`` then
-        advances over events that never reached the PFS, and the span
-        is unrecoverable once released.  Callers must invoke this once
-        the uplink is attached (the constructor cannot: there is no
-        parent link yet at construction time).
-        """
-        self._on_uplink_restored()
 
     def _on_uplink_restored(self) -> None:
         """Partition toward the parent healed: re-sync eagerly.

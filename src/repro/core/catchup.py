@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..metrics.trace import event_tracer
-from ..net.simtime import Scheduler
 from ..pfs.pfs import PersistentFilteringSubsystem, PFSReadResult
+from ..port.clock import Clock
 from ..util.intervals import IntervalSet
 from .constream import ConsolidatedStream
 from .curiosity import CuriosityStream
@@ -59,7 +59,7 @@ class CatchupStream:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         pubend: str,
         sub: DurableSubscription,
         start_ts: int,

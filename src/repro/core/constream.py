@@ -30,7 +30,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from ..matching.engine import MatchingEngine
 from ..metrics.trace import event_tracer
-from ..net.simtime import Scheduler
+from ..port.clock import Clock
 from ..pfs.pfs import PersistentFilteringSubsystem
 from ..storage.table import PersistentTable
 from ..util.errors import ProtocolError
@@ -46,6 +46,9 @@ DeliverBatchFn = Callable[[str, List[EventMessage]], None]
 #: silence message, so its CT keeps up with ``latestDelivered``.
 SILENCE_LAG_MS = 200
 
+#: Period of the check that sends those silence messages.
+SILENCE_INTERVAL_MS = 100.0
+
 
 class ConsolidatedStream:
     """The shared delivery stream for non-catchup subscribers."""
@@ -53,13 +56,12 @@ class ConsolidatedStream:
     def __init__(
         self,
         pubend: str,
-        scheduler: Scheduler,
+        scheduler: Clock,
         registry: SubscriptionRegistry,
         engine: MatchingEngine,
         pfs: PersistentFilteringSubsystem,
         meta_table: PersistentTable,
         deliver: DeliverFn,
-        silence_interval_ms: float = 100.0,
         deliver_batch: Optional[DeliverBatchFn] = None,
     ) -> None:
         self.pubend = pubend
@@ -100,7 +102,7 @@ class ConsolidatedStream:
         self._nums_cache_version = registry.version
         self._order_cache: Dict[frozenset, List[str]] = {}
         self._tracer = event_tracer(scheduler)
-        self._silence_timer = scheduler.every(silence_interval_ms, self._silence_tick)
+        self._silence_timer = scheduler.every(SILENCE_INTERVAL_MS, self._silence_tick)
 
     # ------------------------------------------------------------------
     # Membership

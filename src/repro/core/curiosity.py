@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional
 
-from ..net.simtime import PeriodicHandle, Scheduler
+from ..port.clock import Clock, PeriodicTimerHandle
 from ..util.intervals import IntervalSet
 
 if TYPE_CHECKING:
@@ -45,7 +45,7 @@ class CuriosityStream:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         pubend: str,
         send_nack: Callable[[IntervalSet], None],
         poll_ms: float = 20.0,
@@ -84,7 +84,7 @@ class CuriosityStream:
         self._rotated_at = scheduler.now
         self._rotation_interval = retry_ms
         self._dirty = True  # something changed since the last poll
-        self._timer: Optional[PeriodicHandle] = None
+        self._timer: Optional[PeriodicTimerHandle] = None
         # Ranges nacked at least once and not yet resolved: a due range
         # intersecting this set is a *retry*, which advances the streak.
         self._renacked = IntervalSet()
@@ -268,7 +268,7 @@ class NackConsolidator:
     about an arriving knowledge range.
     """
 
-    def __init__(self, scheduler: Scheduler, retry_ms: float = 1000.0) -> None:
+    def __init__(self, scheduler: Clock, retry_ms: float = 1000.0) -> None:
         self.scheduler = scheduler
         self.retry_ms = retry_ms
         self._interest: Dict[Hashable, IntervalSet] = {}

@@ -30,13 +30,17 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..metrics.trace import SPAN_PHB_LOG, SPAN_PUBLISH, event_tracer
-from ..net.simtime import Scheduler
+from ..port.clock import Clock
 from ..storage.disk import SimDisk
 from ..storage.eventlog import PersistentEventLog
 from ..util.intervals import IntervalSet
 from .events import Event
 from .messages import KnowledgeUpdate
 from .release import EarlyReleasePolicy, NoEarlyRelease, ReleaseAggregator
+
+#: Period of the silence flush that advances downstream doubt horizons
+#: while no events flow.
+SILENCE_INTERVAL_MS = 25.0
 
 
 class Pubend:
@@ -45,10 +49,9 @@ class Pubend:
     def __init__(
         self,
         name: str,
-        scheduler: Scheduler,
+        scheduler: Clock,
         disk: Optional[SimDisk] = None,
         policy: Optional[EarlyReleasePolicy] = None,
-        silence_interval_ms: float = 25.0,
         journal: Optional[object] = None,
     ) -> None:
         self.name = name
@@ -74,15 +77,7 @@ class Pubend:
         #: difference at the durable callback is the logging latency.
         self.log_latency_ms: List[float] = []
         self._tracer = event_tracer(scheduler)
-        if self.log.max_timestamp is not None or self.log.chopped_below > 0:
-            # A journal-recovered log (process restart): adopt its
-            # horizons exactly as post-crash recover() does.  Never
-            # triggers in the simulation, where fresh logs are empty.
-            now = self.current_time
-            self._last_assigned = max(self.log.max_timestamp or 0, now)
-            self._disseminated = self._last_assigned
-            self._released_bound = max(0, self.log.chopped_below - 1)
-        self._silence_timer = scheduler.every(silence_interval_ms, self._silence_flush)
+        self._silence_timer = scheduler.every(SILENCE_INTERVAL_MS, self._silence_flush)
 
     # ------------------------------------------------------------------
     # Time
@@ -288,18 +283,22 @@ class Pubend:
         self._silence_timer.cancel()
 
     def recover(self) -> None:
-        """Rebuild volatile state after a crash.
+        """Rebuild volatile state after a crash or a process restart.
 
-        The dissemination horizon restarts at the current time: the
-        paper's silence flush never runs ahead of ``T(p)``, so nothing
-        previously disseminated exceeds it, and ticks between the old
-        horizon and now are recoverable through nacks.
+        Over a log with history the dissemination horizon restarts at
+        the current time: the paper's silence flush never runs ahead of
+        ``T(p)``, so nothing previously disseminated exceeds it, and
+        ticks between the old horizon and now are recoverable through
+        nacks.  Over an empty log (a first boot) the silence flush
+        advances it instead of a nack for the whole clock range.
         """
-        now = self.current_time
-        max_logged = self.log.max_timestamp
-        self._last_assigned = max(max_logged or 0, now)
-        self._disseminated = max(self._disseminated, self._last_assigned)
-        self._silence_timer = self.scheduler.every(25.0, self._silence_flush)
+        log = self.log
+        if log.max_timestamp is not None or log.chopped_below > 0:
+            self._last_assigned = max(log.max_timestamp or 0, self.current_time)
+            self._disseminated = max(self._disseminated, self._last_assigned)
+            self._released_bound = max(self._released_bound, log.chopped_below - 1)
+        self._silence_timer = self.scheduler.every(SILENCE_INTERVAL_MS, self._silence_flush)
+        self.announce_head()
 
     def close(self) -> None:
         self._silence_timer.cancel()

@@ -29,8 +29,8 @@ from typing import Callable, Deque, Optional
 from ..core import messages as M
 from ..client.subscriber import DurableSubscriber
 from ..matching.predicates import Predicate
-from ..net.simtime import Scheduler
 from .messages import JMSCommitDone, JMSCommitRequest, JMSCTLookup, JMSCTLookupReply
+from ..port.clock import Clock
 from ..port.executor import Executor
 
 AUTO_ACKNOWLEDGE = "auto"
@@ -46,7 +46,7 @@ class JMSDurableSubscriber(DurableSubscriber):
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         sub_id: str,
         node: Executor,
         predicate: Predicate,

@@ -55,6 +55,9 @@ from ..util.errors import ConfigurationError
 
 ShbRef = Union[str, SubscriberHostingBroker]
 
+#: How often a handoff phase is re-sent until its acknowledgment lands.
+RETRY_MS = 150.0
+
 
 @dataclass
 class MigrationHandle:
@@ -120,13 +123,11 @@ class Supervisor:
     def __init__(
         self,
         overlay: Overlay,
-        retry_ms: float = 150.0,
         detach_grace_ms: float = 2_500.0,
     ) -> None:
         self.overlay = overlay
         self.scheduler = overlay.scheduler
         self.node = Node(self.scheduler, "supervisor")
-        self.retry_ms = retry_ms
         #: How long a drained SHB keeps reporting after its last row
         #: drops before it is detached.  Must cover the handoff release
         #: pins (``SubscriberHostingBroker.migration_pin_ms``): detach
@@ -230,7 +231,7 @@ class Supervisor:
         """Hand ``sub_id`` from ``source`` to ``dest`` (asynchronous).
 
         Returns immediately; the handoff advances as the scheduler
-        runs.  Every phase is retried every ``retry_ms`` until its
+        runs.  Every phase is retried every ``RETRY_MS`` until its
         acknowledgment arrives, riding out lossy links and crashes of
         either SHB (the handlers are idempotent and epoch-guarded).
         """
@@ -250,7 +251,7 @@ class Supervisor:
         self.migrations.append(handle)
         self._active[handle.handoff_id] = handle
         handle._timer = self.scheduler.every(
-            self.retry_ms, lambda: self._drive(handle)
+            RETRY_MS, lambda: self._drive(handle)
         )
         self._drive(handle)
         return handle

@@ -25,6 +25,10 @@ And for protocol code to depend on ports, not on the simulator:
   links: clients dial through ``adapters.sim.dial`` and brokers attach
   channels; the modules that still import ``net.link`` are an
   allow-list that may only shrink.
+
+* the real broker process recovers its brokers through the same crash
+  hooks as the simulator: it sets no broker attribute and calls no
+  broker internal.
 """
 
 from __future__ import annotations
@@ -51,11 +55,6 @@ SIM_NODE_IMPORTERS = {
 #: ``port.Clock`` port.  Each entry is open work; none may be added.
 SIM_CLOCK_IMPORTERS = {
     "broker/topology.py",
-    "core/catchup.py",
-    "core/constream.py",
-    "core/curiosity.py",
-    "core/pubend.py",
-    "jms/session.py",
     "metrics/collector.py",
     "metrics/trace.py",
     "storage/disk.py",
@@ -136,6 +135,43 @@ def test_protocol_signatures_name_the_executor_port(package):
                     offences.append(f"{where} names the sim Node")
                 elif arg.arg in ("node", "client_node") and "Executor" not in annotation:
                     offences.append(f"{where} does not name the Executor port")
+    assert not offences, "\n".join(offences)
+
+
+def _chain(expr: ast.expr) -> Iterator[ast.expr]:
+    """``expr`` and every expression it reaches through ``.attr`` / ``[key]``."""
+    while True:
+        yield expr
+        if not isinstance(expr, (ast.Attribute, ast.Subscript)):
+            return
+        expr = expr.value
+
+
+def test_the_real_broker_boots_through_recovery_not_patches():
+    """``BrokerProcess`` builds and wires the brokers, then recovers them
+    through the executor's crash hooks.  It sets no broker attribute and
+    calls no broker internal: a restart step the protocol needs belongs
+    in the recovery hooks, where the simulator's crashes run it too."""
+    tree = ast.parse((SRC / "adapters/rt/broker_main.py").read_text())
+    brokers = {
+        ast.unparse(target)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).endswith("Broker")
+        for target in node.targets
+    }
+    assert brokers == {"self.phb", "self.shb"}
+    offences = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                if any(ast.unparse(e) in brokers for e in list(_chain(target))[1:]):
+                    offences.append(f"{node.lineno}: sets {ast.unparse(target)}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, receiver = node.func.attr, ast.unparse(node.func.value)
+            internal = attr.startswith("_") and not attr.startswith("__") and receiver != "self"
+            if internal or attr in ("announce_head", "resync_upstream"):
+                offences.append(f"{node.lineno}: calls {receiver}.{attr}()")
     assert not offences, "\n".join(offences)
 
 

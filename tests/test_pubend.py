@@ -17,7 +17,7 @@ def sim():
 
 def make_pubend(sim, disk=False, policy=None):
     d = SimDisk(sim, "d", sync_interval_ms=5, sync_duration_ms=10) if disk else None
-    pubend = Pubend("P1", sim, disk=d, policy=policy, silence_interval_ms=25)
+    pubend = Pubend("P1", sim, disk=d, policy=policy)
     updates = []
     pubend.on_knowledge = updates.append
     return pubend, updates, d
