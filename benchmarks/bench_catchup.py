@@ -29,6 +29,7 @@ def test_catchup_durations(benchmark):
     result = benchmark.pedantic(
         lambda: run_stream_rates(**kwargs), rounds=1, iterations=1
     )
+    assert not result.violations, result.violations
     durations = result.catchup_durations_ms
     assert durations, "no catchups completed"
     down_ms = kwargs["churn_down_ms"]

@@ -33,6 +33,7 @@ def test_jms_autoack_peak(benchmark, n_subs, input_rate):
         rounds=1,
         iterations=1,
     )
+    assert not result.violations, result.violations
     _results[n_subs] = result
 
     # Commit-bound: consumption saturates below the offered rate.

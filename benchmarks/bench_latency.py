@@ -37,6 +37,7 @@ TRACE_KWARGS = dict(
 def measure_latency_metrics() -> dict:
     """Baseline-gated numbers for check_baseline.py (deterministic)."""
     result = run_latency_trace(**TRACE_KWARGS)
+    assert not result.violations, result.violations
     return {
         "latency_e2e_p50_ms": round(result.e2e_p50_ms, 4),
         "latency_e2e_p99_ms": round(result.e2e_p99_ms, 4),
@@ -54,6 +55,7 @@ def test_end_to_end_latency(benchmark):
         rounds=1,
         iterations=1,
     )
+    assert not result.violations, result.violations
 
     rows = [
         ["end-to-end mean (ms)", f"{result.mean_ms:.1f}", "50"],
@@ -83,6 +85,7 @@ def test_traced_latency_histograms(benchmark):
         rounds=1,
         iterations=1,
     )
+    assert not result.violations, result.violations
 
     rows = [
         ["e2e publish→deliver p50 (ms)", f"{result.e2e_p50_ms:.1f}", "~50"],

@@ -40,7 +40,7 @@ import sys
 import time
 import tracemalloc
 
-from repro.sim.experiments import drive_scale, prepare_scale, run_scale
+from repro.sim.experiments import drive_scale, prepare_scale
 
 REPRESENTATION_SUBS = 10_000
 REPRESENTATION_GROUPS = 500
@@ -185,7 +185,7 @@ def measure_scale_metrics() -> dict:
     measurement, which is deterministic for a given Python build.
     """
     rep = measure_representation()
-    result = run_scale(100_000, events_per_pubend=400)
+    result = drive_scale(prepare_scale(100_000, events_per_pubend=400))
     if result.matched_pairs <= 0 or result.client_events <= 0:
         print("FATAL: scale point delivered nothing "
               f"(pairs={result.matched_pairs}, client_events={result.client_events})",

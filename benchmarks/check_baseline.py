@@ -95,8 +95,9 @@ TOLERANCES["pfs_batch_appends_per_s"] = 0.60            # real file I/O
 def measure() -> dict:
     base = run_message_amplification(0.0, duration_ms=DURATION_MS)
     batched = run_message_amplification(10.0, duration_ms=DURATION_MS)
-    if not (base.exactly_once_ok and batched.exactly_once_ok):
-        print("FATAL: exactly-once violated in smoke run", file=sys.stderr)
+    if base.violations or batched.violations:
+        print("FATAL: verdict violated in smoke run:", *base.violations,
+              *batched.violations, sep="\n  ", file=sys.stderr)
         sys.exit(2)
     if batched.events_delivered != base.events_delivered:
         print("FATAL: batching changed delivery count "

@@ -20,9 +20,10 @@ import sys
 
 from .metrics.report import format_table, percentile
 from .sim.experiments import (
+    drive_scalability,
+    prepare_scalability,
     run_jms_autoack,
     run_latency,
-    run_scalability,
     run_shb_failure,
     run_stream_rates,
 )
@@ -48,13 +49,13 @@ def _cmd_latency(args: argparse.Namespace) -> None:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> None:
-    result = run_scalability(
+    result = drive_scalability(prepare_scalability(
         n_shbs=args.shbs,
         subs_per_shb=args.subs,
         churn=args.churn,
         duration_ms=args.duration * 1000.0,
         single_broker=args.single_broker,
-    )
+    ))
     print(format_table(
         f"Scalability: {args.shbs} SHB(s), {result.subscribers} subscribers"
         + (" with churn" if args.churn else ""),
@@ -108,7 +109,7 @@ def _cmd_failure(args: argparse.Namespace) -> None:
         f"SHB failure: {args.down}s outage, {args.subs} subscribers",
         ["metric", "value"],
         [
-            ["exactly-once", result.exactly_once_ok],
+            ["verdict violations", len(result.violations)],
             ["normal LD slope (tick-ms/s)", f"{result.normal_slope:.0f}"],
             ["recovery LD slope", f"{result.recovery_slope:.0f}"],
             ["catchups completed", len(durations)],

@@ -205,8 +205,7 @@ def _build_scenario() -> Scenario:
         PUBLISH_UNTIL_MS,
     )
     scn.bounce(scn.subscribers[1], 700.0, 1_500.0)
-    sim.every(50.0, scn.record_truth)
-    scn.probe(shb)
+    scn.start(truth_ms=50.0)
     sim.every(331.0, scn.supervise)
     return scn
 
@@ -234,9 +233,7 @@ def _build_migration_scenario() -> Scenario:
         scn, "mgx", [[source, source, other]], [[0, 1, 2]],
         [("mgx-pub-machine", "mgx-pub")], MIGRATION_PUBLISH_UNTIL_MS,
     )
-    sim.every(50.0, scn.record_truth)
-    for shb in overlay.shbs:
-        scn.probe(shb)
+    scn.start(truth_ms=50.0)
     scn.script_handoff(
         scn.subscribers[0], source, "mgx-joiner", nap_ms=500.0, join_ms=800.0,
         wake_ms=1_500.0, migrate_ms=1_560.0, drain_ms=2_700.0,
@@ -280,9 +277,7 @@ def _build_scale_scenario() -> Scenario:
         [("sx-pub-m1", "sx-pub1"), ("sx-pub-m2", "sx-pub2")],
         SCALE_PUBLISH_UNTIL_MS,
     )
-    sim.every(50.0, scn.record_truth)
-    for shb in federation.shbs:
-        scn.probe(shb)
+    scn.start(truth_ms=50.0)
     # Scripted churn + two redundant-path failovers inside the window:
     # a bare SHB hops onto tree 1's spare, then a whole intermediate
     # subtree (intermediate + its SHB) hops onto tree 2's spare.

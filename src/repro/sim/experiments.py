@@ -1,18 +1,24 @@
 """The paper's experiments as reusable harness functions.
 
-Each function builds the relevant Figure-3 topology, drives the
-Section-5 workload, samples the metrics the paper plots, and returns a
-result object.  The ``benchmarks/`` directory is a thin layer over
-these: one bench per table/figure, printing the same rows/series the
-paper reports.  See DESIGN.md §3 for the experiment index.
+Each paper figure is a judged :class:`~.scenario.Scenario` run: build
+the relevant Figure-3 topology and the Section-5 workload, adopt its
+fleet into the scenario, sample the metrics the paper plots, stop the
+feed, then drain and judge.  Every result carries ``violations`` —
+the verdict of every oracle family, empty when the run delivered
+exactly once, in order and completely.  The ``benchmarks/`` directory
+is a thin layer over these: one bench per table/figure, printing the
+same rows/series the paper reports once the verdict is clean.  See
+DESIGN.md §3 for the experiment index.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, TypeVar
 
+from ..broker.base import SUBSCRIPTION_REFRESH_MS, Broker
 from ..broker.topology import (
     Federation,
     build_chain,
@@ -23,23 +29,31 @@ from ..broker.topology import (
     build_two_broker,
     place_durable_subscribers,
 )
+from ..client.publisher import PeriodicPublisher
 from ..client.subscriber import DurableSubscriber
 from ..jms.ctstore import CheckpointCommitService
 from ..jms.session import AUTO_ACKNOWLEDGE, JMSDurableSubscriber
+from ..matching.predicates import Eq, Everything, In
 from ..metrics.collector import MetricsCollector
-from ..metrics.report import percentile
-from ..net.link import link_stats
+from ..metrics.histogram import LatencyHistogram
+from ..metrics.report import export_json, percentile
+from ..metrics.trace import E2E_CATCHUP_LAG, E2E_PUBLISH_DELIVER, install_tracer
+from ..net.link import FaultSpec, link_stats
 from ..net.node import Node
 from ..net.simtime import Scheduler
 from ..util.rate import Series
-from ..workloads.generator import (
-    ChurnSchedule,
-    PaperWorkloadSpec,
-    make_publishers,
-    make_subscribers,
-)
-from .failures import ChaosSchedule, PerSubscriberWatchdog, ProgressWatchdog
-from .scenario import Scenario
+from ..workloads.generator import ChurnSchedule, PaperWorkloadSpec, make_publishers
+from .failures import ChaosSchedule, ProgressWatchdog
+from .scenario import Scenario, make_subscribers
+
+_Result = TypeVar("_Result")
+
+
+def _judged(scn: Scenario, result: _Result) -> _Result:
+    """``result``, every number in it already read and the feed
+    stopped, with the verdict of the settled run."""
+    result.violations = scn.settle()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +71,7 @@ class ScalabilityResult:
     single_broker: bool = False
     disconnects: int = 0
     catchup_count: int = 0
+    violations: List[str] = field(default_factory=list)
 
     @property
     def efficiency(self) -> float:
@@ -99,7 +114,13 @@ def prepare_scalability(
     single_broker: bool = False,
     batch_window_ms: float = 0.0,
 ) -> ScalabilitySetup:
-    """Build the Figure-4 topology and workload without running it."""
+    """Build one bar of Figure 4 without running it.
+
+    Churn defaults are time-compressed relative to the paper (which
+    used 300 s period / 5 s down over long runs) with the same
+    down-to-period ratio, so the steady-state fraction of subscribers
+    in catchup matches; pass the paper's values for a full-length run.
+    """
     spec = spec or PaperWorkloadSpec()
     sim = Scheduler()
     if single_broker:
@@ -140,10 +161,12 @@ def prepare_scalability(
 
 
 def drive_scalability(setup: ScalabilitySetup) -> ScalabilityResult:
-    """Run a prepared Figure-4 scenario: warmup, measure, report."""
+    """Run a prepared Figure-4 scenario: warmup, measure, judge, report."""
     sim = setup.sim
     overlay = setup.overlay
     subscribers = setup.subscribers
+    scn = Scenario(sim, overlay)
+    scn.adopt(subscribers, lambda i: overlay.shbs[i // setup.subs_per_shb])
     sim.run_until(setup.warmup_ms)
     start_events = sum(s.stats.events for s in subscribers)
     phb_busy_0 = overlay.phb.node.busy.total_busy_ms
@@ -161,10 +184,11 @@ def drive_scalability(setup: ScalabilitySetup) -> ScalabilityResult:
         setup.schedule.stop()
     for pub in setup.publishers:
         pub.stop()
-    # When churn is on, subscribers spend down-time missing events; the
-    # offered rate is reduced by the expected disconnected fraction.
+    # Under churn a subscriber misses events while away and catches up
+    # on them after it returns; catch-up deliveries count toward the
+    # achieved rate, so the full rate is the offered one.
     offered = setup.spec.per_subscriber_rate * setup.subs_per_shb * setup.n_shbs
-    return ScalabilityResult(
+    return _judged(scn, ScalabilityResult(
         n_shbs=setup.n_shbs,
         subscribers=setup.subs_per_shb * setup.n_shbs,
         churn=setup.churn,
@@ -175,42 +199,7 @@ def drive_scalability(setup: ScalabilitySetup) -> ScalabilityResult:
         single_broker=setup.single_broker,
         disconnects=setup.schedule.disconnects if setup.schedule else 0,
         catchup_count=sum(len(s.catchup_durations_ms) for s in overlay.shbs),
-    )
-
-
-def run_scalability(
-    n_shbs: int,
-    subs_per_shb: int,
-    churn: bool = False,
-    duration_ms: float = 30_000.0,
-    warmup_ms: float = 5_000.0,
-    spec: Optional[PaperWorkloadSpec] = None,
-    churn_period_ms: float = 60_000.0,
-    churn_down_ms: float = 1_000.0,
-    single_broker: bool = False,
-    batch_window_ms: float = 0.0,
-) -> ScalabilityResult:
-    """One bar of Figure 4: aggregate subscriber rate for a topology.
-
-    Churn defaults are time-compressed relative to the paper (which
-    used 300 s period / 5 s down over long runs) with the same
-    down-to-period ratio, so the steady-state fraction of subscribers
-    in catchup matches; pass the paper's values for a full-length run.
-    """
-    return drive_scalability(
-        prepare_scalability(
-            n_shbs,
-            subs_per_shb,
-            churn=churn,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            spec=spec,
-            churn_period_ms=churn_period_ms,
-            churn_down_ms=churn_down_ms,
-            single_broker=single_broker,
-            batch_window_ms=batch_window_ms,
-        )
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +208,7 @@ def run_scalability(
 # ---------------------------------------------------------------------------
 @dataclass
 class ScaleResult:
-    """Outcome of one :func:`run_scale` point.
+    """Outcome of one :func:`drive_scale` point.
 
     ``matched_pairs`` counts (event, subscriber) pairs the SHBs logged
     to their PFSs — the durable fan-out work the system performs for a
@@ -310,9 +299,6 @@ def prepare_scale(
     regime), so each event matches ~``N_tree/n_groups`` subscribers in
     its tree.
     """
-    from ..client.publisher import PeriodicPublisher
-    from ..matching.predicates import In
-
     topo = dict(topology or scale_topology(n_subscribers))
     sim = Scheduler()
     federation = build_deep_overlay(sim, **topo, **shb_kwargs)  # type: ignore[arg-type]
@@ -371,8 +357,6 @@ def drive_scale(setup: ScaleSetup) -> ScaleResult:
     → match at every SHB → PFS-log each matched subscriber → deliver to
     the connected clients.
     """
-    import time as _time
-
     sim = setup.sim
     federation = setup.federation
     sim.run_until(setup.warmup_ms)
@@ -385,9 +369,9 @@ def drive_scale(setup: ScaleSetup) -> ScaleResult:
     stop_at = setup.warmup_ms + publish_ms
     for pub in setup.publishers:
         sim.at(stop_at, pub.stop)
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     sim.run_until(stop_at + setup.drain_ms)
-    drive_wall_s = _time.perf_counter() - t0
+    drive_wall_s = time.perf_counter() - t0
     records = sum(s.pfs.writes for s in shbs) - writes_0
     pfs_bytes = sum(s.pfs.bytes_written for s in shbs) - bytes_0
     # Invert the record format (8 + 16n bytes): n summed over records.
@@ -409,11 +393,6 @@ def drive_scale(setup: ScaleSetup) -> ScaleResult:
     )
 
 
-def run_scale(n_subscribers: int, **kwargs: object) -> ScaleResult:
-    """Build and run one scale point (see :func:`prepare_scale`)."""
-    return drive_scale(prepare_scale(n_subscribers, **kwargs))
-
-
 # ---------------------------------------------------------------------------
 # End-to-end latency (Section 5 summary result 1)
 # ---------------------------------------------------------------------------
@@ -425,6 +404,7 @@ class LatencyResult:
     p99_ms: float
     logging_mean_ms: float       # publish -> durable at the PHB
     samples: int
+    violations: List[str] = field(default_factory=list)
 
 
 def run_latency(
@@ -445,16 +425,13 @@ def run_latency(
     latencies: List[float] = []
 
     machine = Node(sim, "client")
-    from ..matching.predicates import Everything
-
     sub = DurableSubscriber(
         sim, "s1", machine, Everything(),
         on_event=lambda msg: latencies.append(sim.now - msg.event.attributes["pub_time"]),
     )
     sub.connect(overlay.shbs[0])
-
-    from ..client.publisher import PeriodicPublisher
-
+    scn = Scenario(sim, overlay)
+    scn.adopt([sub], lambda i: overlay.shbs[0])
     pub = PeriodicPublisher(
         sim, overlay.phb, "P1", rate_per_s,
         attribute_fn=lambda i: {"group": 0, "pub_time": sim.now},
@@ -465,14 +442,14 @@ def run_latency(
     pub.stop()
     sim.run_until(duration_ms + 2_000.0)
     logging = overlay.phb.pubends["P1"].log_latency_ms
-    return LatencyResult(
+    return _judged(scn, LatencyResult(
         hops=n_intermediates + 2,
         mean_ms=sum(latencies) / len(latencies) if latencies else 0.0,
         p50_ms=percentile(latencies, 50),
         p99_ms=percentile(latencies, 99),
         logging_mean_ms=sum(logging) / len(logging) if logging else 0.0,
         samples=len(latencies),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +478,7 @@ class LatencyTraceResult:
     catchup_samples: int
     span_histograms: Dict[str, Dict[str, object]]
     export: Dict[str, object]
+    violations: List[str] = field(default_factory=list)
 
 
 def run_latency_trace(
@@ -523,12 +501,6 @@ def run_latency_trace(
     reconnecting durable subscriber actually experiences (it includes
     the disconnected span).
     """
-    from ..client.publisher import PeriodicPublisher
-    from ..matching.predicates import Everything
-    from ..metrics.histogram import LatencyHistogram
-    from ..metrics.report import export_json
-    from ..metrics.trace import E2E_CATCHUP_LAG, E2E_PUBLISH_DELIVER, install_tracer
-
     sim = Scheduler()
     tracer = install_tracer(sim, sample_rate, seed=seed)
     overlay = build_chain(sim, ["P1"], n_intermediates=n_intermediates)
@@ -540,6 +512,8 @@ def run_latency_trace(
     churner.connect(shb)
     sim.at(disconnect_at_ms, churner.disconnect)
     sim.at(reconnect_at_ms, lambda: churner.connect(shb))
+    scn = Scenario(sim, overlay)
+    scn.adopt([steady, churner], lambda i: shb)
 
     pub = PeriodicPublisher(
         sim, overlay.phb, "P1", rate_per_s,
@@ -573,7 +547,7 @@ def run_latency_trace(
             "events_consumed_churner": churner.stats.events,
         },
     )
-    return LatencyTraceResult(
+    return _judged(scn, LatencyTraceResult(
         sample_rate=sample_rate,
         traces_started=tracer.started,
         consumes_observed=tracer.consumed,
@@ -589,7 +563,7 @@ def run_latency_trace(
             name: hist.snapshot() for name, hist in sorted(tracer.histograms.items())
         },
         export=export,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +576,7 @@ class StreamRatesResult:
     released_rate: Series
     latest_delivered_value: Series
     released_value: Series
+    violations: List[str] = field(default_factory=list)
 
 
 def run_stream_rates(
@@ -627,10 +602,12 @@ def run_stream_rates(
     shb = overlay.shbs[0]
     publishers = make_publishers(sim, overlay.phb, spec)
     subscribers = make_subscribers(sim, overlay.shbs, spec, subs)
-    ChurnSchedule(
+    churn = ChurnSchedule(
         sim, subscribers, shb_of=lambda s: shb,
         period_ms=churn_period_ms, down_ms=churn_down_ms,
     )
+    scn = Scenario(sim, overlay)
+    scn.adopt(subscribers, lambda i: shb)
     if gc_pause_ms > 0:
         sim.every(gc_period_ms, lambda: shb.node.stall(gc_pause_ms))
     pubend = spec.pubend_names()[0]
@@ -643,14 +620,15 @@ def run_stream_rates(
     sim.run_until(duration_ms)
     for pub in publishers:
         pub.stop()
+    churn.stop()
     collector.stop()
-    return StreamRatesResult(
+    return _judged(scn, StreamRatesResult(
         catchup_durations_ms=[d for _t, d in shb.catchup_durations_ms],
         latest_delivered_rate=collector.get("latestDelivered_rate"),
         released_rate=collector.get("released_rate"),
         latest_delivered_value=collector.get("latestDelivered"),
         released_value=collector.get("released"),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +646,7 @@ class FailureResult:
     normal_slope: float                 # tick-ms/s before the crash
     recovery_slope: float               # tick-ms/s while the constream nacks
     pfs_reads_reaching_last_fraction: float
-    exactly_once_ok: bool
+    violations: List[str] = field(default_factory=list)
 
 
 def run_shb_failure(
@@ -693,10 +671,9 @@ def run_shb_failure(
     subscribers = make_subscribers(
         sim, overlay.shbs, spec, n_subs, subs_per_machine=subs_per_machine
     )
-    machines: List[Node] = []
-    for sub in subscribers:
-        if sub.node not in machines:
-            machines.append(sub.node)
+    scn = Scenario(sim, overlay)
+    scn.adopt(subscribers, lambda i: shb)
+    machines = list(dict.fromkeys(sub.node for sub in subscribers))
     pubend = spec.pubend_names()[0]
 
     collector = MetricsCollector(sim, interval_ms=1000.0)
@@ -749,8 +726,7 @@ def run_shb_failure(
     ld_caught_up = slope_samples[-1][1] if slope_samples else shb.latest_delivered(pubend)
     recovery_slope = (ld_caught_up - ld_at_recover) / rec_elapsed * 1000.0
     reads = shb.pfs.reads or 1
-    ok = all(s.stats.order_violations == 0 and s.stats.gaps == 0 for s in subscribers)
-    return FailureResult(
+    return _judged(scn, FailureResult(
         latest_delivered=collector.get("latestDelivered"),
         released=collector.get("released"),
         machine_rates=[collector.get(f"machine{i + 1}_rate") for i in range(len(machines))],
@@ -761,8 +737,7 @@ def run_shb_failure(
         normal_slope=normal_slope,
         recovery_slope=float(recovery_slope),
         pfs_reads_reaching_last_fraction=shb.pfs.reads_reaching_last / reads,
-        exactly_once_ok=ok,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +750,7 @@ class JMSResult:
     consumed_rate: float          # committed consumption throughput
     commits_per_s: float
     coalesced_fraction: float
+    violations: List[str] = field(default_factory=list)
 
 
 def run_jms_autoack(
@@ -799,17 +775,17 @@ def run_jms_autoack(
     service = CheckpointCommitService(shb, n_connections=n_connections)
     publishers = make_publishers(sim, overlay.phb, spec)
     subscribers: List[JMSDurableSubscriber] = []
-    machines: List[Node] = []
     for i in range(n_subs):
-        m_idx = i // 8
-        while m_idx >= len(machines):
-            machines.append(Node(sim, f"jms-client-m{len(machines) + 1}"))
+        if i % 8 == 0:
+            machine = Node(sim, f"jms-client-m{i // 8 + 1}")
         sub = JMSDurableSubscriber(
-            sim, f"jms-s{i + 1}", machines[m_idx], spec.subscriber_predicate(i),
+            sim, f"jms-s{i + 1}", machine, spec.subscriber_predicate(i),
             ack_mode=AUTO_ACKNOWLEDGE,
         )
         sub.connect(shb)
         subscribers.append(sub)
+    scn = Scenario(sim, overlay)
+    scn.adopt(subscribers, lambda i: shb)
     sim.run_until(warmup_ms)
     consumed_0 = sum(s.events_consumed for s in subscribers)
     commits_0 = service.commits
@@ -821,13 +797,13 @@ def run_jms_autoack(
     for pub in publishers:
         pub.stop()
     total_updates = service.updates_committed + service.updates_coalesced
-    return JMSResult(
+    return _judged(scn, JMSResult(
         subscribers=n_subs,
         offered_rate=spec.per_subscriber_rate * n_subs,
         consumed_rate=consumed_rate,
         commits_per_s=commits_rate,
         coalesced_fraction=service.updates_coalesced / total_updates if total_updates else 0.0,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -843,16 +819,13 @@ _SOAK_NACK_POLICY = dict(
 )
 
 
-def _soak_start(
+def _soak_fleet(
     scn: Scenario, spec: PaperWorkloadSpec, subs_per_shb: int,
     sub_prefix: str, machine_prefix: str,
-) -> PerSubscriberWatchdog:
+) -> None:
     """What both soaks start with: ``subs_per_shb`` paper-workload
-    subscribers on every SHB, reconnect supervision, the truth
-    recorder, a per-subscriber progress watchdog (an aggregate probe
-    hides one wedged subscriber behind everyone else's advance) and a
-    knowledge probe per SHB."""
-    sim = scn.sim
+    subscribers on every SHB, reconnect supervision and the judge, with
+    a per-subscriber progress watchdog."""
     for s_idx, shb in enumerate(scn.overlay.shbs):
         for j in range(subs_per_shb):
             i = s_idx * subs_per_shb + j
@@ -860,54 +833,8 @@ def _soak_start(
                 f"{sub_prefix}{i + 1}", f"{machine_prefix}{i + 1}",
                 spec.subscriber_predicate(i), shb,
             )
-    sim.every(331.0, scn.supervise)
-    sim.every(100.0, scn.record_truth)
-    sub_watchdog = PerSubscriberWatchdog(
-        sim,
-        {s.sub_id: (lambda s=s: float(s.stats.events)) for s in scn.subscribers},
-        interval_ms=250.0,
-    )
-    for shb in scn.overlay.shbs:
-        scn.probe(shb)
-    return sub_watchdog
-
-
-def _soak_tail(
-    scn: Scenario,
-    publishers: List[object],
-    chaos: ChaosSchedule,
-    sub_watchdog: PerSubscriberWatchdog,
-    duration_ms: float,
-    grace_ms: float,
-    stall_window: Tuple[float, float],
-) -> Tuple[Optional[float], List[str], List[str]]:
-    """The tail both soaks share: publishing stops at 80% of the run,
-    which then converges through a quiet tail (extended up to
-    ``grace_ms``).  Returns the convergence time, the verdict — every
-    oracle family, convergence, and per-subscriber progress inside
-    ``stall_window`` — and the stalled subscribers."""
-    sim = scn.sim
-    sim.run_until(duration_ms * 0.8)
-    for pub in publishers:
-        pub.stop()
-    sim.run_until(duration_ms)
-    converged_at = scn.converge(duration_ms + grace_ms, 500.0)
-    chaos.stop()
-    sub_watchdog.stop()
-
-    violations = scn.verdict()
-    if converged_at is None:
-        violations.append(
-            f"no convergence within {grace_ms:.0f} ms grace after the run"
-        )
-    t0, t1 = stall_window
-    stalled = sub_watchdog.stalled_subscribers(t0, t1, behind=scn.behind())
-    for name in stalled:
-        violations.append(
-            f"subscriber {name}: no forward progress in"
-            f" [{t0:.0f}, {t1:.0f}] ms and still missing events"
-        )
-    return converged_at, violations, stalled
+    scn.sim.every(331.0, scn.supervise)
+    scn.start(watch_ms=250.0)
 
 
 @dataclass
@@ -926,9 +853,6 @@ class ChaosSoakResult:
     converged_at_ms: Optional[float]
     events_published: int
     events_delivered: int
-    duplicates: int
-    order_violations: int
-    gaps: int
     faults: List[object]                  # FaultRecords, in injection order
     violations: List[str]
     link_faults: Dict[str, object] = field(default_factory=dict)
@@ -1001,7 +925,7 @@ def run_chaos_soak(
     publishers = make_publishers(sim, overlay.phb, spec)
 
     scn = Scenario(sim, overlay)
-    sub_watchdog = _soak_start(scn, spec, subs_per_shb, "cs", "chaos-m")
+    _soak_fleet(scn, spec, subs_per_shb, "cs", "chaos-m")
     subscribers = scn.subscribers
     for sub in subscribers:
         # A machine crash kills the app process: its CT rolls back
@@ -1029,10 +953,12 @@ def run_chaos_soak(
         stalls=stalls, client_crashes=client_crashes, max_down_ms=max_down_ms,
     )
 
-    converged_at, violations, stalled = _soak_tail(
-        scn, publishers, chaos, sub_watchdog, duration_ms, grace_ms,
-        stall_window=(quiet_start, duration_ms),
-    )
+    sim.run_until(duration_ms * 0.8)
+    for pub in publishers:
+        pub.stop()
+    sim.run_until(duration_ms)
+    violations = scn.finish(duration_ms + grace_ms, stall_window=(quiet_start, duration_ms))
+    chaos.stop()
     for wd in watchdogs:
         wd.stop()
         if not wd.progressed_between(quiet_start, duration_ms):
@@ -1056,19 +982,16 @@ def run_chaos_soak(
         seed=seed,
         duration_ms=duration_ms,
         fault_horizon_ms=fault_horizon,
-        converged_at_ms=converged_at,
+        converged_at_ms=scn.converged_at,
         events_published=sum(p.published for p in publishers),
         events_delivered=sum(s.stats.events for s in subscribers),
-        duplicates=sum(s.duplicate_events for s in subscribers),
-        order_violations=sum(s.stats.order_violations for s in subscribers),
-        gaps=sum(s.stats.gaps for s in subscribers),
         faults=list(chaos.records),
         violations=violations,
         link_faults=link_stats(sim).snapshot(),
         curiosity=curiosity_counters,
         disk=disk_counters,
         longest_stall_ms=max((wd.longest_stall_ms for wd in watchdogs), default=0.0),
-        stalled_subscribers=stalled,
+        stalled_subscribers=scn.stalled,
     )
 
 
@@ -1147,7 +1070,7 @@ def run_migration_soak(
     publishers = make_publishers(sim, overlay.phb, spec)
 
     scn = Scenario(sim, overlay)
-    sub_watchdog = _soak_start(scn, spec, subs_per_shb, "ms", "mig-m")
+    _soak_fleet(scn, spec, subs_per_shb, "ms", "mig-m")
     subscribers = scn.subscribers
     victim = subscribers[0]  # hosted by ``source``
 
@@ -1188,16 +1111,18 @@ def run_migration_soak(
         **_SOAK_NACK_POLICY,
     )
 
-    converged_at, violations, stalled = _soak_tail(
-        scn, publishers, chaos, sub_watchdog, duration_ms, grace_ms,
-        stall_window=(t_drain, duration_ms * 0.8),
-    )
+    sim.run_until(duration_ms * 0.8)
+    for pub in publishers:
+        pub.stop()
+    sim.run_until(duration_ms)
+    violations = scn.finish(duration_ms + grace_ms, stall_window=(t_drain, duration_ms * 0.8))
+    chaos.stop()
     migrations = scn.supervisor.migrations
 
     return MigrationSoakResult(
         seed=seed,
         duration_ms=duration_ms,
-        converged_at_ms=converged_at,
+        converged_at_ms=scn.converged_at,
         events_published=sum(p.published for p in publishers),
         events_delivered=sum(s.stats.events for s in subscribers),
         joined_shb="shb-joiner",
@@ -1208,7 +1133,7 @@ def run_migration_soak(
         source_detached=bool(scn.drain is not None and scn.drain.detached),
         faults=list(chaos.records),
         violations=violations,
-        stalled_subscribers=stalled,
+        stalled_subscribers=scn.stalled,
         final_placement=scn.supervisor.placement(),
     )
 
@@ -1252,11 +1177,6 @@ def run_union_repair(seed: int, rate_per_s: float = 100.0) -> UnionRepairResult:
     the parent's copy must equal the child's union and be warm again,
     and the run must end with a clean :meth:`Scenario.verdict`.
     """
-    from ..broker.base import SUBSCRIPTION_REFRESH_MS, Broker
-    from ..client.publisher import PeriodicPublisher
-    from ..matching.predicates import Eq
-    from ..net.link import FaultSpec
-
     rng = random.Random(f"union-repair:{seed}")
     sim = Scheduler()
     overlay = build_tree(sim, ["P1"], [2, 2])
@@ -1268,9 +1188,7 @@ def run_union_repair(seed: int, rate_per_s: float = 100.0) -> UnionRepairResult:
         for group in (2 * s_idx, 2 * s_idx + 1):
             scn.subscriber(f"ur{group + 1}", f"ur-m{group + 1}", Eq("group", group), shb)
     sim.every(331.0, scn.supervise)
-    sim.every(100.0, scn.record_truth)
-    for shb in shbs:
-        scn.probe(shb)
+    scn.start()
 
     repair_ms = 2 * SUBSCRIPTION_REFRESH_MS
     #: (from_ms, until_ms, groups) publishing windows to skip.
@@ -1357,16 +1275,13 @@ def run_union_repair(seed: int, rate_per_s: float = 100.0) -> UnionRepairResult:
     end = at + repair_ms + SUBSCRIPTION_REFRESH_MS
     sim.at(end, pub.stop)
     sim.run_until(end)
-    converged_at = scn.converge(end + 20_000.0, 500.0)
-    violations = scn.verdict()
-    if converged_at is None:
-        violations.append("no convergence within 20 s after publishing stopped")
+    violations = scn.finish(end + 20_000.0)
     return UnionRepairResult(
         seed=seed,
         corruptions=corruptions,
         unrepaired=unrepaired,
         add_lost=lost == [True],
-        converged_at_ms=converged_at,
+        converged_at_ms=scn.converged_at,
         violations=violations,
     )
 
@@ -1386,12 +1301,7 @@ class AmplificationResult:
     messages_per_event: float    # transmissions per published event
     batch_size_series: Series
     msgs_per_event_series: Series
-    duplicates: int
-    order_violations: int
-
-    @property
-    def exactly_once_ok(self) -> bool:
-        return self.duplicates == 0 and self.order_violations == 0
+    violations: List[str] = field(default_factory=list)
 
 
 def run_message_amplification(
@@ -1415,9 +1325,9 @@ def run_message_amplification(
         sim, spec.pubend_names(), batch_window_ms=batch_window_ms
     )
     publishers = make_publishers(sim, overlay.phb, spec)
-    subscribers = make_subscribers(
-        sim, overlay.shbs, spec, n_subs, record_events=True
-    )
+    subscribers = make_subscribers(sim, overlay.shbs, spec, n_subs)
+    scn = Scenario(sim, overlay)
+    scn.adopt(subscribers, lambda i: overlay.shbs[0])
     collector = MetricsCollector(sim, interval_ms=1000.0)
     collector.link_batching(
         sim, lambda: float(sum(p.published for p in publishers))
@@ -1431,7 +1341,7 @@ def run_message_amplification(
 
     stats = link_stats(sim)
     published = sum(p.published for p in publishers)
-    return AmplificationResult(
+    return _judged(scn, AmplificationResult(
         batch_window_ms=batch_window_ms,
         subscribers=n_subs,
         events_published=published,
@@ -1442,6 +1352,4 @@ def run_message_amplification(
         messages_per_event=stats.transmissions / published if published else 0.0,
         batch_size_series=collector.get("link.batch_size"),
         msgs_per_event_series=collector.get("link.msgs_per_event"),
-        duplicates=sum(s.duplicate_events for s in subscribers),
-        order_violations=sum(s.stats.order_violations for s in subscribers),
-    )
+    ))

@@ -1,22 +1,28 @@
-"""The scaffold every robustness scenario is built on.
+"""The scaffold every experiment is built on and judged by.
 
-A scenario — the chaos and migration soaks in :mod:`.experiments`, the
-crash-point scenarios in :mod:`.crashpoints` — supplies a topology, a
-publisher feed and its faults.  :class:`Scenario` supplies the rest:
-recording durable subscribers with a home SHB, the ground-truth
-recorder over every PHB log, the reconnect supervisor, the scripted
-join → migrate-mid-catchup → drain handoff, the convergence loop and
-the verdict (every oracle family of :mod:`.oracles`).
+A scenario — each paper figure and the chaos and migration soaks in
+:mod:`.experiments`, the crash-point scenarios in :mod:`.crashpoints` —
+supplies a topology, a publisher feed and its faults.  :class:`Scenario`
+supplies the rest: recording durable subscribers with a home SHB (its
+own, or a fleet it adopts), the ground-truth recorder over every PHB
+log, the reconnect supervisor, the scripted join →
+migrate-mid-catchup → drain handoff, the convergence loop and the
+verdict (every oracle family of :mod:`.oracles`).
+
+A paper figure runs build → ``adopt`` its fleet (which arms the
+judge) → sample its series → stop its feed → ``settle``.  Judging
+changes no modelled result: ``adopt`` only sets ``record_events``, and
+``start`` only schedules read-only callbacks on the scheduler.
 
 It is a toolbox, not a fixed sequence: callbacks scheduled for the same
 instant fire in registration order and the crash-point census counts
-firings, so each scenario registers ``record_truth``, ``probe``,
+firings, so each scenario registers ``start``, ``probe``,
 ``script_handoff`` and ``supervise`` itself, in the order it needs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..broker.base import Broker
 from ..broker.shb import SubscriberHostingBroker
@@ -24,10 +30,44 @@ from ..client.publisher import ReliablePublisher
 from ..client.subscriber import DurableSubscriber
 from ..net.node import Node
 from ..net.simtime import Scheduler
+from ..workloads.generator import PaperWorkloadSpec
+from .failures import PerSubscriberWatchdog
 from .oracles import KnowledgeMonotonicityProbe, check_all
 from .supervisor import DrainHandle, Supervisor
 
-__all__ = ["Scenario"]
+__all__ = ["Scenario", "make_subscribers"]
+
+#: Simulated time a paper figure's drain (:meth:`Scenario.settle`) may
+#: take to converge.
+SETTLE_LIMIT_MS = 600_000.0
+
+
+def make_subscribers(
+    scheduler: Scheduler,
+    shbs: Sequence[SubscriberHostingBroker],
+    spec: PaperWorkloadSpec,
+    subs_per_shb: int,
+    subs_per_machine: int = 8,
+    connect: bool = True,
+) -> List[DurableSubscriber]:
+    """Create (and connect) ``subs_per_shb`` paper-workload durable
+    subscribers on every SHB, spread over sim client machines.
+
+    The failure experiment runs 8 subscribers per client machine; the
+    same layout is used everywhere so client CPU is modelled uniformly.
+    """
+    subscribers: List[DurableSubscriber] = []
+    for shb in shbs:
+        for i in range(subs_per_shb):
+            if i % subs_per_machine == 0:
+                machine = Node(scheduler, f"client-{shb.name}-m{i // subs_per_machine + 1}")
+            sub = DurableSubscriber(
+                scheduler, f"{shb.name}-s{i + 1}", machine, spec.subscriber_predicate(i)
+            )
+            if connect:
+                sub.connect(shb)
+            subscribers.append(sub)
+    return subscribers
 
 
 class Scenario:
@@ -44,10 +84,19 @@ class Scenario:
         self.publishers: List[ReliablePublisher] = []
         #: event_id -> (tick, attributes) of everything durably logged.
         self.truth: Dict[str, Tuple[int, Dict[str, object]]] = {}
+        #: PHB event log -> the highest tick ``record_truth`` has read.
+        self._truth_cursor: Dict[object, int] = {}
+        #: predicate -> (len(truth) when computed, ``expected`` of it).
+        self._expected: Dict[object, Tuple[int, Dict[str, int]]] = {}
         self.probes: List[KnowledgeMonotonicityProbe] = []
+        #: Set by ``start(watch_ms=...)``.
+        self.watchdog: Optional[PerSubscriberWatchdog] = None
         #: Set by ``script_handoff``.
         self.supervisor: Optional[Supervisor] = None
         self.drain: Optional[DrainHandle] = None
+        #: Set by ``finish``.
+        self.converged_at: Optional[float] = None
+        self.stalled: List[str] = []
 
     # ------------------------------------------------------------------
     # Fleet, ground truth, probes
@@ -66,26 +115,74 @@ class Scenario:
         self.home[sub_id] = shb
         return sub
 
+    def adopt(
+        self,
+        subscribers: Sequence[DurableSubscriber],
+        home_of: Callable[[int], SubscriberHostingBroker],
+    ) -> None:
+        """Judge a fleet built elsewhere (``make_subscribers``, a JMS
+        fleet): subscriber ``i`` records its deliveries and is homed on
+        ``home_of(i)`` — nothing else about it changes — and the judge
+        is armed (:meth:`start`)."""
+        for i, sub in enumerate(subscribers):
+            sub.record_events = True
+            self.subscribers.append(sub)
+            self.home[sub.sub_id] = home_of(i)
+        self.start()
+
+    def start(self, truth_ms: float = 100.0, watch_ms: Optional[float] = None) -> None:
+        """Arm the judge: the truth recorder, with ``watch_ms`` a
+        per-subscriber progress watchdog (an aggregate probe hides one
+        wedged subscriber behind everyone else's advance), and a
+        knowledge probe per SHB — read-only callbacks on the scheduler."""
+        self.sim.every(truth_ms, self.record_truth)
+        if watch_ms is not None:
+            self.watchdog = PerSubscriberWatchdog(
+                self.sim,
+                {s.sub_id: (lambda s=s: float(s.stats.events)) for s in self.subscribers},
+                interval_ms=watch_ms,
+            )
+        for shb in self.overlay.shbs:
+            self.probe(shb)
+
     def record_truth(self) -> None:
-        """Snapshot every PHB's durable log.
+        """Record what every PHB durably logged since the last call.
 
         The durable log is the oracle for completeness, but release
         chops it from the front, so scenarios sample it well inside one
         250 ms ack interval (a tick is released only after every
-        subscriber acked it).
+        subscriber acked it).  Durable events enter a log in tick order,
+        so each log is read from a cursor; the order is asserted.
         """
         for tree in self.overlay.trees:
             for pubend in tree.phb.pubends.values():
-                for ev in pubend.log.read_range(0, 2 ** 60):
+                log = pubend.log
+                cursor = self._truth_cursor.get(log, -1)
+                for ev in log.read_range(cursor + 1, 2 ** 60):
+                    assert ev.timestamp > cursor, (pubend.name, ev.timestamp, cursor)
+                    cursor = ev.timestamp
                     self.truth.setdefault(ev.event_id, (ev.timestamp, ev.attributes))
+                assert log.max_timestamp in (None, cursor), (
+                    f"{pubend.name}: durable tick {log.max_timestamp} "
+                    f"logged out of order (read up to {cursor})"
+                )
+                self._truth_cursor[log] = cursor
 
     def expected(self, sub: DurableSubscriber) -> Dict[str, int]:
-        """event_id -> tick of every durably logged event matching sub."""
-        return {
-            eid: tick
-            for eid, (tick, attrs) in self.truth.items()
-            if sub.predicate.matches(attrs)
-        }
+        """event_id -> tick of every durably logged event matching sub.
+
+        Shared by every subscriber with the same predicate until truth
+        grows; callers must not mutate it."""
+        size = len(self.truth)
+        memo = self._expected.get(sub.predicate)
+        if memo is None or memo[0] != size:
+            memo = size, {
+                eid: tick
+                for eid, (tick, attrs) in self.truth.items()
+                if sub.predicate.matches(attrs)
+            }
+            self._expected[sub.predicate] = memo
+        return memo[1]
 
     def behind(self) -> Set[str]:
         """Subscribers still missing durable matches.  Judged against
@@ -245,3 +342,35 @@ class Scenario:
         return check_all(
             self.overlay, self.subscribers, self.expected, self.probes
         ) + self._handoff_violations()
+
+    def finish(
+        self,
+        deadline_ms: float,
+        stall_window: Optional[Tuple[float, float]] = None,
+    ) -> List[str]:
+        """Converge (until ``deadline_ms`` at most), then judge: the
+        verdict, convergence, and — with a watchdog — per-subscriber
+        progress inside ``stall_window``.  Empty means every check held."""
+        grace_ms = deadline_ms - self.sim.now
+        self.converged_at = self.converge(deadline_ms, 500.0)
+        if self.watchdog is not None:
+            self.watchdog.stop()
+        violations = self.verdict()
+        if self.converged_at is None:
+            violations.append(f"no convergence within {grace_ms:.0f} ms grace after the run")
+        if self.watchdog is not None and stall_window is not None:
+            t0, t1 = stall_window
+            self.stalled = self.watchdog.stalled_subscribers(t0, t1, behind=self.behind())
+            for name in self.stalled:
+                violations.append(
+                    f"subscriber {name}: no forward progress in"
+                    f" [{t0:.0f}, {t1:.0f}] ms and still missing events"
+                )
+        return violations
+
+    def settle(self) -> List[str]:
+        """A paper figure's judged tail, once its numbers are read and
+        its feed has stopped: everyone reconnects home, the run
+        converges, then :meth:`finish`."""
+        self.supervise()
+        return self.finish(self.sim.now + SETTLE_LIMIT_MS)

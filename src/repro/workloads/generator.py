@@ -17,15 +17,14 @@ makes the PFS record 25× smaller than per-subscriber event logging at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..broker.phb import PublisherHostingBroker
 from ..broker.shb import SubscriberHostingBroker
 from ..client.publisher import PeriodicPublisher
 from ..client.subscriber import DurableSubscriber
 from ..matching.predicates import In, Predicate
-from ..net.node import Node
-from ..net.simtime import Scheduler
+from ..port import Clock
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class PaperWorkloadSpec:
 
 
 def make_publishers(
-    scheduler: Scheduler,
+    scheduler: Clock,
     phb: PublisherHostingBroker,
     spec: PaperWorkloadSpec,
 ) -> List[PeriodicPublisher]:
@@ -80,42 +79,6 @@ def make_publishers(
     return publishers
 
 
-def make_subscribers(
-    scheduler: Scheduler,
-    shbs: Sequence[SubscriberHostingBroker],
-    spec: PaperWorkloadSpec,
-    subs_per_shb: int,
-    subs_per_machine: int = 8,
-    record_events: bool = False,
-    connect: bool = True,
-    on_event: Optional[Callable] = None,
-) -> List[DurableSubscriber]:
-    """Create (and connect) durable subscribers spread over client machines.
-
-    The failure experiment runs 8 subscribers per client machine; the
-    same layout is used everywhere so client CPU is modelled uniformly.
-    """
-    subscribers: List[DurableSubscriber] = []
-    for s_idx, shb in enumerate(shbs):
-        machines: List[Node] = []
-        for i in range(subs_per_shb):
-            m_idx = i // subs_per_machine
-            while m_idx >= len(machines):
-                machines.append(Node(scheduler, f"client-{shb.name}-m{len(machines) + 1}"))
-            sub = DurableSubscriber(
-                scheduler,
-                f"{shb.name}-s{i + 1}",
-                machines[m_idx],
-                spec.subscriber_predicate(i),
-                record_events=record_events,
-                on_event=on_event,
-            )
-            if connect:
-                sub.connect(shb)
-            subscribers.append(sub)
-    return subscribers
-
-
 class ChurnSchedule:
     """Independent periodic disconnect/reconnect churn (Section 5.1).
 
@@ -129,7 +92,7 @@ class ChurnSchedule:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: Clock,
         subscribers: Sequence[DurableSubscriber],
         shb_of: Callable[[DurableSubscriber], SubscriberHostingBroker],
         period_ms: float = 300_000.0,

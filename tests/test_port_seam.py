@@ -58,7 +58,6 @@ SIM_CLOCK_IMPORTERS = {
     "metrics/collector.py",
     "metrics/trace.py",
     "storage/disk.py",
-    "workloads/generator.py",
 }
 
 #: Protocol-package modules that still import the sim ``net.link``.

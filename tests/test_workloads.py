@@ -3,12 +3,8 @@
 import pytest
 
 from repro import Scheduler, build_two_broker
-from repro.workloads.generator import (
-    ChurnSchedule,
-    PaperWorkloadSpec,
-    make_publishers,
-    make_subscribers,
-)
+from repro.sim.scenario import make_subscribers
+from repro.workloads.generator import ChurnSchedule, PaperWorkloadSpec, make_publishers
 
 
 class TestSpec:
