@@ -1,8 +1,9 @@
 """Matcher microbenchmark: throughput and work of the counting engine.
 
 The matching engine is the per-event CPU floor at every broker role:
-the PHB and each intermediate ask ``matches_any`` per downstream link,
-and the SHB constream computes the full match set per event.  This
+the PHB and each intermediate classify each event for all downstream
+links at once (link matching), and the SHB constream computes the
+full match set per event.  This
 bench measures it on two subscription forms:
 
 * single-attribute membership subscriptions (``In("group", ...)``);
@@ -11,7 +12,7 @@ bench measures it on two subscription forms:
 
 each at 1 000, 5 000 and 10 000 subscriptions, plus a PHB-style
 fan-out filtering experiment counting the per-subscription work items
-behind ``matches_any`` under per-link aggregation.
+behind link matching over per-link aggregates.
 
 Every number is absolute.  The tables that raced this engine against
 the pre-PR-3 engine and against its own former single-event loop are
@@ -29,6 +30,7 @@ from typing import Any, Dict, List, Tuple
 from conftest import full_scale, write_result
 
 from repro.matching.engine import MatchingEngine
+from repro.matching.links import LinkIndex
 from repro.matching.predicates import And, Between, Eq, In, Predicate
 from repro.metrics.report import format_table
 
@@ -142,39 +144,36 @@ def run_matching_workload(kind: str, n_subs: int, n_events: int, seed: int = 7) 
 def run_fanout_filtering(
     n_children: int = 4, subs_per_child: int = 2000, n_events: int = 2000, seed: int = 11
 ) -> dict:
-    """PHB-style fan-out: one engine per downstream link, ``matches_any``
-    per event per link.  Subscribers draw from a shared predicate pool
-    (many subscribers want the same content), which is exactly what the
-    per-link aggregate's signature dedup + covering exploits.
+    """PHB-style fan-out: one union per downstream link in one
+    :class:`~repro.matching.links.LinkIndex`, one link match per event.
+    Subscribers draw from a shared predicate pool (many subscribers
+    want the same content), which is exactly what each link's
+    aggregate — signature dedup + covering — exploits.
 
     Work is counted in per-subscription units: the signatures the
-    aggregate's counting loop touched plus its residual evaluations.
+    index's counting loop touched plus its residual evaluations.
     Deterministic for a seed.
     """
     rng = random.Random(seed)
     pool = multi_attr_subs(200, rng)  # shared pool of distinct predicates
     events = make_events(n_events, rng)
 
-    aggregate_evals = 0
-    active_total = 0
-    subs_total = 0
+    index = LinkIndex()
+    unions = []
     for child in range(n_children):
-        subs = [
-            (f"c{child}-s{i}", rng.choice(pool)[1]) for i in range(subs_per_child)
-        ]
-        engine = _build(subs)
-        for attributes in events:
-            engine.matches_any(attributes)
-        agg = engine._aggregate.matcher
-        aggregate_evals += agg.candidates_seen + agg.residual_evals
-        active_total += engine.aggregate_active
-        subs_total += len(engine)
+        union = index.new_union()
+        for i in range(subs_per_child):
+            union.add(f"c{child}-s{i}", rng.choice(pool)[1])
+        unions.append(union)
+    for attributes in events:
+        index.links_of_batch([attributes])
+    matcher = index.matcher
     return {
         "n_links": n_children,
-        "subs_total": subs_total,
+        "subs_total": sum(len(union) for union in unions),
         "pool_size": len(pool),
-        "active_signatures": active_total,
-        "aggregate_evals": aggregate_evals,
+        "active_signatures": sum(union.aggregate_active for union in unions),
+        "aggregate_evals": matcher.candidates_seen + matcher.residual_evals,
     }
 
 
@@ -223,7 +222,7 @@ def test_counting_matcher_throughput():
     ]
     rows.append(
         [
-            f"fanout matches_any ({fan['n_links']} links x "
+            f"fanout link match ({fan['n_links']} links x "
             f"{fan['subs_total'] // fan['n_links']} subs)",
             f"{fan['aggregate_evals']:,} evals",
             f"{fan['active_signatures']} active sigs",

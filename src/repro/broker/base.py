@@ -13,10 +13,12 @@ Per-pubend traffic directions:
   :class:`~repro.core.messages.SubscriptionAdd`/``Remove`` — upstream.
 
 Subclasses implement ``_handle_from_parent`` / ``_handle_from_child``;
-the base class owns link wiring, per-child filter engines (the union of
-all subscriptions below that child), D→S filtering of knowledge against
-them (:meth:`Broker._filter_for_child`), the costed, traced forward of
-an update to a child (:meth:`Broker._forward`), the epoch-verified
+the base class owns link wiring, the per-child subscription unions (the
+union of all subscriptions below that child, each a member of the
+broker's one :class:`~repro.matching.links.LinkIndex`), D→S filtering
+of knowledge against them — one classification per update for all
+children (:class:`LinkFilter`) — the costed, traced forward of an
+update to a child (:meth:`Broker._forward`), the epoch-verified
 subscription intake from children — digest or full set — and the
 digest-or-full union refresh toward the parent
 (:meth:`Broker._send_union_up`), and crash/recovery plumbing.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core import messages as M
-from ..matching.engine import MatchingEngine
+from ..matching.links import LinkIndex, LinkUnion
 from ..matching.predicates import Predicate
 from ..metrics.trace import event_tracer
 from ..net.link import Link, LinkEnd
@@ -40,6 +42,106 @@ from .costs import DEFAULT_COSTS
 #: Period of the subscription refresh every SHB and intermediate sends
 #: its parent: one digest sync per uplink (see Broker._send_union_up).
 SUBSCRIPTION_REFRESH_MS = 2_000.0
+
+
+class LinkFilter:
+    """D→S filtering of one knowledge update toward a broker's children.
+
+    The update's D events are classified against the broker's
+    :class:`~repro.matching.links.LinkIndex` once — the first time a
+    warm child without a wildcard needs one of them — and each child's
+    update is then assembled from its link bit.  Children that keep the
+    same events of the same input share one output instance (nothing
+    on the receive path mutates a payload).
+    """
+
+    def __init__(self, broker: "Broker", update: M.KnowledgeUpdate) -> None:
+        self._broker = broker
+        self._update = update
+        self._masks: Optional[Dict[int, int]] = None
+        # (id(input), kept flags) -> (input, output); holding the input
+        # keeps its id from being reused while the entry lives.
+        self._outputs: Dict[
+            Tuple[int, Tuple[bool, ...]], Tuple[M.KnowledgeUpdate, M.KnowledgeUpdate]
+        ] = {}
+
+    def _classified(self) -> Dict[int, int]:
+        if self._masks is None:
+            events = self._update.d_events
+            masks = self._broker.links.links_of_batch([e.attributes for e in events])
+            self._masks = {e.timestamp: m for e, m in zip(events, masks)}
+        return self._masks
+
+    def for_child(
+        self, child: str, piece: Optional[M.KnowledgeUpdate] = None,
+        keep_below: int = 0,
+    ) -> M.KnowledgeUpdate:
+        """``piece`` as ``child`` should receive it: D ticks that match
+        nothing below ``child`` become S.
+
+        ``piece`` is the whole update (the default) or a part of it
+        carrying the update's own events.  A cold union (post-recovery,
+        pre-resync) must not filter: passing events the child may not
+        need is safe; hiding events it does need would be silent loss.
+
+        ``keep_below``: D events below this tick are passed unfiltered.
+        A nack whose ``refilter_below`` is set is (partly) on behalf of
+        a subscription the union below ``child`` may not include yet —
+        a reconnect-anywhere registration, or a reconnect after the SHB
+        lost its registry, racing nacks already in flight through the
+        SHB's consolidator.  Converting its events to S here would be
+        taken as "nothing matched at this tick" and silently lose them;
+        the SHB refilters the raw events against the subscription's own
+        predicate instead.
+        """
+        if piece is None:
+            piece = self._update
+        broker = self._broker
+        if not broker.child_filter_ready.get(child, True):
+            return piece
+        events = piece.d_events
+        union = broker.child_engines[child]
+        passes_all = True
+        if union.accepts_all():
+            # A wildcard below this link: every D tick passes.
+            kept: Tuple[bool, ...] = (True,) * len(events)
+        else:
+            masks = self._masks
+            bit = union.bit
+            flags = []
+            for event in events:
+                t = event.timestamp
+                if t < keep_below:
+                    flags.append(True)
+                    continue
+                if masks is None:
+                    masks = self._classified()
+                keep = bool(masks[t] & bit)
+                passes_all = passes_all and keep
+                flags.append(keep)
+            kept = tuple(flags)
+        key = (id(piece), kept)
+        shared = self._outputs.get(key)
+        if shared is not None:
+            return shared[1]
+        if passes_all and len(piece.s_ranges) <= 1 and len(piece.l_ranges) <= 1:
+            # Every D tick passes and there is nothing to coalesce: the
+            # filtered update would be a field-for-field copy.
+            out = piece
+        else:
+            out = M.KnowledgeUpdate(piece.pubend)
+            out.s_ranges = list(piece.s_ranges)
+            out.l_ranges = list(piece.l_ranges)
+            for event, keep in zip(events, kept):
+                if keep:
+                    out.d_events.append(event)
+                else:
+                    out.s_ranges.append((event.timestamp, event.timestamp))
+            # Filtering appends one single-tick S range per suppressed
+            # event; a run of non-matching events ships as one range.
+            out.coalesce()
+        self._outputs[key] = (piece, out)
+        return out
 
 
 class Broker:
@@ -61,9 +163,12 @@ class Broker:
         self.parent_name: Optional[str] = None
         self._parent_send: Optional[LinkEnd] = None
         self._child_sends: Dict[str, LinkEnd] = {}
+        #: One index over every child union's active signatures: an
+        #: update is classified for all children in one match.
+        self.links = LinkIndex()
         #: Per-child filter union: every subscription propagated up
         #: through that child.  Used to filter knowledge downstream.
-        self.child_engines: Dict[str, MatchingEngine] = {}
+        self.child_engines: Dict[str, LinkUnion] = {}
         #: Whether each child's union is trustworthy.  After this
         #: broker recovers from a crash its unions are *cold* (soft
         #: state was lost): knowledge is passed unfiltered — always
@@ -118,7 +223,7 @@ class Broker:
         if child.name in self._child_sends:
             raise ConfigurationError(f"{self.name} already wired to {child.name}")
         self._child_sends[child.name] = send_end
-        self.child_engines[child.name] = MatchingEngine()
+        self.child_engines[child.name] = self.links.new_union()
         self.child_filter_ready[child.name] = True
         recv_end.on_receive(
             lambda msg: self._handle_from_child(child.name, msg),
@@ -146,7 +251,9 @@ class Broker:
         intermediate) because it is keyed per pubend.
         """
         self._child_sends.pop(child, None)
-        self.child_engines.pop(child, None)
+        union = self.child_engines.pop(child, None)
+        if union is not None:
+            self.links.drop_union(union)
         self.child_filter_ready.pop(child, None)
         self._staged_subs.pop(child, None)
         self._applied_sub_epoch.pop(child, None)
@@ -221,54 +328,9 @@ class Broker:
 
         self.node.submit(cost_ms, send)
 
-    def _filter_for_child(
-        self, child: str, update: M.KnowledgeUpdate, keep_below: int = 0
-    ) -> M.KnowledgeUpdate:
-        """Convert D ticks that match nothing below ``child`` into S.
-
-        A cold union (post-recovery, pre-resync) must not filter:
-        passing events the child may not need is safe; hiding events it
-        does need would be silent loss.
-
-        ``keep_below``: D events below this tick are passed unfiltered.
-        A nack whose ``refilter_below`` is set is (partly) on behalf of
-        a subscription the union below ``child`` may not include yet —
-        a reconnect-anywhere registration, or a reconnect after the SHB
-        lost its registry, racing nacks already in flight through the
-        SHB's consolidator.  Converting its events to S here would be
-        taken as "nothing matched at this tick" and silently lose them;
-        the SHB refilters the raw events against the subscription's own
-        predicate instead.
-        """
-        if not self.child_filter_ready.get(child, True):
-            return update
-        engine = self.child_engines[child]
-        if engine.accepts_all() and len(update.s_ranges) <= 1 and len(update.l_ranges) <= 1:
-            # A wildcard below this link with nothing to coalesce: the
-            # filtered update would be a field-for-field copy, so ship
-            # the shared instance instead of allocating one per child
-            # (nothing on the receive path mutates a payload).
-            return update
-        out = M.KnowledgeUpdate(update.pubend)
-        out.s_ranges = list(update.s_ranges)
-        out.l_ranges = list(update.l_ranges)
-        if engine.accepts_all():
-            # A wildcard below this link: every D tick passes, no need
-            # to consult the aggregate per event.
-            out.d_events = list(update.d_events)
-            return out.coalesce()
-        # Classify the whole coalesced tick-range in one aggregate pass;
-        # keep_below events skip classification entirely.
-        pending = [e for e in update.d_events if e.timestamp >= keep_below]
-        flags = iter(engine.matches_any_batch([e.attributes for e in pending]))
-        for event in update.d_events:
-            if event.timestamp < keep_below or next(flags):
-                out.d_events.append(event)
-            else:
-                out.s_ranges.append((event.timestamp, event.timestamp))
-        # Filtering appends one single-tick S range per suppressed event;
-        # a run of non-matching events ships as one range instead.
-        return out.coalesce()
+    def _link_filter(self, update: M.KnowledgeUpdate) -> LinkFilter:
+        """The D→S filter of ``update`` for this broker's children."""
+        return LinkFilter(self, update)
 
     # ------------------------------------------------------------------
     # Message handling (subclass responsibilities)
@@ -317,9 +379,9 @@ class Broker:
         """
         if msg.epoch <= self._applied_sub_epoch.get(child, -1):
             return self.child_filter_ready.get(child, False)
-        engine = self.child_engines[child]
+        union = self.child_engines[child]
         if msg.digest is not None:
-            if (len(engine), engine.digest) != (msg.sub_count, msg.digest):
+            if (len(union), union.digest) != (msg.sub_count, msg.digest):
                 self.child_filter_ready[child] = False
                 self.send_to_child(child, M.SubscriptionResend(msg.epoch, msg.want_ack))
                 return False
@@ -328,9 +390,8 @@ class Broker:
             if len(staged) != msg.sub_count:
                 return self.child_filter_ready.get(child, False)
             # A resent set mostly re-states what we hold; diff into the
-            # live engine instead of rebuilding its indexes (and losing
-            # its match cache) from scratch.
-            engine.replace_all(staged)
+            # live union instead of rebuilding its aggregate from scratch.
+            union.replace_all(staged)
         self._applied_sub_epoch[child] = msg.epoch
         remaining = self._staged_subs.get(child)
         if remaining:
@@ -452,7 +513,7 @@ class Broker:
             # The unions were volatile: emptied, as a real restart
             # would leave them, so a child's digest can never re-warm
             # us from memory the crash should have taken.
-            self.child_engines[child] = MatchingEngine()
+            self.child_engines[child].replace_all({})
         # Staged epochs, the applied-epoch floor and a full set owed to
         # our own parent were volatile too; forgetting the floor lets a
         # child whose own epoch counter restarted (it also crashed)

@@ -7,9 +7,10 @@ curiosity streams consolidate nacks from multiple SHBs."*
 An intermediate broker sits between the PHB and a set of children.  It
 keeps a bounded in-memory knowledge cache per pubend; head knowledge is
 forwarded downstream per child with D→S filtering against that child's
-subscription union, and nacks from below are answered from the cache
-where possible, consolidated (one upstream nack per range per retry
-window) otherwise.  Nack replies arriving from upstream are routed only
+subscription union (each update classified once for all children, see
+:class:`~repro.broker.base.LinkFilter`), and nacks from below are
+answered from the cache where possible, consolidated (one upstream nack
+per range per retry window) otherwise.  Nack replies arriving from upstream are routed only
 to the children whose registered interest intersects them.
 """
 
@@ -27,7 +28,7 @@ from ..matching.predicates import Predicate
 from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.intervals import IntervalSet
-from .base import SUBSCRIPTION_REFRESH_MS, Broker
+from .base import SUBSCRIPTION_REFRESH_MS, Broker, LinkFilter
 
 #: Releases are re-reported upstream at this period (see ``__init__``).
 RELEASE_RESEND_MS = 1_000.0
@@ -170,27 +171,37 @@ class IntermediateBroker(Broker):
             return
         hi = bounds[1]
         t0 = self.scheduler.now  # relay intake time, for forward spans
+        links = self._link_filter(update)
+        # Children at the same cursor share one split (and so, with the
+        # same link bits, one filtered instance).
+        splits: Dict[int, Tuple[M.KnowledgeUpdate, M.KnowledgeUpdate]] = {}
         for child in self.child_names:
             cursor = relay.sent_cursor.get(child, 0)
-            old, new = M.split_update(update, cursor, bounds)
+            split = splits.get(cursor)
+            if split is None:
+                split = splits[cursor] = M.split_update(update, cursor, bounds)
+            old, new = split
             if not new.is_empty():
-                filtered = self._filter_for_child(child, new)
+                filtered = links.for_child(child, new)
                 relay.sent_cursor[child] = max(cursor, hi)
                 cost = self.costs.forward_per_link_event_ms * max(1, len(new.d_events))
                 self._forward(child, filtered, cost, t0, SPAN_INTERMEDIATE_FORWARD)
             if not old.is_empty():
-                self._route_old_knowledge(relay, child, old)
+                self._route_old_knowledge(relay, child, old, links)
         # Interest satisfied for everything this update covered.
         relay.consolidator.satisfy_update(update)
 
-    def _route_old_knowledge(self, relay: _PubendRelay, child: str, old: M.KnowledgeUpdate) -> None:
+    def _route_old_knowledge(
+        self, relay: _PubendRelay, child: str, old: M.KnowledgeUpdate,
+        links: LinkFilter,
+    ) -> None:
         """Send the parts of an old update the child actually asked for."""
         interest = relay.consolidator.interest_of(child)
         if not interest:
             return
         pieces = M.clip_update_to_set(old, interest)
         if not pieces.is_empty():
-            filtered = self._filter_for_child(
+            filtered = links.for_child(
                 child, pieces, keep_below=relay.refilter_floor.get(child, 0)
             )
             cost = self.costs.forward_per_link_event_ms * max(1, len(pieces.d_events))
@@ -243,8 +254,8 @@ class IntermediateBroker(Broker):
         )
         if not reply.is_empty():
             self.cache_hits += 1
-            filtered = self._filter_for_child(
-                child, reply, keep_below=relay.refilter_floor.get(child, 0)
+            filtered = self._link_filter(reply).for_child(
+                child, keep_below=relay.refilter_floor.get(child, 0)
             )
             cost = self.costs.serve_nack_per_event_ms * max(1, len(reply.d_events))
             self._forward(
@@ -281,7 +292,7 @@ class IntermediateBroker(Broker):
     # Lossy-link resilience (periodic upstream re-sync)
     # ------------------------------------------------------------------
     def _union_summary(self) -> Optional[Tuple[int, int]]:
-        """The union of every child's, summed from the child engines'
+        """The union of every child's, summed from the child unions'
         own digests: O(children) per refresh.
 
         None while any child is cold: an incomplete union must not
@@ -291,16 +302,16 @@ class IntermediateBroker(Broker):
             return None
         if not self.child_filter_ready or not all(self.child_filter_ready.values()):
             return None
-        engines = self.child_engines.values()
+        unions = self.child_engines.values()
         return (
-            sum(len(engine) for engine in engines),
-            sum(engine.digest for engine in engines) & DIGEST_MASK,
+            sum(len(union) for union in unions),
+            sum(union.digest for union in unions) & DIGEST_MASK,
         )
 
     def _union_pairs(self) -> Iterable[Tuple[str, Predicate]]:
-        for engine in self.child_engines.values():
-            for sub_id in engine.subscription_ids():
-                yield sub_id, engine.filter_of(sub_id)  # type: ignore[misc]
+        for union in self.child_engines.values():
+            for sub_id in union.subscription_ids():
+                yield sub_id, union.filter_of(sub_id)  # type: ignore[misc]
 
     def _refresh_upstream(self) -> None:
         """Refresh the parent (:meth:`Broker._send_union_up`), carrying

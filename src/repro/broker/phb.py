@@ -207,8 +207,9 @@ class PublisherHostingBroker(Broker):
     def _disseminate(self, update: M.KnowledgeUpdate) -> None:
         t0 = self.scheduler.now  # dissemination starts at log durability
         cost = self.costs.forward_per_link_event_ms * max(1, len(update.d_events))
+        links = self._link_filter(update)
         for child in self.child_names:
-            filtered = self._filter_for_child(child, update)
+            filtered = links.for_child(child)
             if not filtered.is_empty():
                 self._forward(child, filtered, cost, t0, SPAN_PHB_FORWARD)
 
@@ -247,7 +248,7 @@ class PublisherHostingBroker(Broker):
         if reply.is_empty():
             return
         self.nacks_served += 1
-        reply = self._filter_for_child(child, reply, keep_below=nack.refilter_below)
+        reply = self._link_filter(reply).for_child(child, keep_below=nack.refilter_below)
         cost = self.costs.serve_nack_per_event_ms * max(1, len(reply.d_events))
         self._forward(child, reply, cost, self.scheduler.now, SPAN_PHB_FORWARD)
 

@@ -1,13 +1,14 @@
-"""Per-link subscription aggregation with covering detection.
+"""One child link's subscription aggregate, with covering detection.
 
-A PHB or intermediate broker asks one question per downstream link per
-event: *does any subscription below this link match?*  Evaluating every
-subscription individually makes that O(subscriptions); Gryphon-style
-deployments instead push a compact **aggregate** of the link's
-subscription set (Shi et al., *Towards Scalable Subscription
-Aggregation*).  This module keeps such an aggregate — exactly, so
-filtering decisions (and therefore delivery transcripts) are
-bit-identical to per-subscription evaluation:
+A PHB or intermediate broker filters each knowledge update toward its
+child links: a D tick nobody below a link wants is sent there as S.
+Evaluating every subscription individually makes that
+O(subscriptions); Gryphon-style deployments instead keep a compact
+**aggregate** of each link's subscription set (Shi et al., *Towards
+Scalable Subscription Aggregation*).  This module keeps one such
+aggregate per link — exactly, so filtering decisions (and therefore
+delivery transcripts) are bit-identical to per-subscription
+evaluation:
 
 * Every subscription reduces to a **signature** — its deduplicated atom
   set plus opaque residual.  Equal predicates across subscribers
@@ -15,9 +16,9 @@ bit-identical to per-subscription evaluation:
   or topics) collapse into one refcounted signature.
 * A residual-free signature ``C`` **covers** ``S`` when
   ``C.atoms ⊆ S.atoms`` — fewer conjuncts match strictly more events —
-  so ``S`` contributes nothing to ``matches_any`` while ``C`` lives.
+  so ``S`` adds nothing to the link's match set while ``C`` lives.
   Covered signatures are parked; only the minimal antichain is
-  registered with the counting matcher that answers ``matches_any``.
+  registered with the matcher that classifies events.
 * Add/remove updates are incremental: a new signature is checked
   against existing ones with a counting subset-join over shared atoms
   (never a full pairwise sweep), and removing the last reference to a
@@ -27,11 +28,17 @@ The union of the active signatures' match sets equals the union over
 all subscriptions (any parked ``S`` has a chain of ever-smaller
 residual-free coverers ending in an active one), so the aggregate is an
 *exact* summary, not an approximation.
+
+Covering and parking are per link, but the matcher is not: every link
+of a broker registers its antichain in one shared
+:class:`~repro.matching.counting.CountingMatcher` under keys
+``(link, signature)``, so one match answers for all links at once
+(:class:`~repro.matching.links.LinkIndex`, Gryphon's *link matching*).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from .counting import CountingMatcher
 from .predicates import Atom, Predicate
@@ -41,9 +48,14 @@ _WILDCARD = ("sig", frozenset(), None)
 
 
 class SubscriptionAggregate:
-    """An exact, incrementally maintained summary of a subscription set."""
+    """An exact, incrementally maintained summary of a subscription set.
 
-    def __init__(self) -> None:
+    Its active signatures live in ``matcher`` under the keys
+    ``(link, signature)``; ``matcher`` may be shared with other links'
+    aggregates.
+    """
+
+    def __init__(self, matcher: CountingMatcher, link: Hashable) -> None:
         self._sub_sig: Dict[str, Hashable] = {}
         self._refs: Dict[Hashable, int] = {}
         self._atoms: Dict[Hashable, FrozenSet[Atom]] = {}
@@ -56,8 +68,10 @@ class SubscriptionAggregate:
         self._coverers: Dict[Hashable, Dict[Hashable, None]] = {}
         # reverse edges, so deleting a coverer re-activates its wards
         self._covered_by: Dict[Hashable, Dict[Hashable, None]] = {}
-        # the active antichain, answering matches_any by counting
-        self.matcher = CountingMatcher()
+        # the active antichain is registered in the (shared) matcher
+        self._matcher = matcher
+        self._link = link
+        self.active_count = 0
         self.cover_checks = 0
 
     # -- introspection -------------------------------------------------
@@ -68,26 +82,17 @@ class SubscriptionAggregate:
     def signature_count(self) -> int:
         return len(self._refs)
 
-    @property
-    def active_count(self) -> int:
-        return len(self.matcher)
-
     def accepts_all(self) -> bool:
         """True when a wildcard subscription makes filtering pointless."""
         return _WILDCARD in self._refs
 
-    def matches_any(self, attributes: Mapping[str, Any]) -> bool:
-        return self.matches_any_batch([attributes])[0]
+    def _activate(self, key: Hashable) -> None:
+        self._matcher.add((self._link, key), self._atom_order[key], self._residual[key])
+        self.active_count += 1
 
-    def matches_any_batch(self, batch: Sequence[Mapping[str, Any]]) -> List[bool]:
-        """Per-event :meth:`matches_any` answers for a whole batch.
-
-        PHB/intermediate child filtering classifies a coalesced
-        tick-range in one pass; the antichain matcher amortizes index
-        probes and candidate plans across the batch
-        (:meth:`~repro.matching.counting.CountingMatcher.matches_any_batch`).
-        """
-        return self.matcher.matches_any_batch(batch)
+    def _deactivate(self, key: Hashable) -> None:
+        self._matcher.remove((self._link, key))
+        self.active_count -= 1
 
     # -- updates -------------------------------------------------------
     def add(self, sub_id: str, atoms: Tuple[Atom, ...], residual: Optional[Predicate]) -> None:
@@ -118,7 +123,7 @@ class SubscriptionAggregate:
         for c in coverers:
             self._covered_by[c][key] = None
         if not coverers:
-            self.matcher.add(key, self._atom_order[key], residual)
+            self._activate(key)
 
     def remove(self, sub_id: str) -> None:
         key = self._sub_sig.pop(sub_id, None)
@@ -129,6 +134,9 @@ class SubscriptionAggregate:
             self._refs[key] = refs
             return
         del self._refs[key]
+        coverers = self._coverers.pop(key)
+        if not coverers:
+            self._deactivate(key)
         atoms = self._atom_order.pop(key)
         del self._atoms[key]
         del self._residual[key]
@@ -138,17 +146,14 @@ class SubscriptionAggregate:
                 sigs.pop(key, None)
                 if not sigs:
                     del self._atom_sigs[atom]
-        coverers = self._coverers.pop(key)
-        if not coverers:
-            self.matcher.remove(key)
-        else:
+        if coverers:
             for c in coverers:
                 self._covered_by[c].pop(key, None)
         for ward in self._covered_by.pop(key, {}):
             coverers = self._coverers[ward]
             del coverers[key]
             if not coverers:
-                self.matcher.add(ward, self._atom_order[ward], self._residual[ward])
+                self._activate(ward)
 
     # -- covering ------------------------------------------------------
     def _find_coverers(self, key: Hashable, atom_set: FrozenSet[Atom]) -> Dict[Hashable, None]:
@@ -199,5 +204,5 @@ class SubscriptionAggregate:
             wards[sig] = None
             coverers = self._coverers[sig]
             if not coverers:
-                self.matcher.remove(sig)
+                self._deactivate(sig)
             coverers[key] = None

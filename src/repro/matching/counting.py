@@ -29,8 +29,10 @@ subscriptions sharing them — independent of the total subscription
 count for selective workloads.
 
 Keys are opaque hashables: the :class:`~repro.matching.engine
-.MatchingEngine` counts subscription ids, the per-link aggregate counts
-deduplicated conjunction signatures.
+.MatchingEngine` counts subscription ids, a broker's
+:class:`~repro.matching.links.LinkIndex` counts ``(link, signature)``
+pairs — every child link's deduplicated conjunction signatures in one
+index.
 
 The matcher works on *streams* of events: its two entry points,
 :meth:`CountingMatcher.match_batch` and
@@ -329,6 +331,10 @@ class CountingMatcher:
     def atom_count(self) -> int:
         """Distinct (interned) atoms currently indexed."""
         return len(self._entries)
+
+    def accepts_all(self) -> bool:
+        """True when some key matches every event (no atoms, no residual)."""
+        return any(key not in self._residuals for key in self._always)
 
     @property
     def scan_count(self) -> int:

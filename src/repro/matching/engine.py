@@ -1,33 +1,29 @@
 """The matching engine: which subscriptions does this event match?
 
-Brokers evaluate many subscriptions per event: an SHB hosting hundreds
-of durable subscribers must compute, for every event in the constream,
-the full set of matching subscriber ids (that set is exactly what the
-PFS logs).  Intermediate brokers only need the yes/no question "does
-*any* downstream subscription match" to filter a knowledge stream.
-
-Both questions are answered by the counting matcher
-(:mod:`repro.matching.counting`): every predicate is decomposed into
-indexable per-attribute atoms plus an opaque residual, atoms are
-interned and indexed per attribute (hash for equalities, sorted bounds
-for ranges), and an event matches a subscription when it satisfies all
-of its atoms — determined by counting, not by re-walking predicate
-trees.  Only fully opaque predicates land in the (now rare) scan
-bucket, as zero-atom entries that are candidates for every event.
+An SHB hosting hundreds of durable subscribers must compute, for every
+event in the constream, the full set of matching subscriber ids (that
+set is exactly what the PFS logs).  :class:`MatchingEngine` answers it
+with the counting matcher (:mod:`repro.matching.counting`): every
+predicate is decomposed into indexable per-attribute atoms plus an
+opaque residual, atoms are interned and indexed per attribute (hash
+for equalities, sorted bounds for ranges), and an event matches a
+subscription when it satisfies all of its atoms — determined by
+counting, not by re-walking predicate trees.  Only fully opaque
+predicates land in the (now rare) scan bucket, as zero-atom entries
+that are candidates for every event.
 
 A broker handles *streams*: the SHB's constream pump hands over a whole
-live run, a PHB or intermediate a coalesced tick-range.  The ``*_batch``
-methods are therefore the algorithm; ``match`` / ``matches_any`` /
-``match_at`` are the batch of one and share its probe cache, signature
-memo and counters.
+live run.  The ``*_batch`` methods are therefore the algorithm;
+``match`` / ``matches_any`` / ``match_at`` are the batch of one and
+share its probe cache, signature memo and counters.
 
-``matches_any`` — the per-downstream-link question — is answered by a
-:class:`~repro.matching.aggregate.SubscriptionAggregate`: equal
-predicates collapse into refcounted signatures and broader residual-free
-signatures absorb narrower ones, so a link with thousands of
-subscriptions is typically filtered against a handful of active
-signatures.  Since each child link has its own engine, this gives
-per-link aggregation for free.
+PHBs and intermediates ask a different question — which child links
+want this event — and answer it without a per-subscription index:
+each child's union is a :class:`~repro.matching.links.LinkUnion`, and
+one :class:`~repro.matching.links.LinkIndex` per broker classifies an
+event for all of its links in one match.  Both kinds of registry share
+:class:`SubscriptionSet`: the ``sub_id -> predicate`` map and its
+order-independent digest.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from typing import (
     Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-from .aggregate import SubscriptionAggregate
 from .counting import CountingMatcher
 from .predicates import Atom, Predicate
 
@@ -115,25 +110,28 @@ def decompose_safe(predicate: Predicate) -> Tuple[Tuple[Atom, ...], Optional[Pre
     return atoms, residual
 
 
-class MatchingEngine:
-    """A mutable registry of ``subscription_id -> Predicate``."""
+class SubscriptionSet:
+    """A mutable registry of ``subscription_id -> Predicate``.
+
+    Subclasses index what they match on through :meth:`_index` /
+    :meth:`_unindex`, called with the decomposed predicate.
+    """
 
     def __init__(self) -> None:
         self._filters: Dict[str, Predicate] = {}
-        self._counting = CountingMatcher()
-        self._aggregate = SubscriptionAggregate()
-        # event id -> (attributes, frozen match result).  FIFO-bounded;
-        # add/remove repair entries in place instead of dropping them.
-        self._match_cache: "OrderedDict[str, Tuple[Mapping[str, Any], FrozenSet[str]]]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
         # Registry digest (see pair_digest): computed on first read,
         # then kept up to date by add/remove.
         self._digest: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # Registry
-    # ------------------------------------------------------------------
+    def _index(
+        self, sub_id: str, predicate: Predicate,
+        atoms: Tuple[Atom, ...], residual: Optional[Predicate],
+    ) -> None:
+        raise NotImplementedError
+
+    def _unindex(self, sub_id: str) -> None:
+        raise NotImplementedError
+
     def add(self, sub_id: str, predicate: Predicate) -> None:
         """Register (or replace) a subscription's filter."""
         if sub_id in self._filters:
@@ -142,13 +140,7 @@ class MatchingEngine:
         if self._digest is not None:
             self._digest = (self._digest + pair_digest(sub_id, predicate)) & DIGEST_MASK
         atoms, residual = decompose_safe(predicate)
-        self._counting.add(sub_id, atoms, residual)
-        self._aggregate.add(sub_id, atoms, residual)
-        # A new subscription can only *extend* cached match sets; one
-        # predicate evaluation per cached event keeps the cache warm.
-        for event_id, (attrs, result) in self._match_cache.items():
-            if predicate.matches(attrs):
-                self._match_cache[event_id] = (attrs, result | {sub_id})
+        self._index(sub_id, predicate, atoms, residual)
 
     def remove(self, sub_id: str) -> None:
         """Unregister a subscription (no-op when absent)."""
@@ -157,21 +149,15 @@ class MatchingEngine:
             return
         if self._digest is not None:
             self._digest = (self._digest - pair_digest(sub_id, predicate)) & DIGEST_MASK
-        self._counting.remove(sub_id)
-        self._aggregate.remove(sub_id)
-        # Removal can only *shrink* cached match sets — no predicate
-        # evaluation needed at all.
-        for event_id, (attrs, result) in self._match_cache.items():
-            if sub_id in result:
-                self._match_cache[event_id] = (attrs, result - {sub_id})
+        self._unindex(sub_id)
 
     def replace_all(self, filters: Mapping[str, Predicate]) -> None:
         """Make the registry equal ``filters`` by applying deltas only.
 
-        Used by epoch-verified ``SubscriptionSync``: a periodic refresh
-        usually re-states the same subscription set, so swapping in a
-        freshly built engine (and losing every index and cache) is
-        wasted work — diffing touches nothing when nothing changed.
+        Used by epoch-verified ``SubscriptionSync``: a resent set
+        usually re-states the same subscriptions, so rebuilding (and
+        losing every index and cache) is wasted work — diffing touches
+        nothing when nothing changed.
         """
         for sub_id in [s for s in self._filters if s not in filters]:
             self.remove(sub_id)
@@ -200,6 +186,38 @@ class MatchingEngine:
             self._digest = union_digest(self._filters.items())
         return self._digest
 
+
+class MatchingEngine(SubscriptionSet):
+    """Per-subscription matching: a counting index plus a match cache."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._counting = CountingMatcher()
+        # event id -> (attributes, frozen match result).  FIFO-bounded;
+        # add/remove repair entries in place instead of dropping them.
+        self._match_cache: "OrderedDict[str, Tuple[Mapping[str, Any], FrozenSet[str]]]" = OrderedDict()
+        self.cache_hits = 0
+        self.cache_misses = 0
+
+    def _index(
+        self, sub_id: str, predicate: Predicate,
+        atoms: Tuple[Atom, ...], residual: Optional[Predicate],
+    ) -> None:
+        self._counting.add(sub_id, atoms, residual)
+        # A new subscription can only *extend* cached match sets; one
+        # predicate evaluation per cached event keeps the cache warm.
+        for event_id, (attrs, result) in self._match_cache.items():
+            if predicate.matches(attrs):
+                self._match_cache[event_id] = (attrs, result | {sub_id})
+
+    def _unindex(self, sub_id: str) -> None:
+        self._counting.remove(sub_id)
+        # Removal can only *shrink* cached match sets — no predicate
+        # evaluation needed at all.
+        for event_id, (attrs, result) in self._match_cache.items():
+            if sub_id in result:
+                self._match_cache[event_id] = (attrs, result - {sub_id})
+
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
@@ -208,19 +226,13 @@ class MatchingEngine:
         return self.match_batch([attributes])[0]
 
     def matches_any(self, attributes: Mapping[str, Any]) -> bool:
-        """True if at least one registered subscription matches.
-
-        This is the question a PHB or intermediate broker asks per
-        downstream link; it is answered by the link's aggregate — the
-        active covering signatures — not by trying subscriptions one
-        by one.
-        """
+        """True if at least one registered subscription matches."""
         return self.matches_any_batch([attributes])[0]
 
     def accepts_all(self) -> bool:
         """True when a wildcard subscription is registered, so every
-        event matches and per-event filtering can be skipped outright."""
-        return self._aggregate.accepts_all()
+        event matches."""
+        return self._counting.accepts_all()
 
     def match_at(self, event_id: str, attributes: Mapping[str, Any]) -> FrozenSet[str]:
         """Like :meth:`match`, memoized by the event's identity.
@@ -242,7 +254,7 @@ class MatchingEngine:
 
     def matches_any_batch(self, batch: Sequence[Mapping[str, Any]]) -> List[bool]:
         """Per-event :meth:`matches_any` answers for a whole batch."""
-        return self._aggregate.matches_any_batch(batch)
+        return self._counting.matches_any_batch(batch)
 
     def match_at_batch(
         self, items: Sequence[Tuple[str, Mapping[str, Any]]]
@@ -328,21 +340,3 @@ class MatchingEngine:
     def scan_count(self) -> int:
         """Subscriptions resident in the opaque scan bucket."""
         return self._counting.scan_count
-
-    @property
-    def aggregate_signatures(self) -> int:
-        """Deduplicated subscription signatures in the link aggregate."""
-        return self._aggregate.signature_count
-
-    @property
-    def aggregate_active(self) -> int:
-        """Signatures actually consulted by ``matches_any`` (the
-        covering antichain); the rest are absorbed by broader ones."""
-        return self._aggregate.active_count
-
-    @property
-    def aggregate_evals(self) -> int:
-        """Work done answering ``matches_any``: atom probes plus
-        residual evaluations inside the aggregate's matcher."""
-        m = self._aggregate.matcher
-        return m.atoms_examined + m.residual_evals

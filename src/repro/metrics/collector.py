@@ -202,9 +202,7 @@ class MetricsCollector:
         * ``<prefix>.residual_evals_per_event`` — opaque predicate
           evaluations per match call (scan-bucket + residual pressure);
         * ``<prefix>.scan_subs`` — subscriptions resident in the opaque
-          scan bucket;
-        * ``<prefix>.aggregate_active`` — covering signatures actually
-          consulted by ``matches_any`` (vs. registered subscriptions).
+          scan bucket.
         """
         events = lambda: float(engine.events_processed)  # noqa: E731
         self.ratio(
@@ -221,8 +219,13 @@ class MetricsCollector:
             events,
         )
         self.gauge(f"{prefix}.scan_subs", lambda: float(engine.scan_count))
+
+    def link_union(self, prefix: str, union) -> None:
+        """Register ``<prefix>.aggregate_active`` for one child link's
+        union: the covering signatures it keeps in its broker's link
+        index (vs. the subscriptions registered below the link)."""
         self.gauge(
-            f"{prefix}.aggregate_active", lambda: float(engine.aggregate_active)
+            f"{prefix}.aggregate_active", lambda: float(union.aggregate_active)
         )
 
     # ------------------------------------------------------------------

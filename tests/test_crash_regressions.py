@@ -67,11 +67,11 @@ class TestNackRefilterBelowHonored:
     def _phb_with_child(self):
         sim = Scheduler()
         phb = PublisherHostingBroker(sim, "phb")
-        from repro.matching.engine import MatchingEngine
+        from repro.broker.base import Broker
+        from repro.broker.intermediate import IntermediateBroker
 
-        phb.child_engines["c1"] = MatchingEngine()
-        phb.child_engines["c1"].add("s1", Eq("group", 0))
-        phb.child_filter_ready["c1"] = True
+        Broker.connect(phb, IntermediateBroker(sim, "c1"))
+        phb._handle_from_child("c1", M.SubscriptionAdd("s1", Eq("group", 0)))
         return phb
 
     def _update(self):
@@ -84,7 +84,7 @@ class TestNackRefilterBelowHonored:
 
     def test_d_events_below_keep_below_pass_unfiltered(self):
         phb = self._phb_with_child()
-        out = phb._filter_for_child("c1", self._update(), keep_below=10)
+        out = phb._link_filter(self._update()).for_child("c1", keep_below=10)
         # Tick 5 is below the refilter boundary: the requesting
         # subscription may not be in the union yet, so the event must
         # travel even though the union matches nothing at it.  Tick 50
@@ -94,7 +94,7 @@ class TestNackRefilterBelowHonored:
 
     def test_without_keep_below_both_filtered(self):
         phb = self._phb_with_child()
-        out = phb._filter_for_child("c1", self._update())
+        out = phb._link_filter(self._update()).for_child("c1")
         assert out.d_events == []
 
     def test_serve_path_threads_refilter_below(self, census_points):
@@ -192,7 +192,9 @@ class TestSuspectRegistryMode:
         # still matches the lost subscription's events, so live D ticks
         # keep flowing instead of being converted to silence.
         child = overlay.phb.child_names[0]
-        assert overlay.phb.child_engines[child].matches_any({"group": 0})
+        union = overlay.phb.child_engines[child]
+        [mask] = overlay.phb.links.links_of_batch([{"group": 0}])
+        assert mask & union.bit
 
     def test_suspect_clears_on_reregistration(self):
         sim, overlay, shb, subscriber = self._overlay()

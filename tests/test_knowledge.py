@@ -315,22 +315,28 @@ class TestBatchFilterRefilterBoundary:
     """
 
     def _phb_with_child(self, match_g=0):
+        from repro.broker.base import Broker
+        from repro.broker.intermediate import IntermediateBroker
         from repro.broker.phb import PublisherHostingBroker
-        from repro.matching.engine import MatchingEngine
+        from repro.core.messages import SubscriptionAdd
         from repro.matching.predicates import Eq
         from repro.net.simtime import Scheduler
-        phb = PublisherHostingBroker(Scheduler(), "phb")
-        phb.child_engines["c1"] = MatchingEngine()
-        phb.child_engines["c1"].add("s1", Eq("g", match_g))
-        phb.child_filter_ready["c1"] = True
+        sim = Scheduler()
+        phb = PublisherHostingBroker(sim, "phb")
+        Broker.connect(phb, IntermediateBroker(sim, "c1"))
+        phb._handle_from_child("c1", SubscriptionAdd("s1", Eq("g", match_g)))
         return phb
+
+    @staticmethod
+    def _filter(phb, update, keep_below=0):
+        return phb._link_filter(update).for_child("c1", keep_below=keep_below)
 
     def test_batch_splits_at_keep_below(self):
         # g = t % 4, child wants g == 0.  Ticks 4..8 with keep_below=6:
         # 4 and 5 pass unfiltered (5 would NOT match), 6 and 7 are
         # filtered to S, 8 matches and stays D.
         phb = self._phb_with_child()
-        out = phb._filter_for_child("c1", upd(d=[4, 5, 6, 7, 8]), keep_below=6)
+        out = self._filter(phb, upd(d=[4, 5, 6, 7, 8]), keep_below=6)
         assert [e.timestamp for e in out.d_events] == [4, 5, 8]
         assert out.s_ranges == [(6, 7)]
 
@@ -338,10 +344,10 @@ class TestBatchFilterRefilterBoundary:
         # keep_below is exclusive: the tick *at* the boundary goes
         # through the matcher (here g=2 does not match, so it turns S).
         phb = self._phb_with_child()
-        out = phb._filter_for_child("c1", upd(d=[6]), keep_below=6)
+        out = self._filter(phb, upd(d=[6]), keep_below=6)
         assert out.d_events == []
         assert out.s_ranges == [(6, 6)]
-        out = phb._filter_for_child("c1", upd(d=[6]), keep_below=7)
+        out = self._filter(phb, upd(d=[6]), keep_below=7)
         assert [e.timestamp for e in out.d_events] == [6]
         assert out.s_ranges == []
 
@@ -349,14 +355,14 @@ class TestBatchFilterRefilterBoundary:
         # The suppressed tick is adjacent to carried S knowledge on both
         # sides: one maximal range must ship, not three fragments.
         phb = self._phb_with_child()
-        out = phb._filter_for_child("c1", upd(d=[3], s=[(1, 2), (4, 6)]))
+        out = self._filter(phb, upd(d=[3], s=[(1, 2), (4, 6)]))
         assert out.d_events == []
         assert out.s_ranges == [(1, 6)]
 
     def test_whole_batch_below_boundary_skips_matching(self):
         phb = self._phb_with_child()
-        engine = phb.child_engines["c1"]
-        before = engine.events_processed
-        out = phb._filter_for_child("c1", upd(d=[1, 2, 3]), keep_below=4)
+        matcher = phb.links.matcher
+        before = matcher.events_processed
+        out = self._filter(phb, upd(d=[1, 2, 3]), keep_below=4)
         assert [e.timestamp for e in out.d_events] == [1, 2, 3]
-        assert engine.events_processed == before
+        assert matcher.events_processed == before

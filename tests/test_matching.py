@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matching import engine as engine_mod
-from repro.matching.aggregate import SubscriptionAggregate
+from repro.matching.links import LinkIndex
 from repro.matching.engine import MatchingEngine, decompose_safe
 from repro.matching.predicates import (
     And, Between, CmpAtom, Eq, EqAtom, Everything, Exists, Ge, Gt, In, Le,
@@ -306,60 +306,69 @@ class TestDecomposition:
 
 
 class TestAggregate:
+    """One link's aggregate, read through its broker's link index."""
+
     @staticmethod
-    def _add(agg, sub_id, predicate):
-        atoms, residual = decompose_safe(predicate)
-        agg.add(sub_id, atoms, residual)
+    def _link():
+        index = LinkIndex()
+        return index, index.new_union()
+
+    @staticmethod
+    def _matches(index, union, attributes):
+        return bool(index.links_of_batch([attributes])[0] & union.bit)
 
     def test_equal_predicates_share_a_signature(self):
-        agg = SubscriptionAggregate()
+        index, agg = self._link()
         for i in range(50):
-            self._add(agg, f"s{i}", Eq("g", 1))
-        assert agg.signature_count == 1
-        assert agg.active_count == 1
-        assert agg.matches_any({"g": 1})
-        assert not agg.matches_any({"g": 2})
+            agg.add(f"s{i}", Eq("g", 1))
+        assert agg.aggregate_signatures == 1
+        assert agg.aggregate_active == 1
+        assert self._matches(index, agg, {"g": 1})
+        assert not self._matches(index, agg, {"g": 2})
 
     def test_broader_signature_absorbs_narrower(self):
-        agg = SubscriptionAggregate()
-        self._add(agg, "broad", Eq("g", 1))
-        self._add(agg, "narrow", And([Eq("g", 1), Eq("h", 2)]))
-        assert agg.signature_count == 2
-        assert agg.active_count == 1  # only the broad one is consulted
-        assert agg.matches_any({"g": 1})
-        assert agg.matches_any({"g": 1, "h": 9})
+        index, agg = self._link()
+        agg.add("broad", Eq("g", 1))
+        agg.add("narrow", And([Eq("g", 1), Eq("h", 2)]))
+        assert agg.aggregate_signatures == 2
+        assert agg.aggregate_active == 1  # only the broad one is consulted
+        assert self._matches(index, agg, {"g": 1})
+        assert self._matches(index, agg, {"g": 1, "h": 9})
 
     def test_removing_coverer_reactivates_ward(self):
-        agg = SubscriptionAggregate()
-        self._add(agg, "broad", Eq("g", 1))
-        self._add(agg, "narrow", And([Eq("g", 1), Eq("h", 2)]))
+        index, agg = self._link()
+        agg.add("broad", Eq("g", 1))
+        agg.add("narrow", And([Eq("g", 1), Eq("h", 2)]))
         agg.remove("broad")
-        assert agg.active_count == 1
-        assert agg.matches_any({"g": 1, "h": 2})
-        assert not agg.matches_any({"g": 1, "h": 9})
+        assert agg.aggregate_active == 1
+        assert self._matches(index, agg, {"g": 1, "h": 2})
+        assert not self._matches(index, agg, {"g": 1, "h": 9})
 
     def test_wildcard_accepts_all(self):
-        agg = SubscriptionAggregate()
+        index, agg = self._link()
         assert not agg.accepts_all()
-        self._add(agg, "narrow", Eq("g", 1))
-        self._add(agg, "wild", Everything())
+        agg.add("narrow", Eq("g", 1))
+        agg.add("wild", Everything())
         assert agg.accepts_all()
-        assert agg.active_count == 1
-        assert agg.matches_any({"anything": 0})
+        assert agg.aggregate_active == 1
+        assert self._matches(index, agg, {"anything": 0})
         agg.remove("wild")
         assert not agg.accepts_all()
-        assert not agg.matches_any({"anything": 0})
+        assert not self._matches(index, agg, {"anything": 0})
 
     def test_engine_exposes_aggregate_counters(self):
         eng = MatchingEngine()
-        for i in range(10):
-            eng.add(f"s{i}", Eq("g", 1))
-        eng.add("narrow", And([Eq("g", 1), Gt("x", 5)]))
-        assert eng.aggregate_signatures == 2
-        assert eng.aggregate_active == 1  # Eq("g", 1) covers the And
-        assert eng.accepts_all() is False
+        _index, union = self._link()
+        for registry in (eng, union):
+            for i in range(10):
+                registry.add(f"s{i}", Eq("g", 1))
+            registry.add("narrow", And([Eq("g", 1), Gt("x", 5)]))
+        assert union.aggregate_signatures == 2
+        assert union.aggregate_active == 1  # Eq("g", 1) covers the And
+        assert eng.accepts_all() is False and union.accepts_all() is False
         eng.add("wild", Everything())
-        assert eng.accepts_all() is True
+        union.add("wild", Everything())
+        assert eng.accepts_all() is True and union.accepts_all() is True
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,18 @@ the opaque ones (``Or`` mixing attributes, negated ``Exists``), and
 ``Nothing()`` — the NeverAtom corner, whose atom indexes nowhere and
 must never surface from a batch.
 
+The link-matching section drives the same kind of churn — immediate
+adds, removes, full-set refreshes (``replace_all``) and digest
+mismatches that turn a link cold — through a PHB's own subscription
+intake over five child links (a wildcard link, an opaque-residual
+link, an empty link, a link whose narrow signatures are parked under
+broader ones, and a mixed one).  After every step, bit *c* of
+``LinkIndex.links_of_batch`` must equal "some predicate below link
+*c* matches", and each child's filtered update must equal a naive
+per-child reference for warm, cold and ``keep_below`` children, with
+children that keep the same events sharing one instance that delivery
+leaves unchanged.
+
 Batch sizes {1, 7, 64} cover the degenerate single-event batch, a
 size that straddles churn boundaries, and one larger than most event
 streams between churn steps (forcing ragged final chunks).  The quick
@@ -25,17 +37,25 @@ tests run one seed per batch size; the full sweep across every
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Dict
 
 import pytest
 
+from repro.broker.base import Broker
+from repro.broker.intermediate import IntermediateBroker
+from repro.broker.phb import PublisherHostingBroker
+from repro.core import messages as M
+from repro.core.events import Event
 from repro.matching.engine import MATCH_CACHE_LIMIT, MatchingEngine
 from repro.matching.predicates import (
     And, Between, Eq, Everything, Exists, Gt, In, Ne, Nothing, Or,
     Predicate, Prefix,
 )
 from repro.matching.topics import Topic
+from repro.metrics.trace import SPAN_PHB_FORWARD
+from repro.net.simtime import Scheduler
 
 BATCH_SIZES = [1, 7, 64]
 SEEDS = [13, 52, 907]
@@ -252,3 +272,170 @@ def test_module_limit_is_the_default():
     # The eviction tests above monkeypatch the bound; pin the real one
     # so an accidental production shrink is loud.
     assert MATCH_CACHE_LIMIT == 4096
+
+
+# ---------------------------------------------------------------------------
+# Link matching: one classification per update for every child link
+# ---------------------------------------------------------------------------
+#: The children of the PHB under test, by the shape of their union.
+LINKS = ("wild", "opaque", "empty", "parked", "mixed")
+
+
+def _link_predicate(rng: random.Random, link: str) -> Predicate:
+    if link == "opaque":  # every signature is residual-only
+        return rng.choice([
+            Or([Eq("g", rng.randrange(6)), Gt("x", rng.randrange(8))]),
+            ~Exists("opt"),
+        ])
+    if link == "parked":  # narrow conjunctions under Eq("g", k) coverers
+        if rng.random() < 0.2:
+            return Eq("g", rng.randrange(3))
+        return And([Eq("g", rng.randrange(3)), Between("x", rng.randrange(4), rng.randrange(4, 9))])
+    return _random_predicate(rng)
+
+
+def _link_phb():
+    """A PHB with one intermediate child per entry of :data:`LINKS`;
+    the children have no children of their own, so they never send a
+    subscription refresh that would disturb the model."""
+    sim = Scheduler()
+    phb = PublisherHostingBroker(sim, "phb")
+    for link in LINKS:
+        Broker.connect(phb, IntermediateBroker(sim, link))
+    return sim, phb
+
+
+def _random_update(rng: random.Random, base: int):
+    """Ticks ``base .. base+11`` as D, S, L or unknown; S and L runs are
+    sometimes split into single ticks so filtering has to coalesce."""
+    update = M.KnowledgeUpdate("P1")
+    for t in range(base, base + 12):
+        roll = rng.random()
+        if roll < 0.55:
+            update.d_events.append(Event("P1", t, _random_event(rng)))
+        else:
+            ranges = update.s_ranges if roll < 0.85 else update.l_ranges
+            if ranges and ranges[-1][1] == t - 1 and rng.random() < 0.5:
+                ranges[-1] = (ranges[-1][0], t)
+            elif roll < 0.95:
+                ranges.append((t, t))
+    return update
+
+
+def _naive_filtered(update, predicates, warm: bool, keep_below: int):
+    """The per-child reference: evaluate every predicate below the link."""
+    if not warm:
+        return update
+    out = M.KnowledgeUpdate(
+        update.pubend, s_ranges=list(update.s_ranges), l_ranges=list(update.l_ranges)
+    )
+    for event in update.d_events:
+        t = event.timestamp
+        if t < keep_below or any(p.matches(event.attributes) for p in predicates):
+            out.d_events.append(event)
+        else:
+            out.s_ranges.append((t, t))
+    return out.coalesce()
+
+
+def _drive_links(seed: int, n_steps: int) -> None:
+    rng = random.Random(seed)
+    sim, phb = _link_phb()
+    model: Dict[str, Dict[str, Predicate]] = {link: {} for link in LINKS}
+    warm = {link: True for link in LINKS}
+    epoch = {link: 0 for link in LINKS}
+
+    def full_set(link: str, staged: Dict[str, Predicate]) -> None:
+        epoch[link] += 1
+        for sid, pred in staged.items():
+            phb._handle_from_child(link, M.SubscriptionAdd(sid, pred, epoch=epoch[link]))
+        phb._handle_from_child(link, M.SubscriptionSync(len(staged), epoch=epoch[link]))
+        model[link] = dict(staged)
+        warm[link] = True
+
+    def add(link: str, sid: str, pred: Predicate) -> None:
+        phb._handle_from_child(link, M.SubscriptionAdd(sid, pred))
+        model[link][sid] = pred
+
+    add("wild", "w", Everything())
+    for k in range(3):
+        add("parked", f"cover{k}", Eq("g", k))
+
+    for step in range(n_steps):
+        tag = f"seed={seed} step={step}"
+        for link in LINKS:
+            if link == "empty":
+                continue
+            op = rng.random()
+            subs = model[link]
+            churnable = [s for s in subs if s != "w"]
+            if op < 0.45 or not churnable:
+                add(link, f"{link}{rng.randrange(12)}", _link_predicate(rng, link))
+            elif op < 0.75:
+                sid = rng.choice(churnable)
+                phb._handle_from_child(link, M.SubscriptionRemove(sid))
+                del subs[sid]
+            elif op < 0.92 or not warm[link]:
+                staged = {s: p for s, p in subs.items() if s == "w" or rng.random() < 0.8}
+                staged[f"{link}{rng.randrange(12)}"] = _link_predicate(rng, link)
+                full_set(link, staged)  # replace_all; re-warms a cold link
+            else:
+                # A digest that disagrees with the parent's copy: the
+                # link goes cold until the next full set.
+                epoch[link] += 1
+                phb._handle_from_child(link, M.SubscriptionSync(
+                    len(subs), epoch=epoch[link], digest=phb.child_engines[link].digest ^ 1
+                ))
+                warm[link] = False
+            assert phb.child_filter_ready[link] is warm[link], f"{tag}: {link} warmth"
+
+        update = _random_update(rng, 1 + 12 * step)
+        attrs = [e.attributes for e in update.d_events]
+
+        # Index level: bit c of the mask is "any predicate below c matches".
+        masks = phb.links.links_of_batch(attrs)
+        for link in LINKS:
+            bit = phb.child_engines[link].bit
+            naive = [any(p.matches(a) for p in model[link].values()) for a in attrs]
+            assert [bool(m & bit) for m in masks] == naive, f"{tag}: {link} mask bits"
+
+        # Broker level: each child's update equals the naive reference.
+        before = phb.links.classifications
+        mid = update.d_events[len(update.d_events) // 2].timestamp if update.d_events else 0
+        keep_below = {link: rng.choice([0, 0, mid, 2**40]) for link in LINKS}
+        links = phb._link_filter(update)
+        outs = {link: links.for_child(link, keep_below=keep_below[link]) for link in LINKS}
+        assert phb.links.classifications - before <= 1, f"{tag}: one classification"
+        kept_of = {}
+        for link in LINKS:
+            ref = _naive_filtered(update, model[link].values(), warm[link], keep_below[link])
+            assert outs[link] == ref, f"{tag}: {link} filtered update"
+            if warm[link]:
+                kept_of[link] = tuple(
+                    e.timestamp < keep_below[link]
+                    or any(p.matches(e.attributes) for p in model[link].values())
+                    for e in update.d_events
+                )
+        # Children keeping the same events of the same input share one
+        # instance, and delivering it changes nothing.
+        for a in kept_of:
+            for b in kept_of:
+                if kept_of[a] == kept_of[b]:
+                    assert outs[a] is outs[b], f"{tag}: {a} and {b} not shared"
+        snapshots = {id(out): (out, copy.deepcopy(out)) for out in outs.values()}
+        for link in LINKS:
+            if not outs[link].is_empty():
+                phb._forward(link, outs[link], 0.01, sim.now, SPAN_PHB_FORWARD)
+        sim.run_until(sim.now + 10.0)
+        for out, snapshot in snapshots.values():
+            assert out == snapshot, f"{tag}: a delivered update was mutated"
+
+
+def test_link_matching_equals_naive_per_link_under_churn():
+    _drive_links(SEEDS[0], N_STEPS)
+
+
+@pytest.mark.soak
+@pytest.mark.parametrize("seed", list(range(24)))
+def test_link_matching_full_sweep(seed):
+    _drive_links(1_000 + seed, 4 * N_STEPS)

@@ -1,0 +1,83 @@
+"""Work budgets: deterministic work counters on a fixed forest, exactly.
+
+A change that adds a message, a CPU job or a PFS write per event fails
+here in seconds on any machine, with the counter named in the failure;
+one that removes some updates the budget in its diff.  The forest is
+the PHB → 2 intermediates → 8 SHBs shape of the scale runs, plus one
+childless spare under the PHB; 100 headless durable subscriptions over
+64 groups, so most updates reach some children as D and others as S;
+then 200 events, one every 5 ms, after the first subscription refresh.
+
+Link matching is budgeted per broker: every update a PHB or
+intermediate filters is classified once for all its child links, not
+once per child.
+"""
+
+from repro.broker.base import SUBSCRIPTION_REFRESH_MS
+from repro.broker.topology import build_deep_overlay, place_durable_subscribers
+from repro.matching.predicates import In
+from repro.net.link import link_stats
+from repro.net.node import Node
+from repro.net.simtime import Scheduler
+
+N_EVENTS = 200
+
+#: Measured on the code before link matching, which had to agree.
+BUDGET = {
+    "link messages": 4_940,
+    "jobs submitted": 9_623,
+    "modelled busy ms": 446.572,
+    "pfs writes": 296,
+}
+
+#: Updates each filtering broker classified: those with D events and a
+#: warm child.  The spare has no children; the PHB keeps it cold.
+CLASSIFIED = {"phb": 200, "ib1": 96, "ib2": 124, "spare1.1": 0}
+
+
+def test_fanout_forest_work_budget(monkeypatch):
+    jobs = [0]
+    submit = Node.submit
+
+    def counting_submit(self, cost_ms, fn):
+        jobs[0] += 1
+        return submit(self, cost_ms, fn)
+
+    monkeypatch.setattr(Node, "submit", counting_submit)
+    sim = Scheduler()
+    federation = build_deep_overlay(
+        sim, n_trees=1, fanout=(2,), shbs_per_leaf=4, spares_per_level=1
+    )
+    place_durable_subscribers(
+        federation, 100, [In("group", (g,)) for g in range(64)], seed=0
+    )
+    tree = federation.trees[0]
+    filtering = [tree.phb, *tree.intermediates]
+    filtered = {broker.name: 0 for broker in filtering}
+    for broker in filtering:
+        make_filter = broker._link_filter
+
+        def counting_filter(update, broker=broker, make_filter=make_filter):
+            # An update needs classifying when it carries D events and
+            # some child's union is warm (none below holds a wildcard).
+            warm = any(broker.child_filter_ready.values())
+            filtered[broker.name] += bool(update.d_events) and warm
+            return make_filter(update)
+
+        broker._link_filter = counting_filter
+
+    t0 = SUBSCRIPTION_REFRESH_MS + 500.0
+    for i in range(N_EVENTS):
+        sim.at(t0 + 5.0 * i, lambda i=i: tree.phb.publish("p1", {"group": i % 64}))
+    sim.run_until(t0 + 3_000.0)
+
+    nodes = {broker.node for broker in federation.all_brokers()}
+    measured = {
+        "link messages": link_stats(sim).messages,
+        "jobs submitted": jobs[0],
+        "modelled busy ms": round(sum(n.busy.total_busy_ms for n in nodes), 6),
+        "pfs writes": sum(shb.pfs.writes for shb in tree.shbs),
+    }
+    assert measured == BUDGET
+    classified = {broker.name: broker.links.classifications for broker in filtering}
+    assert classified == filtered == CLASSIFIED
