@@ -150,8 +150,11 @@ def run_fanout_filtering(
     want the same content), which is exactly what each link's
     aggregate — signature dedup + covering — exploits.
 
-    Work is counted in per-subscription units: the signatures the
-    index's counting loop touched plus its residual evaluations.
+    Work is counted in index-key units: the keys (distinct active
+    signatures, each shared by every link it is active on) the index's
+    counting loop touched, plus its residual evaluations.
+    ``active_signatures`` sums each link's covering antichain;
+    ``index_keys`` is the index's size, one key per distinct one.
     Deterministic for a seed.
     """
     rng = random.Random(seed)
@@ -173,6 +176,7 @@ def run_fanout_filtering(
         "subs_total": sum(len(union) for union in unions),
         "pool_size": len(pool),
         "active_signatures": sum(union.aggregate_active for union in unions),
+        "index_keys": len(matcher),
         "aggregate_evals": matcher.candidates_seen + matcher.residual_evals,
     }
 
@@ -196,6 +200,7 @@ def measure_baseline_metrics() -> dict:
     fan = run_fanout_filtering()
     rows["matcher_aggregate_evals_fanout"] = fan["aggregate_evals"]
     rows["matcher_active_signatures_fanout"] = fan["active_signatures"]
+    rows["matcher_index_keys_fanout"] = fan["index_keys"]
     return rows
 
 
@@ -226,7 +231,7 @@ def test_counting_matcher_throughput():
             f"{fan['subs_total'] // fan['n_links']} subs)",
             f"{fan['aggregate_evals']:,} evals",
             f"{fan['active_signatures']} active sigs",
-            "",
+            f"{fan['index_keys']} index keys",
         ]
     )
     write_result(

@@ -45,7 +45,7 @@ HIGHER_IS_WORSE = {
     # events/sec per workload with the matcher's caches filling
     # (``match`` per event) and memoized (``match_batch``, so a silent
     # de-amortization regresses CI), plus the fan-out aggregation's
-    # deterministic per-subscription work counters.
+    # deterministic work counters.
     "matcher_eps_single_1000": False,
     "matcher_eps_single_10000": False,
     "matcher_eps_multi_1000": False,
@@ -53,6 +53,7 @@ HIGHER_IS_WORSE = {
     "matcher_batch_eps_multi_10000": False,
     "matcher_aggregate_evals_fanout": True,
     "matcher_active_signatures_fanout": True,
+    "matcher_index_keys_fanout": True,
     # End-to-end simulator throughput (bench_scalability): delivered
     # simulated events per wall-clock second, plus the deterministic
     # delivery efficiency of the same smoke run.
@@ -80,8 +81,9 @@ HIGHER_IS_WORSE = {
 }
 
 #: Per-metric tolerance overrides.  The batching metrics and the
-#: matcher's work counters (aggregate evals, active signatures) are
-#: deterministic, so the default 20% only absorbs deliberate retuning.
+#: matcher's work counters (aggregate evals, active signatures, index
+#: keys) are deterministic, so the default 20% only absorbs deliberate
+#: retuning.
 #: Anything wall-clock (events/sec) swings with host load, so CI holds
 #: those loosely — they gate order-of-magnitude collapses, not noise.
 TOLERANCES = {name: 0.60 for name in HIGHER_IS_WORSE if "_eps_" in name}

@@ -11,7 +11,9 @@ delivery transcripts) are bit-identical to per-subscription
 evaluation:
 
 * Every subscription reduces to a **signature** — its deduplicated atom
-  set plus opaque residual.  Equal predicates across subscribers
+  set plus opaque residual, taken from the predicate's compiled record
+  (:func:`~repro.matching.engine.compiled`), so every level shares one
+  signature object per predicate.  Equal predicates across subscribers
   (the overwhelmingly common case: many subscribers to the same groups
   or topics) collapse into one refcounted signature.
 * A residual-free signature ``C`` **covers** ``S`` when
@@ -29,19 +31,22 @@ all subscriptions (any parked ``S`` has a chain of ever-smaller
 residual-free coverers ending in an active one), so the aggregate is an
 *exact* summary, not an approximation.
 
-Covering and parking are per link, but the matcher is not: every link
-of a broker registers its antichain in one shared
-:class:`~repro.matching.counting.CountingMatcher` under keys
-``(link, signature)``, so one match answers for all links at once
-(:class:`~repro.matching.links.LinkIndex`, Gryphon's *link matching*).
+Covering and parking are per link, but the index is not: every link
+of a broker sets its bit on the signatures of its antichain in one
+shared :class:`~repro.matching.links.LinkIndex`, which holds each
+signature once, so one match answers for all links at once (Gryphon's
+*link matching*).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable
 
-from .counting import CountingMatcher
-from .predicates import Atom, Predicate
+from .engine import Compiled
+from .predicates import Atom
+
+if TYPE_CHECKING:
+    from .links import LinkIndex
 
 #: The signature of a wildcard subscription: no atoms, no residual.
 _WILDCARD = ("sig", frozenset(), None)
@@ -50,17 +55,15 @@ _WILDCARD = ("sig", frozenset(), None)
 class SubscriptionAggregate:
     """An exact, incrementally maintained summary of a subscription set.
 
-    Its active signatures live in ``matcher`` under the keys
-    ``(link, signature)``; ``matcher`` may be shared with other links'
-    aggregates.
+    Its active signatures are registered in ``index`` under the link's
+    ``bit``; ``index`` is shared with the broker's other links.
     """
 
-    def __init__(self, matcher: CountingMatcher, link: Hashable) -> None:
+    def __init__(self, index: "LinkIndex", bit: int) -> None:
         self._sub_sig: Dict[str, Hashable] = {}
         self._refs: Dict[Hashable, int] = {}
-        self._atoms: Dict[Hashable, FrozenSet[Atom]] = {}
-        self._atom_order: Dict[Hashable, Tuple[Atom, ...]] = {}
-        self._residual: Dict[Hashable, Optional[Predicate]] = {}
+        # sig -> the compiled record of its first subscription
+        self._record: Dict[Hashable, Compiled] = {}
         # atom -> ordered set of signatures containing it (for the
         # subset-join in both directions of the covering check)
         self._atom_sigs: Dict[Atom, Dict[Hashable, None]] = {}
@@ -68,9 +71,9 @@ class SubscriptionAggregate:
         self._coverers: Dict[Hashable, Dict[Hashable, None]] = {}
         # reverse edges, so deleting a coverer re-activates its wards
         self._covered_by: Dict[Hashable, Dict[Hashable, None]] = {}
-        # the active antichain is registered in the (shared) matcher
-        self._matcher = matcher
-        self._link = link
+        # the active antichain is registered in the (shared) index
+        self._index = index
+        self._bit = bit
         self.active_count = 0
         self.cover_checks = 0
 
@@ -87,37 +90,33 @@ class SubscriptionAggregate:
         return _WILDCARD in self._refs
 
     def _activate(self, key: Hashable) -> None:
-        self._matcher.add((self._link, key), self._atom_order[key], self._residual[key])
+        self._index.activate(key, self._bit, self._record[key])
         self.active_count += 1
 
     def _deactivate(self, key: Hashable) -> None:
-        self._matcher.remove((self._link, key))
+        self._index.deactivate(key, self._bit)
         self.active_count -= 1
 
     # -- updates -------------------------------------------------------
-    def add(self, sub_id: str, atoms: Tuple[Atom, ...], residual: Optional[Predicate]) -> None:
+    def add(self, sub_id: str, record: Compiled) -> None:
         if sub_id in self._sub_sig:
             self.remove(sub_id)
-        key: Hashable = ("sig", frozenset(atoms), residual)
-        try:
-            hash(key)
-        except TypeError:
-            # Unhashable residual: a private, undeduplicated signature.
-            key = ("sub", sub_id)
+        key = record.signature
+        if key is None:
+            # Unhashable residual: a private, undeduplicated signature,
+            # private to this link too (the index is shared).
+            key = ("sub", self._bit, sub_id)
         self._sub_sig[sub_id] = key
         refs = self._refs.get(key)
         if refs is not None:
             self._refs[key] = refs + 1
             return
         self._refs[key] = 1
-        atom_set = frozenset(atoms)
-        self._atoms[key] = atom_set
-        self._atom_order[key] = atoms
-        self._residual[key] = residual
-        coverers = self._find_coverers(key, atom_set)
-        if residual is None:
-            self._park_newly_covered(key, atoms, atom_set)
-        for atom in atoms:
+        self._record[key] = record
+        coverers = self._find_coverers(key, record)
+        if record.residual is None:
+            self._park_newly_covered(key, record)
+        for atom in record.atoms:
             self._atom_sigs.setdefault(atom, {})[key] = None
         self._coverers[key] = coverers
         for c in coverers:
@@ -137,10 +136,7 @@ class SubscriptionAggregate:
         coverers = self._coverers.pop(key)
         if not coverers:
             self._deactivate(key)
-        atoms = self._atom_order.pop(key)
-        del self._atoms[key]
-        del self._residual[key]
-        for atom in atoms:
+        for atom in self._record.pop(key).atoms:
             sigs = self._atom_sigs.get(atom)
             if sigs is not None:
                 sigs.pop(key, None)
@@ -156,8 +152,8 @@ class SubscriptionAggregate:
                 self._activate(ward)
 
     # -- covering ------------------------------------------------------
-    def _find_coverers(self, key: Hashable, atom_set: FrozenSet[Atom]) -> Dict[Hashable, None]:
-        """Existing residual-free signatures whose atoms ⊆ ``atom_set``.
+    def _find_coverers(self, key: Hashable, record: Compiled) -> Dict[Hashable, None]:
+        """Existing residual-free signatures whose atoms ⊆ ``record``'s.
 
         Counting subset-join: tally, over the posting lists of the new
         signature's atoms, how many of each candidate's atoms it shares;
@@ -168,31 +164,31 @@ class SubscriptionAggregate:
         if key != _WILDCARD and _WILDCARD in self._refs:
             coverers[_WILDCARD] = None
         tally: Dict[Hashable, int] = {}
-        for atom in self._atom_order[key]:
+        for atom in record.atoms:
             for sig in self._atom_sigs.get(atom, ()):
                 tally[sig] = tally.get(sig, 0) + 1
         for sig, shared in tally.items():
             self.cover_checks += 1
+            other = self._record[sig]
             if (
                 sig != key
-                and self._residual[sig] is None
-                and shared == len(self._atoms[sig])
+                and other.residual is None
+                and shared == len(other.atom_set)
             ):
                 coverers[sig] = None
         return coverers
 
-    def _park_newly_covered(
-        self, key: Hashable, atoms: Tuple[Atom, ...], atom_set: FrozenSet[Atom]
-    ) -> None:
+    def _park_newly_covered(self, key: Hashable, record: Compiled) -> None:
         """Deactivate existing signatures the residual-free ``key`` covers."""
-        if atoms:
+        atom_set = record.atom_set
+        if record.atoms:
             # Candidates must contain every atom of ``key``; walk the
             # shortest posting list and verify inclusion.
             posting = min(
-                (self._atom_sigs.get(atom, {}) for atom in atoms), key=len
+                (self._atom_sigs.get(atom, {}) for atom in record.atoms), key=len
             )
             candidates = [
-                sig for sig in posting if atom_set <= self._atoms[sig]
+                sig for sig in posting if atom_set <= self._record[sig].atom_set
             ]
         else:
             candidates = [sig for sig in self._refs if sig != key]

@@ -30,8 +30,8 @@ count for selective workloads.
 
 Keys are opaque hashables: the :class:`~repro.matching.engine
 .MatchingEngine` counts subscription ids, a broker's
-:class:`~repro.matching.links.LinkIndex` counts ``(link, signature)``
-pairs — every child link's deduplicated conjunction signatures in one
+:class:`~repro.matching.links.LinkIndex` counts signatures — every
+child link's deduplicated conjunction signatures, each once, in one
 index.
 
 The matcher works on *streams* of events: its two entry points,
@@ -271,7 +271,8 @@ class CountingMatcher:
             self.remove(key)
         self._probe_cache.clear()
         self._sig_memo.clear()
-        atoms = tuple(dict.fromkeys(atoms))  # duplicates would skew counts
+        if len(set(atoms)) < len(atoms):  # duplicates would skew counts
+            atoms = tuple(dict.fromkeys(atoms))
         self._atoms_of[key] = atoms
         if residual is not None:
             self._residuals[key] = residual

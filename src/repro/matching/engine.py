@@ -4,13 +4,13 @@ An SHB hosting hundreds of durable subscribers must compute, for every
 event in the constream, the full set of matching subscriber ids (that
 set is exactly what the PFS logs).  :class:`MatchingEngine` answers it
 with the counting matcher (:mod:`repro.matching.counting`): every
-predicate is decomposed into indexable per-attribute atoms plus an
-opaque residual, atoms are interned and indexed per attribute (hash
-for equalities, sorted bounds for ranges), and an event matches a
-subscription when it satisfies all of its atoms — determined by
-counting, not by re-walking predicate trees.  Only fully opaque
-predicates land in the (now rare) scan bucket, as zero-atom entries
-that are candidates for every event.
+predicate is decomposed, once per process (:func:`compiled`), into
+indexable per-attribute atoms plus an opaque residual, atoms are
+interned and indexed per attribute (hash for equalities, sorted bounds
+for ranges), and an event matches a subscription when it satisfies all
+of its atoms — determined by counting, not by re-walking predicate
+trees.  Only fully opaque predicates land in the (now rare) scan
+bucket, as zero-atom entries that are candidates for every event.
 
 A broker handles *streams*: the SHB's constream pump hands over a whole
 live run.  The ``*_batch`` methods are therefore the algorithm;
@@ -23,7 +23,9 @@ each child's union is a :class:`~repro.matching.links.LinkUnion`, and
 one :class:`~repro.matching.links.LinkIndex` per broker classifies an
 event for all of its links in one match.  Both kinds of registry share
 :class:`SubscriptionSet`: the ``sub_id -> predicate`` map and its
-order-independent digest.
+order-independent digest.  They also share each predicate's
+:class:`Compiled` record, so an SHB and every broker above it hold one
+atom tuple and one signature per predicate object, not one per level.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import dataclasses
 import zlib
 from collections import OrderedDict
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+    Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 from .counting import CountingMatcher
@@ -45,9 +48,11 @@ MATCH_CACHE_LIMIT = 4096
 #: Union digests are sums of per-pair hashes modulo 2**64.
 DIGEST_MASK = (1 << 64) - 1
 
-#: Predicates whose canonical bytes are memoized (see pair_digest).
+#: Predicates whose compiled record is memoized (see compiled).
 _CANONICAL_LIMIT = 4096
-_canonical_bytes: Dict[int, Tuple[Predicate, bytes]] = {}
+_compiled: Dict[int, "Compiled"] = {}
+#: Cache misses of :func:`compiled`: predicate decompositions performed.
+decompositions = 0
 
 
 def _canonical(value: Any) -> str:
@@ -76,16 +81,9 @@ def pair_digest(sub_id: str, predicate: Predicate) -> int:
     order-independent, updatable per add and remove, and a function of
     the set alone.  ``crc32 | adler32 << 32`` over a canonical encoding
     keeps it identical across processes and hash seeds using ``zlib``
-    only.  A predicate's encoding is memoized by identity (the entry
-    holds the predicate, so its id cannot be reused while cached).
+    only.  The predicate's encoding comes from its compiled record.
     """
-    entry = _canonical_bytes.get(id(predicate))
-    if entry is None:
-        if len(_canonical_bytes) >= _CANONICAL_LIMIT:
-            _canonical_bytes.clear()
-        entry = (predicate, _canonical(predicate).encode())
-        _canonical_bytes[id(predicate)] = entry
-    data = sub_id.encode() + b"\0" + entry[1]
+    data = sub_id.encode() + b"\0" + compiled(predicate).canonical
     return zlib.crc32(data) | zlib.adler32(data) << 32
 
 
@@ -110,11 +108,55 @@ def decompose_safe(predicate: Predicate) -> Tuple[Tuple[Atom, ...], Optional[Pre
     return atoms, residual
 
 
+class Compiled(NamedTuple):
+    """A predicate's intake state, shared by every registry in the process."""
+
+    predicate: Predicate
+    canonical: bytes
+    atoms: Tuple[Atom, ...]
+    atom_set: FrozenSet[Atom]
+    residual: Optional[Predicate]
+    #: ``("sig", atom_set, residual)``; None when unhashable, and then
+    #: each subscription's signature is private to it.
+    signature: Optional[Hashable]
+
+
+def compiled(predicate: Predicate) -> Compiled:
+    """``predicate``'s canonical bytes, safe decomposition and signature.
+
+    Memoized by identity, never by equality: ``Eq("x", 1)`` and
+    ``Eq("x", 1.0)`` are equal but encode differently, so an
+    equality-keyed memo would make a digest depend on which one a
+    process saw first.  The entry holds the predicate, so its id cannot
+    be reused while cached; an unhashable predicate is not cached.
+    """
+    global decompositions
+    record = _compiled.get(id(predicate))
+    if record is not None:
+        return record
+    decompositions += 1
+    atoms, residual = decompose_safe(predicate)
+    atom_set = frozenset(atoms)
+    signature: Optional[Hashable] = ("sig", atom_set, residual)
+    try:
+        hash(signature)
+    except TypeError:
+        signature = None
+    record = Compiled(
+        predicate, _canonical(predicate).encode(), atoms, atom_set, residual, signature
+    )
+    if signature is not None:
+        if len(_compiled) >= _CANONICAL_LIMIT:
+            _compiled.clear()
+        _compiled[id(predicate)] = record
+    return record
+
+
 class SubscriptionSet:
     """A mutable registry of ``subscription_id -> Predicate``.
 
     Subclasses index what they match on through :meth:`_index` /
-    :meth:`_unindex`, called with the decomposed predicate.
+    :meth:`_unindex`, called with the predicate's compiled record.
     """
 
     def __init__(self) -> None:
@@ -123,10 +165,7 @@ class SubscriptionSet:
         # then kept up to date by add/remove.
         self._digest: Optional[int] = None
 
-    def _index(
-        self, sub_id: str, predicate: Predicate,
-        atoms: Tuple[Atom, ...], residual: Optional[Predicate],
-    ) -> None:
+    def _index(self, sub_id: str, record: Compiled) -> None:
         raise NotImplementedError
 
     def _unindex(self, sub_id: str) -> None:
@@ -139,8 +178,7 @@ class SubscriptionSet:
         self._filters[sub_id] = predicate
         if self._digest is not None:
             self._digest = (self._digest + pair_digest(sub_id, predicate)) & DIGEST_MASK
-        atoms, residual = decompose_safe(predicate)
-        self._index(sub_id, predicate, atoms, residual)
+        self._index(sub_id, compiled(predicate))
 
     def remove(self, sub_id: str) -> None:
         """Unregister a subscription (no-op when absent)."""
@@ -199,15 +237,12 @@ class MatchingEngine(SubscriptionSet):
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _index(
-        self, sub_id: str, predicate: Predicate,
-        atoms: Tuple[Atom, ...], residual: Optional[Predicate],
-    ) -> None:
-        self._counting.add(sub_id, atoms, residual)
+    def _index(self, sub_id: str, record: Compiled) -> None:
+        self._counting.add(sub_id, record.atoms, record.residual)
         # A new subscription can only *extend* cached match sets; one
         # predicate evaluation per cached event keeps the cache warm.
         for event_id, (attrs, result) in self._match_cache.items():
-            if predicate.matches(attrs):
+            if record.predicate.matches(attrs):
                 self._match_cache[event_id] = (attrs, result | {sub_id})
 
     def _unindex(self, sub_id: str) -> None:

@@ -10,24 +10,24 @@ Multicast Protocol for Content-Based Publish-Subscribe Systems",
 ICDCS 1999).
 
 Here that is one :class:`LinkIndex` per broker: a single
-:class:`~repro.matching.counting.CountingMatcher` whose keys are
-``(link bit, signature)``.  Each child link's union is a
+:class:`~repro.matching.counting.CountingMatcher` keyed by signature,
+plus a ``signature -> link mask`` map with the bit of every link where
+the signature is active.  Each child link's union is a
 :class:`LinkUnion` — its ``sub_id -> predicate`` map, digest and
 :class:`~repro.matching.aggregate.SubscriptionAggregate` — and the
-aggregate registers only its covering antichain in the shared matcher.
-Covering and parking therefore stay per link; only the index is
-shared.  :meth:`LinkIndex.links_of_batch` answers, per event, the
-bitmask of links with at least one matching subscription.
+aggregate sets its bit only on its covering antichain.  Covering and
+parking stay per link, so a mask is exactly the per-link answer (an
+event matching a parked signature also matches its active coverer);
+:meth:`LinkIndex.links_of_batch` ORs the masks of the matched keys.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Sequence
 
 from .aggregate import SubscriptionAggregate
 from .counting import CountingMatcher
-from .engine import SubscriptionSet
-from .predicates import Atom, Predicate
+from .engine import Compiled, SubscriptionSet
 
 
 class LinkUnion(SubscriptionSet):
@@ -37,16 +37,13 @@ class LinkUnion(SubscriptionSet):
     bit in :meth:`LinkIndex.links_of_batch` masks.
     """
 
-    def __init__(self, matcher: CountingMatcher, bit: int) -> None:
+    def __init__(self, index: "LinkIndex", bit: int) -> None:
         super().__init__()
         self.bit = bit
-        self._aggregate = SubscriptionAggregate(matcher, bit)
+        self._aggregate = SubscriptionAggregate(index, bit)
 
-    def _index(
-        self, sub_id: str, predicate: Predicate,
-        atoms: Tuple[Atom, ...], residual: Optional[Predicate],
-    ) -> None:
-        self._aggregate.add(sub_id, atoms, residual)
+    def _index(self, sub_id: str, record: Compiled) -> None:
+        self._aggregate.add(sub_id, record)
 
     def _unindex(self, sub_id: str) -> None:
         self._aggregate.remove(sub_id)
@@ -73,6 +70,8 @@ class LinkIndex:
 
     def __init__(self) -> None:
         self.matcher = CountingMatcher()
+        #: signature -> OR of the bits of the links where it is active
+        self._masks: Dict[Hashable, int] = {}
         self._bits_used = 0
         #: :meth:`links_of_batch` calls: one per classified update.
         self.classifications = 0
@@ -81,21 +80,37 @@ class LinkIndex:
         """An empty union on the lowest free link bit."""
         bit = ~self._bits_used & (self._bits_used + 1)
         self._bits_used |= bit
-        return LinkUnion(self.matcher, bit)
+        return LinkUnion(self, bit)
 
     def drop_union(self, union: LinkUnion) -> None:
         """Take ``union``'s signatures out of the index and free its bit."""
         union.replace_all({})
         self._bits_used &= ~union.bit
 
+    def activate(self, signature: Hashable, bit: int, record: Compiled) -> None:
+        """Set link ``bit`` on ``signature``; the first bit adds it to the matcher."""
+        mask = self._masks.get(signature, 0)
+        if not mask:
+            self.matcher.add(signature, record.atoms, record.residual)
+        self._masks[signature] = mask | bit
+
+    def deactivate(self, signature: Hashable, bit: int) -> None:
+        """Clear link ``bit``; the last bit out removes it from the matcher."""
+        mask = self._masks.pop(signature) & ~bit
+        if mask:
+            self._masks[signature] = mask
+        else:
+            self.matcher.remove(signature)
+
     def links_of_batch(self, batch: Sequence[Mapping[str, Any]]) -> List[int]:
         """Per event, the OR of the bits of every link with a matching
         subscription."""
         self.classifications += 1
-        masks: List[int] = []
+        masks = self._masks
+        out: List[int] = []
         for keys in self.matcher.match_batch(batch):
             mask = 0
-            for bit, _signature in keys:
-                mask |= bit
-            masks.append(mask)
-        return masks
+            for signature in keys:
+                mask |= masks[signature]
+            out.append(mask)
+        return out

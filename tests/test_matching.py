@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.matching import engine as engine_mod
 from repro.matching.links import LinkIndex
-from repro.matching.engine import MatchingEngine, decompose_safe
+from repro.matching.engine import MatchingEngine, compiled, decompose_safe, union_digest
 from repro.matching.predicates import (
     And, Between, CmpAtom, Eq, EqAtom, Everything, Exists, Ge, Gt, In, Le,
     Lt, Ne, NeverAtom, Not, Nothing, Or, Prefix,
@@ -303,6 +303,39 @@ class TestDecomposition:
         assert atoms == (EqAtom("g", frozenset([1])),)
         p = Eq("a", [1, 2])  # unhashable atom value
         assert decompose_safe(p) == ((), p)
+
+    def test_compiled_memo_is_keyed_by_identity(self):
+        # Equal predicates that encode differently: with an
+        # equality-keyed memo a union's digest would depend on which of
+        # them the process compiled first.
+        one, one_f = Eq("x", 1), Eq("x", 1.0)
+        assert one == one_f and hash(one) == hash(one_f)
+        pairs = [("s1", one), ("s2", one_f)]
+        index = LinkIndex()
+        unions = index.new_union(), index.new_union()
+        for union, order in zip(unions, (pairs, pairs[::-1])):
+            engine_mod._compiled.clear()
+            assert union.digest == 0  # from here on kept incrementally
+            for sub_id, predicate in order:
+                union.add(sub_id, predicate)
+        engine_mod._compiled.clear()
+        assert unions[0].digest == unions[1].digest == union_digest(pairs)
+        for predicate, kind in ((one, int), (one_f, float)):
+            (atom,) = compiled(predicate).atoms
+            assert [type(v) for v in atom.values] == [kind]
+
+    def test_unhashable_predicate_is_not_cached_and_scans(self):
+        p = Eq("a", [1, 2])
+        eng = MatchingEngine()
+        index, union = TestAggregate._link()
+        before = engine_mod.decompositions
+        eng.add("s", p)
+        union.add("s", p)
+        assert id(p) not in engine_mod._compiled
+        assert engine_mod.decompositions - before == 2  # once per registry
+        assert eng.scan_count == 1 and index.matcher.scan_count == 1
+        assert eng.match({"a": [1, 2]}) == {"s"}
+        assert index.links_of_batch([{"a": [1, 2]}, {"a": 1}]) == [union.bit, 0]
 
 
 class TestAggregate:

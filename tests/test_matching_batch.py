@@ -20,13 +20,16 @@ The link-matching section drives the same kind of churn — immediate
 adds, removes, full-set refreshes (``replace_all``) and digest
 mismatches that turn a link cold — through a PHB's own subscription
 intake over five child links (a wildcard link, an opaque-residual
-link, an empty link, a link whose narrow signatures are parked under
-broader ones, and a mixed one).  After every step, bit *c* of
-``LinkIndex.links_of_batch`` must equal "some predicate below link
-*c* matches", and each child's filtered update must equal a naive
-per-child reference for warm, cold and ``keep_below`` children, with
-children that keep the same events sharing one instance that delivery
-leaves unchanged.
+link with unhashable predicates among them, an empty link, a link
+whose narrow signatures are parked under broader ones, and a mixed
+one).  After every step, the mask of ``LinkIndex.links_of_batch`` must
+equal the OR of the bits of the links with a matching predicate, the
+index must hold one key per signature active on some link, every
+union's digest must equal its from-scratch digest (also across a
+cleared compiled-predicate memo), and each child's filtered update
+must equal a naive per-child reference for warm, cold and
+``keep_below`` children, with children that keep the same events
+sharing one instance that delivery leaves unchanged.
 
 Batch sizes {1, 7, 64} cover the degenerate single-event batch, a
 size that straddles churn boundaries, and one larger than most event
@@ -48,7 +51,8 @@ from repro.broker.intermediate import IntermediateBroker
 from repro.broker.phb import PublisherHostingBroker
 from repro.core import messages as M
 from repro.core.events import Event
-from repro.matching.engine import MATCH_CACHE_LIMIT, MatchingEngine
+from repro.matching import engine as engine_mod
+from repro.matching.engine import MATCH_CACHE_LIMIT, MatchingEngine, compiled, union_digest
 from repro.matching.predicates import (
     And, Between, Eq, Everything, Exists, Gt, In, Ne, Nothing, Or,
     Predicate, Prefix,
@@ -286,6 +290,7 @@ def _link_predicate(rng: random.Random, link: str) -> Predicate:
         return rng.choice([
             Or([Eq("g", rng.randrange(6)), Gt("x", rng.randrange(8))]),
             ~Exists("opt"),
+            Eq("x", [1, 2]),  # unhashable: a signature private to its sub
         ])
     if link == "parked":  # narrow conjunctions under Eq("g", k) coverers
         if rng.random() < 0.2:
@@ -336,6 +341,26 @@ def _naive_filtered(update, predicates, warm: bool, keep_below: int):
         else:
             out.s_ranges.append((t, t))
     return out.coalesce()
+
+
+def _active_signatures(phb, model: Dict[str, Dict[str, Predicate]]) -> set:
+    """The naive covering antichain of every link, as one set: a
+    signature is active on a link unless another residual-free
+    signature there has a subset of its atoms."""
+    active = set()
+    for link, subs in model.items():
+        bit = phb.child_engines[link].bit
+        sigs = {}
+        for sid, pred in subs.items():
+            rec = compiled(pred)
+            sigs[rec.signature or ("sub", bit, sid)] = rec
+        for key, rec in sigs.items():
+            if not any(
+                other != key and c.residual is None and c.atom_set <= rec.atom_set
+                for other, c in sigs.items()
+            ):
+                active.add(key)
+    return active
 
 
 def _drive_links(seed: int, n_steps: int) -> None:
@@ -392,12 +417,25 @@ def _drive_links(seed: int, n_steps: int) -> None:
         update = _random_update(rng, 1 + 12 * step)
         attrs = [e.attributes for e in update.d_events]
 
-        # Index level: bit c of the mask is "any predicate below c matches".
+        # Index level: bit c of the mask is "any predicate below c
+        # matches", and the index holds each active signature once.
         masks = phb.links.links_of_batch(attrs)
+        naive_masks = [0] * len(attrs)
         for link in LINKS:
             bit = phb.child_engines[link].bit
-            naive = [any(p.matches(a) for p in model[link].values()) for a in attrs]
-            assert [bool(m & bit) for m in masks] == naive, f"{tag}: {link} mask bits"
+            for i, a in enumerate(attrs):
+                if any(p.matches(a) for p in model[link].values()):
+                    naive_masks[i] |= bit
+        assert masks == naive_masks, f"{tag}: link masks"
+        assert len(phb.links.matcher) == len(_active_signatures(phb, model)), f"{tag}: index keys"
+        digests = {link: phb.child_engines[link].digest for link in LINKS}
+        for link in LINKS:
+            assert digests[link] == union_digest(model[link].items()), f"{tag}: {link} digest"
+        if step % 10 == 5:
+            # A cold compiled-predicate memo changes no answer and no digest.
+            engine_mod._compiled.clear()
+            assert phb.links.links_of_batch(attrs) == masks, f"{tag}: masks after clear"
+            assert {link: phb.child_engines[link].digest for link in LINKS} == digests
 
         # Broker level: each child's update equals the naive reference.
         before = phb.links.classifications

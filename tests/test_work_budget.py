@@ -10,11 +10,15 @@ then 200 events, one every 5 ms, after the first subscription refresh.
 
 Link matching is budgeted per broker: every update a PHB or
 intermediate filters is classified once for all its child links, not
-once per child.
+once per child.  So is subscription intake: each broker's link index
+holds one key per distinct active signature, however many links it is
+active on; and each distinct predicate object is decomposed once per
+process, however many levels it crosses.
 """
 
 from repro.broker.base import SUBSCRIPTION_REFRESH_MS
 from repro.broker.topology import build_deep_overlay, place_durable_subscribers
+from repro.matching import engine
 from repro.matching.predicates import In
 from repro.net.link import link_stats
 from repro.net.node import Node
@@ -34,6 +38,17 @@ BUDGET = {
 #: warm child.  The spare has no children; the PHB keeps it cold.
 CLASSIFIED = {"phb": 200, "ib1": 96, "ib2": 124, "spare1.1": 0}
 
+#: Link-index keys per filtering broker: its distinct active signatures
+#: (no group predicate covers another).  Keyed per (link, signature),
+#: the index held {phb 70, ib1 42, ib2 52, spare1.1 0}.
+INDEX_KEYS = {"phb": 49, "ib1": 31, "ib2": 39, "spare1.1": 0}
+
+#: Distinct predicate objects placed, each decomposed once.  Before the
+#: shared compiled record, each add at each level decomposed its
+#: predicate again: 300 (100 subscriptions at the SHB, its intermediate
+#: and the PHB).
+DECOMPOSITIONS = 49
+
 
 def test_fanout_forest_work_budget(monkeypatch):
     jobs = [0]
@@ -44,6 +59,8 @@ def test_fanout_forest_work_budget(monkeypatch):
         return submit(self, cost_ms, fn)
 
     monkeypatch.setattr(Node, "submit", counting_submit)
+    engine._compiled.clear()  # every predicate below starts uncompiled
+    decompositions = engine.decompositions
     sim = Scheduler()
     federation = build_deep_overlay(
         sim, n_trees=1, fanout=(2,), shbs_per_leaf=4, spares_per_level=1
@@ -81,3 +98,16 @@ def test_fanout_forest_work_budget(monkeypatch):
     assert measured == BUDGET
     classified = {broker.name: broker.links.classifications for broker in filtering}
     assert classified == filtered == CLASSIFIED
+
+    predicates = {id(s.predicate) for shb in tree.shbs for s in shb.registry.all()}
+    assert engine.decompositions - decompositions == len(predicates) == DECOMPOSITIONS
+    active = {
+        broker.name: len({
+            engine.compiled(union.filter_of(sub_id)).signature
+            for union in broker.child_engines.values()
+            for sub_id in union.subscription_ids()
+        })
+        for broker in filtering
+    }
+    index_keys = {broker.name: len(broker.links.matcher) for broker in filtering}
+    assert index_keys == active == INDEX_KEYS
