@@ -147,8 +147,9 @@ def run_fanout_filtering(
     """PHB-style fan-out: one union per downstream link in one
     :class:`~repro.matching.links.LinkIndex`, one link match per event.
     Subscribers draw from a shared predicate pool (many subscribers
-    want the same content), which is exactly what each link's
-    aggregate — signature dedup + covering — exploits.
+    want the same content); each link's union holds the distinct
+    predicates among them, which its aggregate — signature dedup +
+    covering — reduces further.
 
     Work is counted in index-key units: the keys (distinct active
     signatures, each shared by every link it is active on) the index's
@@ -166,14 +167,14 @@ def run_fanout_filtering(
     for child in range(n_children):
         union = index.new_union()
         for i in range(subs_per_child):
-            union.add(f"c{child}-s{i}", rng.choice(pool)[1])
+            union.add(rng.choice(pool)[1])
         unions.append(union)
     for attributes in events:
         index.links_of_batch([attributes])
     matcher = index.matcher
     return {
         "n_links": n_children,
-        "subs_total": sum(len(union) for union in unions),
+        "subs_total": n_children * subs_per_child,
         "pool_size": len(pool),
         "active_signatures": sum(union.aggregate_active for union in unions),
         "index_keys": len(matcher),

@@ -10,27 +10,27 @@ Per-pubend traffic directions:
 * :class:`~repro.core.messages.KnowledgeUpdate` — downstream (parent→child),
 * :class:`~repro.core.messages.Nack`,
   :class:`~repro.core.messages.ReleaseUpdate`,
-  :class:`~repro.core.messages.SubscriptionAdd`/``Remove`` — upstream.
+  :class:`~repro.core.messages.SubscriptionAdd`/``Sync`` — upstream.
 
 Subclasses implement ``_handle_from_parent`` / ``_handle_from_child``;
 the base class owns link wiring, the per-child subscription unions (the
-union of all subscriptions below that child, each a member of the
+distinct predicates below that child, each union a member of the
 broker's one :class:`~repro.matching.links.LinkIndex`), D→S filtering
 of knowledge against them — one classification per update for all
 children (:class:`LinkFilter`) — the costed, traced forward of an
-update to a child (:meth:`Broker._forward`), the epoch-verified
-subscription intake from children — digest or full set — and the
-digest-or-full union refresh toward the parent
+update to a child (:meth:`Broker._forward`), the subscription intake
+from children — widening adds, and epoch-numbered digest or full-set
+syncs — and the digest-or-full union refresh toward the parent
 (:meth:`Broker._send_union_up`), and crash/recovery plumbing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core import messages as M
+from ..matching.engine import PredicateSet
 from ..matching.links import LinkIndex, LinkUnion
-from ..matching.predicates import Predicate
 from ..metrics.trace import event_tracer
 from ..net.link import Link, LinkEnd
 from ..net.node import Node
@@ -166,21 +166,16 @@ class Broker:
         #: One index over every child union's active signatures: an
         #: update is classified for all children in one match.
         self.links = LinkIndex()
-        #: Per-child filter union: every subscription propagated up
-        #: through that child.  Used to filter knowledge downstream.
+        #: Per-child filter union: every distinct predicate propagated
+        #: up through that child.  Used to filter knowledge downstream.
         self.child_engines: Dict[str, LinkUnion] = {}
         #: Whether each child's union is trustworthy.  After this
         #: broker recovers from a crash its unions are *cold* (soft
         #: state was lost): knowledge is passed unfiltered — always
         #: correct, merely less efficient — until the child re-syncs.
         self.child_filter_ready: Dict[str, bool] = {}
-        #: Epoch-verified subscription refresh intake (lossy-link safe):
-        #: adds tagged with an epoch are staged here per child, and only
-        #: an epoch's complete set — count-checked against its
-        #: SubscriptionSync — atomically replaces the live union.  A
-        #: lost add therefore can never warm an incomplete union (which
-        #: would filter events the child needs: silent loss).
-        self._staged_subs: Dict[str, Dict[int, Dict[str, object]]] = {}
+        #: Per child, the epoch of the last sync applied: an overtaken
+        #: (older) sync is ignored.
         self._applied_sub_epoch: Dict[str, int] = {}
         self._sub_epoch_counter = 0
         #: A full-set refresh owed to the parent, which answered a
@@ -242,7 +237,7 @@ class Broker:
         self._parent_send = None
 
     def unwire_child(self, child: str) -> None:
-        """Forget a child's wiring, filter union and staged epochs.
+        """Forget a child's wiring, filter union and applied epoch.
 
         Part of the drain/leave path: after this, knowledge is no
         longer fanned out to the child and its subscriptions no longer
@@ -255,7 +250,6 @@ class Broker:
         if union is not None:
             self.links.drop_union(union)
         self.child_filter_ready.pop(child, None)
-        self._staged_subs.pop(child, None)
         self._applied_sub_epoch.pop(child, None)
 
     @classmethod
@@ -342,26 +336,18 @@ class Broker:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Epoch-verified subscription intake (shared by PHB / intermediate)
+    # Subscription intake (shared by PHB / intermediate)
     # ------------------------------------------------------------------
-    def _on_subscription_add(self, child: str, msg: M.SubscriptionAdd) -> None:
-        if msg.epoch is None:
-            # Immediate add (new subscriber): widen the live union right
-            # away.  Widening can only un-filter, so a duplicate or
-            # late-arriving copy is harmless.
-            self.child_engines[child].add(msg.sub_id, msg.predicate)
-            return
-        if msg.epoch <= self._applied_sub_epoch.get(child, -1):
-            return  # straggler from an epoch already applied
-        staged = self._staged_subs.setdefault(child, {})
-        for stale in [e for e in staged if e < msg.epoch]:
-            del staged[stale]  # the child moved on; older epochs are dead
-        staged.setdefault(msg.epoch, {})[msg.sub_id] = msg.predicate
+    def _on_subscription_add(self, child: str, msg: M.SubscriptionAdd) -> bool:
+        """Widen ``child``'s union; True when no child link held the
+        predicate before (this broker's own count went 0→1).
 
-    def _on_subscription_remove(self, child: str, msg: M.SubscriptionRemove) -> None:
-        self.child_engines[child].remove(msg.sub_id)
-        for epoch_subs in self._staged_subs.get(child, {}).values():
-            epoch_subs.pop(msg.sub_id, None)
+        Widening can only un-filter, so a duplicate or late-arriving
+        copy is harmless.
+        """
+        fresh = msg.predicate not in self.links.members
+        self.child_engines[child].add(msg.predicate)
+        return fresh
 
     def _on_subscription_sync(self, child: str, msg: M.SubscriptionSync) -> bool:
         """Apply a sync; returns True iff the child's union is now warm.
@@ -371,32 +357,20 @@ class Broker:
         mismatch the child goes cold — knowledge passes unfiltered,
         always safe — and is asked for its full set
         (:class:`~repro.core.messages.SubscriptionResend`, the sync's
-        ``want_ack`` echoed).  A full-set sync only takes effect when
-        every add of its epoch arrived (count check): the staged set
-        then atomically replaces the live union.  On a count mismatch
-        (adds lost or still in flight) nothing changes — the child's
-        next refresh retries with a fresh epoch.
+        ``want_ack`` echoed).  A full set is one message: it replaces
+        the copy, narrowing it where the child withdrew predicates, and
+        warms the child.
         """
         if msg.epoch <= self._applied_sub_epoch.get(child, -1):
             return self.child_filter_ready.get(child, False)
         union = self.child_engines[child]
-        if msg.digest is not None:
-            if (len(union), union.digest) != (msg.sub_count, msg.digest):
-                self.child_filter_ready[child] = False
-                self.send_to_child(child, M.SubscriptionResend(msg.epoch, msg.want_ack))
-                return False
-        else:
-            staged = self._staged_subs.get(child, {}).pop(msg.epoch, {})
-            if len(staged) != msg.sub_count:
-                return self.child_filter_ready.get(child, False)
-            # A resent set mostly re-states what we hold; diff into the
-            # live union instead of rebuilding its aggregate from scratch.
-            union.replace_all(staged)
+        if msg.digest is None:
+            union.replace_all(msg.predicates)
+        elif (len(union), union.digest) != (msg.count, msg.digest):
+            self.child_filter_ready[child] = False
+            self.send_to_child(child, M.SubscriptionResend(msg.epoch, msg.want_ack))
+            return False
         self._applied_sub_epoch[child] = msg.epoch
-        remaining = self._staged_subs.get(child)
-        if remaining:
-            for stale in [e for e in remaining if e <= msg.epoch]:
-                del remaining[stale]
         self.child_filter_ready[child] = True
         return True
 
@@ -412,47 +386,39 @@ class Broker:
         )
         return self._sub_epoch_counter
 
-    def _union_summary(self) -> Optional[Tuple[int, int]]:
-        """``(count, digest)`` of the union this broker announces
-        upstream, or None while it must not speak for it."""
-        raise NotImplementedError
-
-    def _union_pairs(self) -> Iterable[Tuple[str, Predicate]]:
-        """The ``(sub_id, predicate)`` pairs :meth:`_union_summary`
-        summarises."""
+    def _upstream_set(self) -> Optional[PredicateSet]:
+        """The distinct predicates this broker announces upstream, or
+        None while it must not speak for them."""
         raise NotImplementedError
 
     def _send_union_up(self, want_ack: bool = False) -> Optional[int]:
         """One epoch-numbered subscription refresh toward the parent.
 
         Normally one digest ``SubscriptionSync`` of
-        :meth:`_union_summary`; the parent compares it with its copy
+        :meth:`_upstream_set`; the parent compares it with its copy
         (see :meth:`_on_subscription_sync`).  Only when the parent
-        asked (:meth:`_on_subscription_resend`) does the full set go:
-        one tagged ``SubscriptionAdd`` per pair and a closing sync with
-        their count, which the parent swaps in only when the count
-        matches, so a refresh partially eaten by a lossy link can never
-        warm an incomplete union.  With ``want_ack`` the sync asks for
-        a downward :class:`~repro.core.messages.SubscriptionSynced`
-        once the epoch is applied at the tree root.  Returns the
-        refresh's epoch, or None — nothing sent — while the broker must
-        not speak for its union.
+        asked (:meth:`_on_subscription_resend`) does the full set go,
+        as one sync carrying every predicate.  With ``want_ack`` the
+        sync asks for a downward
+        :class:`~repro.core.messages.SubscriptionSynced` once the epoch
+        is applied at the tree root.  Returns the refresh's epoch, or
+        None — nothing sent — while the broker must not speak for its
+        union.
         """
-        summary = self._union_summary()
-        if summary is None:
+        members = self._upstream_set()
+        if members is None:
             return None
         epoch = self._next_sub_epoch()
         if self._resend_owed is None:
-            count, digest = summary
-            self.send_up(M.SubscriptionSync(count, epoch, want_ack, digest))
-            return epoch
-        want_ack = want_ack or self._resend_owed
-        self._resend_owed = None
-        count = 0
-        for sub_id, predicate in self._union_pairs():
-            self.send_up(M.SubscriptionAdd(sub_id, predicate, epoch=epoch))
-            count += 1
-        self.send_up(M.SubscriptionSync(count, epoch=epoch, want_ack=want_ack))
+            self.send_up(M.SubscriptionSync(
+                epoch, want_ack, count=len(members), digest=members.digest
+            ))
+        else:
+            want_ack = want_ack or self._resend_owed
+            self._resend_owed = None
+            self.send_up(M.SubscriptionSync(
+                epoch, want_ack, predicates=members.predicates()
+            ))
         return epoch
 
     def _refresh_upstream(self) -> None:
@@ -513,12 +479,10 @@ class Broker:
             # The unions were volatile: emptied, as a real restart
             # would leave them, so a child's digest can never re-warm
             # us from memory the crash should have taken.
-            self.child_engines[child].replace_all({})
-        # Staged epochs, the applied-epoch floor and a full set owed to
-        # our own parent were volatile too; forgetting the floor lets a
-        # child whose own epoch counter restarted (it also crashed)
-        # re-warm us.
-        self._staged_subs.clear()
+            self.child_engines[child].replace_all(())
+        # The applied-epoch floor and a full set owed to our own parent
+        # were volatile too; forgetting the floor lets a child whose
+        # own epoch counter restarted (it also crashed) re-warm us.
         self._applied_sub_epoch.clear()
         self._resend_owed = None
 

@@ -68,8 +68,11 @@ class CostModel:
             return self.nack_ms
         if isinstance(msg, M.ReleaseUpdate):
             return self.release_ms
-        if isinstance(msg, (M.SubscriptionAdd, M.SubscriptionRemove)):
+        if isinstance(msg, M.SubscriptionAdd):
             return self.subscription_ms
+        if isinstance(msg, M.SubscriptionSync):
+            # A full set costs what its predicates would as adds.
+            return 0.02 + self.subscription_ms * len(msg.predicates)
         return 0.02
 
     def shb_client_recv_cost(self, msg: object) -> float:

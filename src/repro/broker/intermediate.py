@@ -16,15 +16,14 @@ to the children whose registered interest intersects them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core import messages as M
 from ..core.curiosity import NackConsolidator
 from ..metrics.trace import SPAN_INTERMEDIATE_FORWARD
 from ..core.release import ReleaseAggregator
 from ..core.tickmap import TickMap
-from ..matching.engine import DIGEST_MASK
-from ..matching.predicates import Predicate
+from ..matching.engine import PredicateSet
 from ..port.clock import Clock
 from ..port.executor import Executor
 from ..util.intervals import IntervalSet
@@ -218,14 +217,9 @@ class IntermediateBroker(Broker):
         elif isinstance(msg, M.ReleaseUpdate):
             self._on_release(child, msg)
         elif isinstance(msg, M.SubscriptionAdd):
-            self._on_subscription_add(child, msg)
-            if msg.epoch is None:
-                # Immediate adds still propagate straight up; epoch-
-                # tagged refresh adds are covered by _refresh_upstream.
+            if self._on_subscription_add(child, msg):
+                # New to our own union: widen the parent's copy now.
                 self.send_up(msg)
-        elif isinstance(msg, M.SubscriptionRemove):
-            self._on_subscription_remove(child, msg)
-            self.send_up(msg)
         elif isinstance(msg, M.SubscriptionSync):
             warmed = self._on_subscription_sync(child, msg)
             if msg.want_ack and self._applied_sub_epoch.get(child, -1) >= msg.epoch:
@@ -291,9 +285,10 @@ class IntermediateBroker(Broker):
     # ------------------------------------------------------------------
     # Lossy-link resilience (periodic upstream re-sync)
     # ------------------------------------------------------------------
-    def _union_summary(self) -> Optional[Tuple[int, int]]:
-        """The union of every child's, summed from the child unions'
-        own digests: O(children) per refresh.
+    def _upstream_set(self) -> Optional[PredicateSet]:
+        """Every predicate some child's union holds, counted once per
+        child (:attr:`LinkIndex.members`), so its digest is kept up to
+        date per change, not summed per refresh.
 
         None while any child is cold: an incomplete union must not
         warm the parent (it would filter events the cold child needs).
@@ -302,16 +297,7 @@ class IntermediateBroker(Broker):
             return None
         if not self.child_filter_ready or not all(self.child_filter_ready.values()):
             return None
-        unions = self.child_engines.values()
-        return (
-            sum(len(union) for union in unions),
-            sum(union.digest for union in unions) & DIGEST_MASK,
-        )
-
-    def _union_pairs(self) -> Iterable[Tuple[str, Predicate]]:
-        for union in self.child_engines.values():
-            for sub_id in union.subscription_ids():
-                yield sub_id, union.filter_of(sub_id)  # type: ignore[misc]
+        return self.links.members
 
     def _refresh_upstream(self) -> None:
         """Refresh the parent (:meth:`Broker._send_union_up`), carrying

@@ -230,8 +230,6 @@ class PublisherHostingBroker(Broker):
                 )
         elif isinstance(msg, M.SubscriptionAdd):
             self._on_subscription_add(child, msg)
-        elif isinstance(msg, M.SubscriptionRemove):
-            self._on_subscription_remove(child, msg)
         elif isinstance(msg, M.SubscriptionSync):
             self._on_subscription_sync(child, msg)
             applied = self._applied_sub_epoch.get(child, -1)

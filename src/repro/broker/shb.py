@@ -23,7 +23,7 @@ exact scenario of Figures 7 and 8.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import messages as M
 from ..core.catchup import CatchupStream
@@ -31,7 +31,7 @@ from ..core.constream import ConsolidatedStream
 from ..core.curiosity import CuriosityStream, NackConsolidator
 from ..core.subscription import DurableSubscription, SubscriptionRegistry
 from ..core.tickmap import TickMap
-from ..matching.engine import MatchingEngine, union_digest
+from ..matching.engine import MatchingEngine, PredicateSet
 from ..matching.predicates import Predicate
 from ..pfs.pfs import PersistentFilteringSubsystem
 from ..port.clock import Clock, PeriodicTimerHandle
@@ -153,7 +153,7 @@ class SubscriberHostingBroker(Broker):
         #: registry cannot name (the rows died uncommitted in the
         #: crash).  While suspect, this SHB must not speak with
         #: authority about which subscriptions it hosts — see
-        #: _union_summary and _report_release.  Cleared by
+        #: _upstream_set and _report_release.  Cleared by
         #: _maybe_clear_suspect once re-registrations cover every
         #: PFS-referenced num.
         self.registry_suspect = False
@@ -208,9 +208,12 @@ class SubscriberHostingBroker(Broker):
     # ------------------------------------------------------------------
     def _build_volatile(self) -> None:
         self.engine = MatchingEngine()
-        self._union_memo: Optional[Tuple[int, int]] = None
+        #: The distinct predicates of the hosted subscriptions, counted
+        #: per subscription: the set announced upstream.
+        self.distinct = PredicateSet()
         for sub in self.registry.all():
             self.engine.add(sub.sub_id, sub.predicate)
+            self.distinct.add(sub.predicate)
             sub.connected = False
         self.constreams = {}
         self.head_curiosity = {}
@@ -385,10 +388,6 @@ class SubscriberHostingBroker(Broker):
                     refilter_until=refilter_until.get(pubend, 0),
                 )
 
-    def _global_sub_id(self, sub_id: str) -> str:
-        """Subscription ids must be unique across the overlay."""
-        return f"{self.name}/{sub_id}"
-
     def _on_ack(self, ack: M.AckCheckpoint) -> None:
         for pubend, t in ack.checkpoint.items():
             if pubend in self.constreams and ack.sub_id in self.registry:
@@ -431,7 +430,8 @@ class SubscriberHostingBroker(Broker):
 
         This is exactly the registration half of :meth:`_on_connect`
         (registry row with its ``pfs_from`` coverage cursor, matching
-        engine entry, upstream ``SubscriptionAdd``, and the initial ack
+        engine entry, upstream ``SubscriptionAdd`` when its predicate is
+        new here, and the initial ack
         at the registration cursor) without the session plumbing.  The
         scale harness uses it to host 10^5 subscriptions without 10^5
         client objects: a disconnected durable subscription costs its
@@ -481,18 +481,23 @@ class SubscriberHostingBroker(Broker):
         }
         sub = self.registry.create(sub_id, predicate, pfs_from=pfs_from)
         self.engine.add(sub.sub_id, sub.predicate)
-        self._union_memo = None
-        self.send_up(M.SubscriptionAdd(self._global_sub_id(sub.sub_id), sub.predicate))
+        if self.distinct.add(sub.predicate):
+            self.send_up(M.SubscriptionAdd(sub.predicate))
         self._maybe_clear_suspect()
         return sub
 
     def _drop(self, sub_id: str) -> None:
-        """Destroy a registered subscription here and withdraw it upstream."""
-        if sub_id in self.registry:
+        """Destroy a registered subscription here.
+
+        Nothing is sent: if it held the last reference to its
+        predicate, our digest changes and the parent's next sync
+        narrows its copy.
+        """
+        sub = self.registry.get(sub_id)
+        if sub is not None:
             self.registry.drop(sub_id)
             self.engine.remove(sub_id)
-            self._union_memo = None
-            self.send_up(M.SubscriptionRemove(self._global_sub_id(sub_id)))
+            self.distinct.remove(sub.predicate)
 
     # ------------------------------------------------------------------
     # Dynamic topology: supervised join / drain / migration
@@ -1103,10 +1108,8 @@ class SubscriberHostingBroker(Broker):
             unknown = knowledge.unknown_up_to(frontier)
             self.head_curiosity[pubend].set_want(unknown)
 
-    def _union_summary(self) -> Optional[Tuple[int, int]]:
-        """The registry's ``(count, digest)`` under global ids, memoized
-        until the registry changes (:meth:`_register`, :meth:`_drop`,
-        a rebuild).
+    def _upstream_set(self) -> Optional[PredicateSet]:
+        """The hosted subscriptions' distinct predicates.
 
         None while the registry is suspect: a refresh from a registry
         that lost rows would make the parent's union a subset (in the
@@ -1117,14 +1120,7 @@ class SubscriberHostingBroker(Broker):
         filtering with the pre-crash union, a superset of everything we
         might still host.
         """
-        if self.registry_suspect:
-            return None
-        if self._union_memo is None:
-            self._union_memo = (len(self.registry), union_digest(self._union_pairs()))
-        return self._union_memo
-
-    def _union_pairs(self) -> Iterable[Tuple[str, Predicate]]:
-        return ((self._global_sub_id(sub.sub_id), sub.predicate) for sub in self.registry.all())
+        return None if self.registry_suspect else self.distinct
 
     def _commit_tables(self) -> None:
         self.meta_table.commit()

@@ -6,8 +6,9 @@ Two families:
 :class:`KnowledgeUpdate` carries tick knowledge downstream (data,
 silence and lost ranges for one pubend); :class:`Nack` carries
 curiosity upstream; :class:`ReleaseUpdate` aggregates release state
-upstream; :class:`SubscriptionAdd`/:class:`SubscriptionRemove`
-propagate filters upstream so intermediate brokers can filter.
+upstream; :class:`SubscriptionAdd` and :class:`SubscriptionSync`
+propagate distinct predicates upstream so intermediate brokers can
+filter.
 
 **Last hop** (SHB→subscriber): Section 2's three message kinds.  Each
 carries a pubend and a timestamp ``t``; with ``t0`` the timestamp of
@@ -212,19 +213,15 @@ class ReleaseUpdate:
 
 @dataclass
 class SubscriptionAdd:
-    """Propagates a subscription's filter upstream for routing/filtering.
+    """Widens the parent's copy of the sender's union by one predicate.
 
-    ``epoch`` distinguishes the two ways an add travels: ``None`` marks
-    an immediate add (a new subscription) applied straight to the live
-    union; an integer marks one element of a numbered full-union
-    refresh, staged by the receiver and swapped in atomically when the
-    matching :class:`SubscriptionSync` confirms the whole refresh
-    arrived (see that class).
+    Sent when the sender's count for the predicate goes 0→1.  It only
+    ever widens, so a duplicated, late or reordered copy is harmless;
+    nothing is sent when a count goes 1→0 (the next
+    :class:`SubscriptionSync` narrows the copy).
     """
 
-    sub_id: str
     predicate: Predicate
-    epoch: Optional[int] = None
 
     @property
     def size_bytes(self) -> int:
@@ -232,37 +229,26 @@ class SubscriptionAdd:
 
 
 @dataclass
-class SubscriptionRemove:
-    """Withdraws a previously propagated subscription filter."""
-
-    sub_id: str
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
-
-
-@dataclass
 class SubscriptionSync:
-    """One numbered subscription refresh from the sender's subtree.
+    """One numbered subscription refresh of the sender's distinct set.
 
     Subscription unions at upstream brokers are volatile soft state,
     kept fresh by one sync per uplink per refresh interval.  It comes
     in two shapes:
 
-    * **Digest** (``digest`` set, no adds): ``(sub_count, digest)``
-      summarises the sender's whole union (see
-      :func:`~repro.matching.engine.pair_digest`).  The receiver
+    * **Digest** (``digest`` set): ``(count, digest)`` summarises the
+      sender's set of distinct predicates (see
+      :class:`~repro.matching.engine.PredicateSet`).  The receiver
       compares it with its own copy: on a match the epoch is applied
       and the child is warm; on a mismatch the child goes *cold*
       (knowledge passes unfiltered — safe) and the receiver answers
       :class:`SubscriptionResend`.
-    * **Full set** (``digest`` None): closes ``sub_count`` epoch-tagged
-      :class:`SubscriptionAdd` messages.  The receiver swaps the staged set in
-      only if it actually received all of them, so a partial refresh
-      eaten by a lossy link leaves the child cold until a later one
-      survives intact.
+    * **Full set** (``digest`` None): ``predicates`` is the whole set,
+      in one message, so it arrives whole or not at all.  The receiver
+      replaces its copy with it, widening and narrowing, and the child
+      is warm.
 
+    ``epoch`` orders a sender's refreshes: an overtaken one is ignored.
     ``want_ack`` requests a :class:`SubscriptionSynced` confirmation
     once the refresh has been applied *at the tree root* — set by a
     migration destination, whose PFS-coverage claim for the installed
@@ -270,14 +256,15 @@ class SubscriptionSync:
     upstream filter learned its predicate (see PROTOCOL.md §8).
     """
 
-    sub_count: int
     epoch: int
     want_ack: bool = False
+    count: int = 0
     digest: Optional[int] = None
+    predicates: Tuple[Predicate, ...] = ()
 
     @property
     def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
+        return CONTROL_HEADER_BYTES + 64 * len(self.predicates)
 
 
 @dataclass

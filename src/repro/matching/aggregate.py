@@ -10,12 +10,14 @@ aggregate per link — exactly, so filtering decisions (and therefore
 delivery transcripts) are bit-identical to per-subscription
 evaluation:
 
-* Every subscription reduces to a **signature** — its deduplicated atom
-  set plus opaque residual, taken from the predicate's compiled record
+* The link's members are distinct predicates (by canonical bytes; the
+  union above an SHB holds no subscription ids).  Each reduces to a
+  **signature** — its deduplicated atom set plus opaque residual, taken
+  from the predicate's compiled record
   (:func:`~repro.matching.engine.compiled`), so every level shares one
-  signature object per predicate.  Equal predicates across subscribers
-  (the overwhelmingly common case: many subscribers to the same groups
-  or topics) collapse into one refcounted signature.
+  signature object per predicate.  Predicates that are equal but
+  encode differently (``Eq("x", 1)``, ``Eq("x", 1.0)``) share one
+  refcounted signature.
 * A residual-free signature ``C`` **covers** ``S`` when
   ``C.atoms ⊆ S.atoms`` — fewer conjuncts match strictly more events —
   so ``S`` adds nothing to the link's match set while ``C`` lives.
@@ -60,9 +62,8 @@ class SubscriptionAggregate:
     """
 
     def __init__(self, index: "LinkIndex", bit: int) -> None:
-        self._sub_sig: Dict[str, Hashable] = {}
         self._refs: Dict[Hashable, int] = {}
-        # sig -> the compiled record of its first subscription
+        # sig -> the compiled record of its first predicate
         self._record: Dict[Hashable, Compiled] = {}
         # atom -> ordered set of signatures containing it (for the
         # subset-join in both directions of the covering check)
@@ -78,9 +79,6 @@ class SubscriptionAggregate:
         self.cover_checks = 0
 
     # -- introspection -------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._sub_sig)
-
     @property
     def signature_count(self) -> int:
         return len(self._refs)
@@ -98,15 +96,16 @@ class SubscriptionAggregate:
         self.active_count -= 1
 
     # -- updates -------------------------------------------------------
-    def add(self, sub_id: str, record: Compiled) -> None:
-        if sub_id in self._sub_sig:
-            self.remove(sub_id)
-        key = record.signature
-        if key is None:
+    def _key(self, record: Compiled) -> Hashable:
+        if record.signature is None:
             # Unhashable residual: a private, undeduplicated signature,
             # private to this link too (the index is shared).
-            key = ("sub", self._bit, sub_id)
-        self._sub_sig[sub_id] = key
+            return ("sub", self._bit, record.canonical)
+        return record.signature
+
+    def add(self, record: Compiled) -> None:
+        """A new distinct predicate below the link."""
+        key = self._key(record)
         refs = self._refs.get(key)
         if refs is not None:
             self._refs[key] = refs + 1
@@ -124,10 +123,9 @@ class SubscriptionAggregate:
         if not coverers:
             self._activate(key)
 
-    def remove(self, sub_id: str) -> None:
-        key = self._sub_sig.pop(sub_id, None)
-        if key is None:
-            return
+    def remove(self, record: Compiled) -> None:
+        """A predicate left the link."""
+        key = self._key(record)
         refs = self._refs[key] - 1
         if refs:
             self._refs[key] = refs

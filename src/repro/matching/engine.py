@@ -21,11 +21,12 @@ PHBs and intermediates ask a different question — which child links
 want this event — and answer it without a per-subscription index:
 each child's union is a :class:`~repro.matching.links.LinkUnion`, and
 one :class:`~repro.matching.links.LinkIndex` per broker classifies an
-event for all of its links in one match.  Both kinds of registry share
-:class:`SubscriptionSet`: the ``sub_id -> predicate`` map and its
-order-independent digest.  They also share each predicate's
-:class:`Compiled` record, so an SHB and every broker above it hold one
-atom tuple and one signature per predicate object, not one per level.
+event for all of its links in one match.  Above the SHB nothing is
+per-subscription: a union is a :class:`PredicateSet` of distinct
+predicates, keyed by canonical bytes, with an order-independent
+digest.  Every registry shares each predicate's :class:`Compiled`
+record, so an SHB and every broker above it hold one atom tuple and
+one signature per predicate object, not one per level.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .predicates import Atom, Predicate
 #: Entries kept in the per-timestamp match cache before FIFO eviction.
 MATCH_CACHE_LIMIT = 4096
 
-#: Union digests are sums of per-pair hashes modulo 2**64.
+#: Union digests are sums of per-predicate hashes modulo 2**64.
 DIGEST_MASK = (1 << 64) - 1
 
 #: Predicates whose compiled record is memoized (see compiled).
@@ -74,22 +75,10 @@ def _canonical(value: Any) -> str:
     return repr(value)
 
 
-def pair_digest(sub_id: str, predicate: Predicate) -> int:
-    """The 64-bit hash of one ``(sub_id, predicate)`` union member.
-
-    A union's digest is the sum of its members' hashes modulo 2**64:
-    order-independent, updatable per add and remove, and a function of
-    the set alone.  ``crc32 | adler32 << 32`` over a canonical encoding
-    keeps it identical across processes and hash seeds using ``zlib``
-    only.  The predicate's encoding comes from its compiled record.
-    """
-    data = sub_id.encode() + b"\0" + compiled(predicate).canonical
-    return zlib.crc32(data) | zlib.adler32(data) << 32
-
-
-def union_digest(pairs: Iterable[Tuple[str, Predicate]]) -> int:
-    """The digest of ``(sub_id, predicate)`` pairs, from scratch."""
-    return sum(pair_digest(s, p) for s, p in pairs) & DIGEST_MASK
+def union_digest(predicates: Iterable[Predicate]) -> int:
+    """The digest of a set of predicates, from scratch (see :class:`PredicateSet`)."""
+    digests = {record.canonical: record.digest for record in map(compiled, predicates)}
+    return sum(digests.values()) & DIGEST_MASK
 
 
 def decompose_safe(predicate: Predicate) -> Tuple[Tuple[Atom, ...], Optional[Predicate]]:
@@ -119,6 +108,8 @@ class Compiled(NamedTuple):
     #: ``("sig", atom_set, residual)``; None when unhashable, and then
     #: each subscription's signature is private to it.
     signature: Optional[Hashable]
+    #: The 64-bit hash of ``canonical`` that union digests sum.
+    digest: int
 
 
 def compiled(predicate: Predicate) -> Compiled:
@@ -142,9 +133,11 @@ def compiled(predicate: Predicate) -> Compiled:
         hash(signature)
     except TypeError:
         signature = None
-    record = Compiled(
-        predicate, _canonical(predicate).encode(), atoms, atom_set, residual, signature
-    )
+    canonical = _canonical(predicate).encode()
+    # crc32 | adler32 << 32: identical across processes and hash seeds,
+    # from zlib alone.
+    digest = zlib.crc32(canonical) | zlib.adler32(canonical) << 32
+    record = Compiled(predicate, canonical, atoms, atom_set, residual, signature, digest)
     if signature is not None:
         if len(_compiled) >= _CANONICAL_LIMIT:
             _compiled.clear()
@@ -152,84 +145,83 @@ def compiled(predicate: Predicate) -> Compiled:
     return record
 
 
-class SubscriptionSet:
-    """A mutable registry of ``subscription_id -> Predicate``.
+class PredicateSet:
+    """Distinct predicates, keyed by canonical bytes, each reference-counted.
 
-    Subclasses index what they match on through :meth:`_index` /
-    :meth:`_unindex`, called with the predicate's compiled record.
+    ``digest`` is the sum of the distinct members' hashes modulo 2**64:
+    order-independent, kept up to date per change, and a function of
+    the set alone, so two brokers holding the same predicates agree on
+    it in every process.  Equal predicates that encode differently
+    (``Eq("x", 1)``, ``Eq("x", 1.0)``) are distinct members.
+    Subclasses index members through :meth:`_index` / :meth:`_unindex`.
+    """
+
+    def __init__(self) -> None:
+        self._members: Dict[bytes, Compiled] = {}
+        self._refs: Dict[bytes, int] = {}
+        self.digest = 0
+
+    def _index(self, record: Compiled) -> None:
+        """A predicate became a member."""
+
+    def _unindex(self, record: Compiled) -> None:
+        """A predicate stopped being a member."""
+
+    def add(self, predicate: Predicate) -> bool:
+        """Count one more reference; True when ``predicate`` is new (0→1)."""
+        return self._add(compiled(predicate))
+
+    def _add(self, record: Compiled) -> bool:
+        key = record.canonical
+        refs = self._refs.get(key, 0)
+        self._refs[key] = refs + 1
+        if refs:
+            return False
+        self._members[key] = record
+        self.digest = (self.digest + record.digest) & DIGEST_MASK
+        self._index(record)
+        return True
+
+    def remove(self, predicate: Predicate) -> bool:
+        """Drop one reference; True when it was the last (1→0)."""
+        return self._release(compiled(predicate).canonical)
+
+    def _release(self, key: bytes) -> bool:
+        refs = self._refs.get(key, 0)
+        if refs != 1:
+            if refs:
+                self._refs[key] = refs - 1
+            return False
+        del self._refs[key]
+        record = self._members.pop(key)
+        self.digest = (self.digest - record.digest) & DIGEST_MASK
+        self._unindex(record)
+        return True
+
+    def __contains__(self, predicate: Predicate) -> bool:
+        return compiled(predicate).canonical in self._members
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def keys(self):
+        """The members' canonical bytes (a set-like view)."""
+        return self._members.keys()
+
+    def predicates(self) -> Tuple[Predicate, ...]:
+        """Every distinct member, in insertion order."""
+        return tuple(record.predicate for record in self._members.values())
+
+
+class MatchingEngine:
+    """Per-subscription matching: a counting index plus a match cache.
+
+    The SHB's registry of ``subscription_id -> Predicate``; the only
+    structure that names subscriptions.
     """
 
     def __init__(self) -> None:
         self._filters: Dict[str, Predicate] = {}
-        # Registry digest (see pair_digest): computed on first read,
-        # then kept up to date by add/remove.
-        self._digest: Optional[int] = None
-
-    def _index(self, sub_id: str, record: Compiled) -> None:
-        raise NotImplementedError
-
-    def _unindex(self, sub_id: str) -> None:
-        raise NotImplementedError
-
-    def add(self, sub_id: str, predicate: Predicate) -> None:
-        """Register (or replace) a subscription's filter."""
-        if sub_id in self._filters:
-            self.remove(sub_id)
-        self._filters[sub_id] = predicate
-        if self._digest is not None:
-            self._digest = (self._digest + pair_digest(sub_id, predicate)) & DIGEST_MASK
-        self._index(sub_id, compiled(predicate))
-
-    def remove(self, sub_id: str) -> None:
-        """Unregister a subscription (no-op when absent)."""
-        predicate = self._filters.pop(sub_id, None)
-        if predicate is None:
-            return
-        if self._digest is not None:
-            self._digest = (self._digest - pair_digest(sub_id, predicate)) & DIGEST_MASK
-        self._unindex(sub_id)
-
-    def replace_all(self, filters: Mapping[str, Predicate]) -> None:
-        """Make the registry equal ``filters`` by applying deltas only.
-
-        Used by epoch-verified ``SubscriptionSync``: a resent set
-        usually re-states the same subscriptions, so rebuilding (and
-        losing every index and cache) is wasted work — diffing touches
-        nothing when nothing changed.
-        """
-        for sub_id in [s for s in self._filters if s not in filters]:
-            self.remove(sub_id)
-        for sub_id, predicate in filters.items():
-            if self._filters.get(sub_id) != predicate:
-                self.add(sub_id, predicate)
-
-    def __contains__(self, sub_id: str) -> bool:
-        return sub_id in self._filters
-
-    def __len__(self) -> int:
-        return len(self._filters)
-
-    def subscription_ids(self) -> List[str]:
-        return list(self._filters)
-
-    def filter_of(self, sub_id: str) -> Optional[Predicate]:
-        return self._filters.get(sub_id)
-
-    @property
-    def digest(self) -> int:
-        """Order-independent digest of the registry's ``(sub_id,
-        predicate)`` pairs; a parent compares its copy of a child's
-        union with the child's own through it."""
-        if self._digest is None:
-            self._digest = union_digest(self._filters.items())
-        return self._digest
-
-
-class MatchingEngine(SubscriptionSet):
-    """Per-subscription matching: a counting index plus a match cache."""
-
-    def __init__(self) -> None:
-        super().__init__()
         self._counting = CountingMatcher()
         # event id -> (attributes, frozen match result).  FIFO-bounded;
         # add/remove repair entries in place instead of dropping them.
@@ -237,21 +229,35 @@ class MatchingEngine(SubscriptionSet):
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _index(self, sub_id: str, record: Compiled) -> None:
+    def add(self, sub_id: str, predicate: Predicate) -> None:
+        """Register (or replace) a subscription's filter."""
+        if sub_id in self._filters:
+            self.remove(sub_id)
+        self._filters[sub_id] = predicate
+        record = compiled(predicate)
         self._counting.add(sub_id, record.atoms, record.residual)
         # A new subscription can only *extend* cached match sets; one
         # predicate evaluation per cached event keeps the cache warm.
         for event_id, (attrs, result) in self._match_cache.items():
-            if record.predicate.matches(attrs):
+            if predicate.matches(attrs):
                 self._match_cache[event_id] = (attrs, result | {sub_id})
 
-    def _unindex(self, sub_id: str) -> None:
+    def remove(self, sub_id: str) -> None:
+        """Unregister a subscription (no-op when absent)."""
+        if self._filters.pop(sub_id, None) is None:
+            return
         self._counting.remove(sub_id)
         # Removal can only *shrink* cached match sets — no predicate
         # evaluation needed at all.
         for event_id, (attrs, result) in self._match_cache.items():
             if sub_id in result:
                 self._match_cache[event_id] = (attrs, result - {sub_id})
+
+    def __contains__(self, sub_id: str) -> bool:
+        return sub_id in self._filters
+
+    def __len__(self) -> int:
+        return len(self._filters)
 
     # ------------------------------------------------------------------
     # Matching

@@ -13,40 +13,68 @@ Here that is one :class:`LinkIndex` per broker: a single
 :class:`~repro.matching.counting.CountingMatcher` keyed by signature,
 plus a ``signature -> link mask`` map with the bit of every link where
 the signature is active.  Each child link's union is a
-:class:`LinkUnion` — its ``sub_id -> predicate`` map, digest and
+:class:`LinkUnion` — its set of distinct predicates, digest and
 :class:`~repro.matching.aggregate.SubscriptionAggregate` — and the
-aggregate sets its bit only on its covering antichain.  Covering and
-parking stay per link, so a mask is exactly the per-link answer (an
-event matching a parked signature also matches its active coverer);
-:meth:`LinkIndex.links_of_batch` ORs the masks of the matched keys.
+aggregate sets its bit only on its covering antichain.  The index also
+counts, per distinct predicate, the links holding it: that count is an
+intermediate broker's own union, the set it announces upstream.
+Covering and parking stay per link, so a mask is exactly the per-link
+answer (an event matching a parked signature also matches its active
+coverer); :meth:`LinkIndex.links_of_batch` ORs the masks of the
+matched keys.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Sequence
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Sequence
 
 from .aggregate import SubscriptionAggregate
 from .counting import CountingMatcher
-from .engine import Compiled, SubscriptionSet
+from .engine import Compiled, PredicateSet, compiled
+from .predicates import Predicate
 
 
-class LinkUnion(SubscriptionSet):
-    """The union of every subscription below one child link.
+class LinkUnion(PredicateSet):
+    """A parent's copy of one child link's set of distinct predicates.
 
-    A member of its broker's :class:`LinkIndex`: ``bit`` is the link's
-    bit in :meth:`LinkIndex.links_of_batch` masks.
+    A set, not a multiset: an immediate add only widens it, so a
+    duplicated or reordered one is harmless, and only a full set
+    (:meth:`replace_all`) narrows it.  A member of its broker's
+    :class:`LinkIndex`: ``bit`` is the link's bit in
+    :meth:`LinkIndex.links_of_batch` masks.
     """
 
     def __init__(self, index: "LinkIndex", bit: int) -> None:
         super().__init__()
         self.bit = bit
+        self._links = index
         self._aggregate = SubscriptionAggregate(index, bit)
 
-    def _index(self, sub_id: str, record: Compiled) -> None:
-        self._aggregate.add(sub_id, record)
+    def _index(self, record: Compiled) -> None:
+        self._aggregate.add(record)
+        self._links.members._add(record)
 
-    def _unindex(self, sub_id: str) -> None:
-        self._aggregate.remove(sub_id)
+    def _unindex(self, record: Compiled) -> None:
+        self._aggregate.remove(record)
+        self._links.members._release(record.canonical)
+
+    def add(self, predicate: Predicate) -> bool:
+        """Widen the union by ``predicate``; True when it was new here."""
+        record = compiled(predicate)
+        return record.canonical not in self._members and self._add(record)
+
+    def replace_all(self, predicates: Iterable[Predicate]) -> None:
+        """Make the union exactly ``predicates`` by applying deltas only.
+
+        A full set mostly re-states what the copy holds; diffing by
+        canonical bytes touches nothing when nothing changed.
+        """
+        wanted = {record.canonical: record for record in map(compiled, predicates)}
+        for key in [k for k in self._members if k not in wanted]:
+            self._release(key)
+        for key, record in wanted.items():
+            if key not in self._members:
+                self._add(record)
 
     def accepts_all(self) -> bool:
         """True when a wildcard subscription is below the link, so every
@@ -70,6 +98,8 @@ class LinkIndex:
 
     def __init__(self) -> None:
         self.matcher = CountingMatcher()
+        #: Every predicate some link holds, counted once per link.
+        self.members = PredicateSet()
         #: signature -> OR of the bits of the links where it is active
         self._masks: Dict[Hashable, int] = {}
         self._bits_used = 0
@@ -84,7 +114,7 @@ class LinkIndex:
 
     def drop_union(self, union: LinkUnion) -> None:
         """Take ``union``'s signatures out of the index and free its bit."""
-        union.replace_all({})
+        union.replace_all(())
         self._bits_used &= ~union.bit
 
     def activate(self, signature: Hashable, bit: int, record: Compiled) -> None:

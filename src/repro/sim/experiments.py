@@ -1167,9 +1167,9 @@ def run_union_repair(seed: int, rate_per_s: float = 100.0) -> UnionRepairResult:
 
     On a PHB → 2 intermediates → 4 SHBs tree with two subscribers per
     SHB (one group each), a warm union is corrupted at the PHB and at an
-    intermediate in each of three ways — an id dropped, a stale id
-    added, the union emptied — and one new subscriber's immediate
-    ``SubscriptionAdd`` is lost on a lossy uplink.  Corruption is
+    intermediate in each of three ways — a predicate dropped, a stale
+    predicate added, the union emptied — and one new subscriber's
+    immediate ``SubscriptionAdd`` is lost on a lossy uplink.  Corruption is
     illegal state, not a fault the protocol masks: events classified
     against a corrupted warm union may be silenced, so publishing for
     the groups below the corrupted child is paused from just before the
@@ -1216,23 +1216,23 @@ def run_union_repair(seed: int, rate_per_s: float = 100.0) -> UnionRepairResult:
     unrepaired: List[str] = []
 
     def check(kind: str, parent: Broker, child: Broker) -> None:
-        engine = parent.child_engines[child.name]
-        held = {s: engine.filter_of(s) for s in engine.subscription_ids()}
+        union = parent.child_engines[child.name]
         warm = parent.child_filter_ready[child.name]
-        if not warm or held != dict(child._union_pairs()):
+        members = child._upstream_set()
+        if not warm or members is None or union.keys() != members.keys():
             unrepaired.append(
                 f"{kind} at {parent.name}/{child.name}: "
-                f"{'warm' if warm else 'cold'}, {len(held)} held"
+                f"{'warm' if warm else 'cold'}, {len(union)} held"
             )
 
     def corrupt(kind: str, parent: Broker, child: Broker) -> None:
-        engine = parent.child_engines[child.name]
+        union = parent.child_engines[child.name]
         if kind == "drop":
-            engine.remove(rng.choice(sorted(engine.subscription_ids())))
+            union.remove(rng.choice(sorted(union.predicates(), key=repr)))
         elif kind == "stale":
-            engine.add(f"{child.name}/stale", Eq("group", spare_group))
+            union.add(Eq("group", spare_group))
         else:
-            engine.replace_all({})
+            union.replace_all(())
         corruptions.append((kind, parent.name, child.name, sim.now))
         sim.at(sim.now + repair_ms, lambda: check(kind, parent, child))
 
@@ -1266,7 +1266,7 @@ def run_union_repair(seed: int, rate_per_s: float = 100.0) -> UnionRepairResult:
 
     def heal() -> None:
         uplink.set_faults(None)
-        lost.append(f"{shb.name}/ur-late" not in mid.child_engines[shb.name])
+        lost.append(Eq("group", late_group) not in mid.child_engines[shb.name])
         corruptions.append(("lost-add", mid.name, shb.name, at))
 
     sim.at(at, register_late)

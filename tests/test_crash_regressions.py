@@ -71,7 +71,7 @@ class TestNackRefilterBelowHonored:
         from repro.broker.intermediate import IntermediateBroker
 
         Broker.connect(phb, IntermediateBroker(sim, "c1"))
-        phb._handle_from_child("c1", M.SubscriptionAdd("s1", Eq("group", 0)))
+        phb._handle_from_child("c1", M.SubscriptionAdd(Eq("group", 0)))
         return phb
 
     def _update(self):

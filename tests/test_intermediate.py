@@ -63,8 +63,8 @@ def knowledge(*, d=(), s=(), l=()):
 class TestForwarding:
     def test_head_knowledge_forwarded_to_all_children(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("sa", Everything())
-        mid.child_engines["b"].add("sb", Everything())
+        mid.child_engines["a"].add(Everything())
+        mid.child_engines["b"].add(Everything())
         root.send_to_child("mid", knowledge(d=[ev(5)], s=[(1, 4)]))
         sim.run_until(50)
         assert [e.timestamp for e in a.events()] == [5]
@@ -72,8 +72,8 @@ class TestForwarding:
 
     def test_per_child_filtering(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("sa", Eq("g", 0))
-        mid.child_engines["b"].add("sb", Eq("g", 1))
+        mid.child_engines["a"].add(Eq("g", 0))
+        mid.child_engines["b"].add(Eq("g", 1))
         root.send_to_child("mid", knowledge(d=[ev(5, g=0)], s=[(1, 4)]))
         sim.run_until(50)
         assert [e.timestamp for e in a.events()] == [5]
@@ -84,8 +84,8 @@ class TestForwarding:
 
     def test_old_knowledge_not_rebroadcast(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("sa", Everything())
-        mid.child_engines["b"].add("sb", Everything())
+        mid.child_engines["a"].add(Everything())
+        mid.child_engines["b"].add(Everything())
         root.send_to_child("mid", knowledge(s=[(1, 50)]))
         sim.run_until(20)
         a.received.clear()
@@ -99,26 +99,31 @@ class TestForwarding:
 
     def test_subscription_propagation(self, env):
         sim, root, mid, a, b = env
-        a.send_up(M.SubscriptionAdd("sa", Eq("g", 0)))
+        a.send_up(M.SubscriptionAdd(Eq("g", 0)))
         sim.run_until(20)
-        assert "sa" in mid.child_engines["a"]
-        assert any(isinstance(m, M.SubscriptionAdd) for _c, m in root.received)
+        assert Eq("g", 0) in mid.child_engines["a"]
+        assert [m for _c, m in root.received] == [M.SubscriptionAdd(Eq("g", 0))]
+        # A predicate some child already holds goes up only once, and a
+        # duplicated add changes nothing.
+        b.send_up(M.SubscriptionAdd(Eq("g", 0)))
+        a.send_up(M.SubscriptionAdd(Eq("g", 0)))
+        sim.run_until(40)
+        assert Eq("g", 0) in mid.child_engines["b"]
+        assert len(root.received) == 1
 
-    def test_sync_with_a_short_count_leaves_the_child_cold(self, env):
+    def test_full_set_replaces_the_union_and_warms_the_child(self, env):
         sim, root, mid, a, b = env
         mid.child_filter_ready["a"] = False  # as after mid's recovery
-        a.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=7))
-        a.send_up(M.SubscriptionSync(2, epoch=7))  # one of two adds was lost
+        mid.child_engines["a"].add(Eq("g", 9))  # withdrawn below since
+        a.send_up(M.SubscriptionSync(7, predicates=(Eq("g", 0), Eq("g", 1))))
         sim.run_until(20)
-        assert mid.child_filter_ready["a"] is False
-        assert "s1" not in mid.child_engines["a"]
-        # The retry, intact, replaces the union and warms the child.
-        a.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=8))
-        a.send_up(M.SubscriptionAdd("s2", Eq("g", 1), epoch=8))
-        a.send_up(M.SubscriptionSync(2, epoch=8))
-        sim.run_until(40)
         assert mid.child_filter_ready["a"] is True
-        assert sorted(mid.child_engines["a"].subscription_ids()) == ["s1", "s2"]
+        assert set(mid.child_engines["a"].predicates()) == {Eq("g", 0), Eq("g", 1)}
+        assert Eq("g", 9) not in mid.links.members
+        # An overtaken full set is ignored.
+        a.send_up(M.SubscriptionSync(6, predicates=()))
+        sim.run_until(40)
+        assert len(mid.child_engines["a"]) == 2
 
 
 def resends(leaf):
@@ -129,8 +134,8 @@ class TestDigestRefresh:
     def test_matching_digest_warms_a_cold_child(self, env):
         sim, root, mid, a, b = env
         mid.child_filter_ready["a"] = False
-        mid.child_engines["a"].add("s1", Eq("g", 0))
-        a.send_up(M.SubscriptionSync(1, 7, digest=union_digest([("s1", Eq("g", 0))])))
+        mid.child_engines["a"].add(Eq("g", 0))
+        a.send_up(M.SubscriptionSync(7, count=1, digest=union_digest([Eq("g", 0)])))
         sim.run_until(20)
         assert mid.child_filter_ready["a"] is True
         assert mid._applied_sub_epoch["a"] == 7
@@ -138,39 +143,40 @@ class TestDigestRefresh:
 
     def test_mismatch_goes_cold_and_asks_for_the_full_set(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("s1", Eq("g", 0))
-        pairs = [("s1", Eq("g", 0)), ("s2", Eq("g", 1))]
-        a.send_up(M.SubscriptionSync(2, 7, want_ack=True, digest=union_digest(pairs)))
+        mid.child_engines["a"].add(Eq("g", 0))
+        predicates = (Eq("g", 0), Eq("g", 1))
+        a.send_up(M.SubscriptionSync(
+            7, want_ack=True, count=2, digest=union_digest(predicates)
+        ))
         sim.run_until(20)
         assert mid.child_filter_ready["a"] is False
         assert resends(a) == [M.SubscriptionResend(7, want_ack=True)]
         # The full set answers it and warms the child.
-        for sub_id, predicate in pairs:
-            a.send_up(M.SubscriptionAdd(sub_id, predicate, epoch=8))
-        a.send_up(M.SubscriptionSync(2, epoch=8, want_ack=True))
+        a.send_up(M.SubscriptionSync(8, want_ack=True, predicates=predicates))
         sim.run_until(40)
         assert mid.child_filter_ready["a"] is True
-        assert sorted(mid.child_engines["a"].subscription_ids()) == ["s1", "s2"]
+        assert set(mid.child_engines["a"].predicates()) == set(predicates)
 
     def test_stale_epoch_digest_is_ignored(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("s1", Eq("g", 0))
-        a.send_up(M.SubscriptionSync(1, 9, digest=union_digest([("s1", Eq("g", 0))])))
-        a.send_up(M.SubscriptionSync(0, 8, digest=0))  # overtaken, mismatched
+        mid.child_engines["a"].add(Eq("g", 0))
+        a.send_up(M.SubscriptionSync(9, count=1, digest=union_digest([Eq("g", 0)])))
+        a.send_up(M.SubscriptionSync(8, digest=0))  # overtaken, mismatched
         sim.run_until(20)
         assert mid.child_filter_ready["a"] is True
         assert resends(a) == []
 
     def test_periodic_refresh_is_one_digest(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("s1", Eq("g", 0))
-        mid.child_engines["b"].add("s2", Eq("g", 1))
+        mid.child_engines["a"].add(Eq("g", 0))
+        mid.child_engines["b"].add(Eq("g", 1))
+        mid.child_engines["b"].add(Eq("g", 0))  # held by both: counted once
         root.received.clear()
         mid._refresh_upstream()
         sim.run_until(20)
         (sync,) = [m for _c, m in root.received]
-        assert (sync.sub_count, sync.digest) == (
-            2, union_digest([("s1", Eq("g", 0)), ("s2", Eq("g", 1))])
+        assert (sync.count, sync.digest) == (
+            2, union_digest([Eq("g", 0), Eq("g", 1)])
         )
 
     def test_resend_while_a_child_is_cold_keeps_want_ack(self, env):
@@ -180,20 +186,18 @@ class TestDigestRefresh:
         root.send_to_child("mid", M.SubscriptionResend(3, want_ack=True))
         sim.run_until(20)
         assert root.received == []  # held back: the union is incomplete
-        a.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=4))
-        a.send_up(M.SubscriptionSync(1, epoch=4))
+        a.send_up(M.SubscriptionSync(4, predicates=(Eq("g", 0),)))
         sim.run_until(40)
-        sent = [m for _c, m in root.received]
-        assert [type(m) for m in sent] == [M.SubscriptionAdd, M.SubscriptionSync]
-        assert sent[0].sub_id == "s1" and sent[0].epoch == sent[1].epoch
-        assert sent[1].want_ack is True and sent[1].digest is None
+        (sent,) = [m for _c, m in root.received]
+        assert sent.predicates == (Eq("g", 0),)
+        assert sent.want_ack is True and sent.digest is None
 
 
 class TestNackHandling:
     def test_cache_answers_without_upstream(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("sa", Everything())
-        mid.child_engines["b"].add("sb", Everything())
+        mid.child_engines["a"].add(Everything())
+        mid.child_engines["b"].add(Everything())
         root.send_to_child("mid", knowledge(d=[ev(5)], s=[(1, 4), (6, 10)]))
         sim.run_until(20)
         root.received.clear()
@@ -222,8 +226,8 @@ class TestNackHandling:
 
     def test_reply_routed_to_all_interested_children(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("sa", Everything())
-        mid.child_engines["b"].add("sb", Everything())
+        mid.child_engines["a"].add(Everything())
+        mid.child_engines["b"].add(Everything())
         # Advance head past 110 so the reply counts as old knowledge.
         root.send_to_child("mid", knowledge(s=[(111, 200)]))
         sim.run_until(10)
@@ -239,8 +243,8 @@ class TestNackHandling:
 
     def test_reply_not_routed_to_uninterested_child(self, env):
         sim, root, mid, a, b = env
-        mid.child_engines["a"].add("sa", Everything())
-        mid.child_engines["b"].add("sb", Everything())
+        mid.child_engines["a"].add(Everything())
+        mid.child_engines["b"].add(Everything())
         root.send_to_child("mid", knowledge(s=[(111, 200)]))
         sim.run_until(10)
         a.send_up(M.Nack("P1", [(100, 110)]))
@@ -287,7 +291,7 @@ class TestCacheBound:
         leaf = FakeLeaf(sim, "a")
         Broker.connect(root, mid)
         Broker.connect(mid, leaf)
-        mid.child_engines["a"].add("sa", Everything())
+        mid.child_engines["a"].add(Everything())
         root.send_to_child("mid", knowledge(d=[ev(50)], s=[(1, 49)]))
         sim.run_until(10)
         root.send_to_child("mid", knowledge(d=[ev(500)], s=[(51, 499)]))

@@ -324,7 +324,7 @@ class TestBatchFilterRefilterBoundary:
         sim = Scheduler()
         phb = PublisherHostingBroker(sim, "phb")
         Broker.connect(phb, IntermediateBroker(sim, "c1"))
-        phb._handle_from_child("c1", SubscriptionAdd("s1", Eq("g", match_g)))
+        phb._handle_from_child("c1", SubscriptionAdd(Eq("g", match_g)))
         return phb
 
     @staticmethod

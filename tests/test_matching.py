@@ -305,21 +305,21 @@ class TestDecomposition:
         assert decompose_safe(p) == ((), p)
 
     def test_compiled_memo_is_keyed_by_identity(self):
-        # Equal predicates that encode differently: with an
-        # equality-keyed memo a union's digest would depend on which of
-        # them the process compiled first.
+        # Equal predicates that encode differently are distinct union
+        # members: with an equality-keyed memo a union's digest would
+        # depend on which of them the process compiled first.
         one, one_f = Eq("x", 1), Eq("x", 1.0)
         assert one == one_f and hash(one) == hash(one_f)
-        pairs = [("s1", one), ("s2", one_f)]
         index = LinkIndex()
         unions = index.new_union(), index.new_union()
-        for union, order in zip(unions, (pairs, pairs[::-1])):
+        for union, order in zip(unions, ((one, one_f), (one_f, one))):
             engine_mod._compiled.clear()
             assert union.digest == 0  # from here on kept incrementally
-            for sub_id, predicate in order:
-                union.add(sub_id, predicate)
+            for predicate in order:
+                assert union.add(predicate)
         engine_mod._compiled.clear()
-        assert unions[0].digest == unions[1].digest == union_digest(pairs)
+        assert len(unions[0]) == 2 and unions[0].aggregate_signatures == 1
+        assert unions[0].digest == unions[1].digest == union_digest([one, one_f])
         for predicate, kind in ((one, int), (one_f, float)):
             (atom,) = compiled(predicate).atoms
             assert [type(v) for v in atom.values] == [kind]
@@ -330,7 +330,7 @@ class TestDecomposition:
         index, union = TestAggregate._link()
         before = engine_mod.decompositions
         eng.add("s", p)
-        union.add("s", p)
+        union.add(p)
         assert id(p) not in engine_mod._compiled
         assert engine_mod.decompositions - before == 2  # once per registry
         assert eng.scan_count == 1 and index.matcher.scan_count == 1
@@ -352,8 +352,10 @@ class TestAggregate:
 
     def test_equal_predicates_share_a_signature(self):
         index, agg = self._link()
-        for i in range(50):
-            agg.add(f"s{i}", Eq("g", 1))
+        for predicate in (Eq("g", 1), Eq("g", 1.0), In("g", [1])):
+            assert agg.add(predicate)
+            assert not agg.add(predicate)  # a set: re-adding is a no-op
+        assert len(agg) == 3  # distinct canonical bytes
         assert agg.aggregate_signatures == 1
         assert agg.aggregate_active == 1
         assert self._matches(index, agg, {"g": 1})
@@ -361,8 +363,8 @@ class TestAggregate:
 
     def test_broader_signature_absorbs_narrower(self):
         index, agg = self._link()
-        agg.add("broad", Eq("g", 1))
-        agg.add("narrow", And([Eq("g", 1), Eq("h", 2)]))
+        agg.add(Eq("g", 1))
+        agg.add(And([Eq("g", 1), Eq("h", 2)]))
         assert agg.aggregate_signatures == 2
         assert agg.aggregate_active == 1  # only the broad one is consulted
         assert self._matches(index, agg, {"g": 1})
@@ -370,9 +372,9 @@ class TestAggregate:
 
     def test_removing_coverer_reactivates_ward(self):
         index, agg = self._link()
-        agg.add("broad", Eq("g", 1))
-        agg.add("narrow", And([Eq("g", 1), Eq("h", 2)]))
-        agg.remove("broad")
+        agg.add(Eq("g", 1))
+        agg.add(And([Eq("g", 1), Eq("h", 2)]))
+        agg.remove(Eq("g", 1))
         assert agg.aggregate_active == 1
         assert self._matches(index, agg, {"g": 1, "h": 2})
         assert not self._matches(index, agg, {"g": 1, "h": 9})
@@ -380,27 +382,28 @@ class TestAggregate:
     def test_wildcard_accepts_all(self):
         index, agg = self._link()
         assert not agg.accepts_all()
-        agg.add("narrow", Eq("g", 1))
-        agg.add("wild", Everything())
+        agg.add(Eq("g", 1))
+        agg.add(Everything())
         assert agg.accepts_all()
         assert agg.aggregate_active == 1
         assert self._matches(index, agg, {"anything": 0})
-        agg.remove("wild")
+        agg.remove(Everything())
         assert not agg.accepts_all()
         assert not self._matches(index, agg, {"anything": 0})
 
     def test_engine_exposes_aggregate_counters(self):
         eng = MatchingEngine()
         _index, union = self._link()
-        for registry in (eng, union):
-            for i in range(10):
-                registry.add(f"s{i}", Eq("g", 1))
-            registry.add("narrow", And([Eq("g", 1), Gt("x", 5)]))
+        for i in range(10):
+            eng.add(f"s{i}", Eq("g", 1))
+            union.add(Eq("g", 1))
+        eng.add("narrow", And([Eq("g", 1), Gt("x", 5)]))
+        union.add(And([Eq("g", 1), Gt("x", 5)]))
         assert union.aggregate_signatures == 2
         assert union.aggregate_active == 1  # Eq("g", 1) covers the And
         assert eng.accepts_all() is False and union.accepts_all() is False
         eng.add("wild", Everything())
-        union.add("wild", Everything())
+        union.add(Everything())
         assert eng.accepts_all() is True and union.accepts_all() is True
 
 

@@ -3,8 +3,8 @@
 The engine matches streams: ``match_batch``, ``matches_any_batch`` and
 ``match_at_batch`` are the algorithm, and ``match`` / ``matches_any`` /
 ``match_at`` are the batch of one over the same caches.  These tests
-drive seeded subscription churn (adds, removes, bulk ``replace_all``
-refreshes) interleaved with event batches, asserting after every step
+drive seeded subscription churn (adds, removes, bulk refreshes)
+interleaved with event batches, asserting after every step
 that all six entry points agree with the naive model (evaluate every
 predicate tree per event).
 
@@ -16,16 +16,17 @@ the opaque ones (``Or`` mixing attributes, negated ``Exists``), and
 ``Nothing()`` — the NeverAtom corner, whose atom indexes nowhere and
 must never surface from a batch.
 
-The link-matching section drives the same kind of churn — immediate
-adds, removes, full-set refreshes (``replace_all``) and digest
-mismatches that turn a link cold — through a PHB's own subscription
-intake over five child links (a wildcard link, an opaque-residual
+The link-matching section drives union churn — immediate adds, which
+only widen (duplicates included), full sets, which also narrow, and
+digest mismatches that turn a link cold — through a PHB's own
+subscription intake over five child links (a wildcard link, an opaque-residual
 link with unhashable predicates among them, an empty link, a link
 whose narrow signatures are parked under broader ones, and a mixed
 one).  After every step, the mask of ``LinkIndex.links_of_batch`` must
 equal the OR of the bits of the links with a matching predicate, the
-index must hold one key per signature active on some link, every
-union's digest must equal its from-scratch digest (also across a
+index must hold one key per signature active on some link and count
+every predicate some link holds, every union's digest must equal its
+from-scratch digest (also across a
 cleared compiled-predicate memo), and each child's filtered update
 must equal a naive per-child reference for warm, cold and
 ``keep_below`` children, with children that keep the same events
@@ -135,7 +136,12 @@ def _churn_step(rng: random.Random, eng: MatchingEngine, model: Dict[str, Predic
             elif r < 0.3:
                 staged[sid] = _random_predicate(rng)
         staged[f"s{rng.randrange(40)}"] = _random_predicate(rng)
-        eng.replace_all(staged)
+        # A bulk refresh: every delta applied between two batches.
+        for sid in [s for s in model if s not in staged]:
+            eng.remove(sid)
+        for sid, pred in staged.items():
+            if model.get(sid) is not pred:
+                eng.add(sid, pred)
         model.clear()
         model.update(staged)
 
@@ -343,17 +349,17 @@ def _naive_filtered(update, predicates, warm: bool, keep_below: int):
     return out.coalesce()
 
 
-def _active_signatures(phb, model: Dict[str, Dict[str, Predicate]]) -> set:
+def _active_signatures(phb, model: Dict[str, Dict[bytes, Predicate]]) -> set:
     """The naive covering antichain of every link, as one set: a
     signature is active on a link unless another residual-free
     signature there has a subset of its atoms."""
     active = set()
-    for link, subs in model.items():
+    for link, members in model.items():
         bit = phb.child_engines[link].bit
         sigs = {}
-        for sid, pred in subs.items():
+        for pred in members.values():
             rec = compiled(pred)
-            sigs[rec.signature or ("sub", bit, sid)] = rec
+            sigs[rec.signature or ("sub", bit, rec.canonical)] = rec
         for key, rec in sigs.items():
             if not any(
                 other != key and c.residual is None and c.atom_set <= rec.atom_set
@@ -366,25 +372,27 @@ def _active_signatures(phb, model: Dict[str, Dict[str, Predicate]]) -> set:
 def _drive_links(seed: int, n_steps: int) -> None:
     rng = random.Random(seed)
     sim, phb = _link_phb()
-    model: Dict[str, Dict[str, Predicate]] = {link: {} for link in LINKS}
+    # link -> canonical bytes -> predicate: each link's set
+    model: Dict[str, Dict[bytes, Predicate]] = {link: {} for link in LINKS}
     warm = {link: True for link in LINKS}
     epoch = {link: 0 for link in LINKS}
+    wild = Everything()
 
-    def full_set(link: str, staged: Dict[str, Predicate]) -> None:
+    def full_set(link: str, staged: Dict[bytes, Predicate]) -> None:
         epoch[link] += 1
-        for sid, pred in staged.items():
-            phb._handle_from_child(link, M.SubscriptionAdd(sid, pred, epoch=epoch[link]))
-        phb._handle_from_child(link, M.SubscriptionSync(len(staged), epoch=epoch[link]))
+        phb._handle_from_child(
+            link, M.SubscriptionSync(epoch[link], predicates=tuple(staged.values()))
+        )
         model[link] = dict(staged)
         warm[link] = True
 
-    def add(link: str, sid: str, pred: Predicate) -> None:
-        phb._handle_from_child(link, M.SubscriptionAdd(sid, pred))
-        model[link][sid] = pred
+    def add(link: str, pred: Predicate) -> None:
+        phb._handle_from_child(link, M.SubscriptionAdd(pred))
+        model[link].setdefault(compiled(pred).canonical, pred)
 
-    add("wild", "w", Everything())
+    add("wild", wild)
     for k in range(3):
-        add("parked", f"cover{k}", Eq("g", k))
+        add("parked", Eq("g", k))
 
     for step in range(n_steps):
         tag = f"seed={seed} step={step}"
@@ -392,24 +400,26 @@ def _drive_links(seed: int, n_steps: int) -> None:
             if link == "empty":
                 continue
             op = rng.random()
-            subs = model[link]
-            churnable = [s for s in subs if s != "w"]
-            if op < 0.45 or not churnable:
-                add(link, f"{link}{rng.randrange(12)}", _link_predicate(rng, link))
-            elif op < 0.75:
-                sid = rng.choice(churnable)
-                phb._handle_from_child(link, M.SubscriptionRemove(sid))
-                del subs[sid]
+            members = model[link]
+            if op < 0.45 or not members:
+                add(link, _link_predicate(rng, link))
+            elif op < 0.6:
+                # A duplicated or late immediate add: only ever widens.
+                add(link, rng.choice(list(members.values())))
             elif op < 0.92 or not warm[link]:
-                staged = {s: p for s, p in subs.items() if s == "w" or rng.random() < 0.8}
-                staged[f"{link}{rng.randrange(12)}"] = _link_predicate(rng, link)
-                full_set(link, staged)  # replace_all; re-warms a cold link
+                staged = {
+                    k: p for k, p in members.items() if p is wild or rng.random() < 0.8
+                }
+                pred = _link_predicate(rng, link)
+                staged[compiled(pred).canonical] = pred
+                full_set(link, staged)  # narrows too; re-warms a cold link
             else:
                 # A digest that disagrees with the parent's copy: the
                 # link goes cold until the next full set.
                 epoch[link] += 1
                 phb._handle_from_child(link, M.SubscriptionSync(
-                    len(subs), epoch=epoch[link], digest=phb.child_engines[link].digest ^ 1
+                    epoch[link], count=len(members),
+                    digest=phb.child_engines[link].digest ^ 1,
                 ))
                 warm[link] = False
             assert phb.child_filter_ready[link] is warm[link], f"{tag}: {link} warmth"
@@ -428,9 +438,12 @@ def _drive_links(seed: int, n_steps: int) -> None:
                     naive_masks[i] |= bit
         assert masks == naive_masks, f"{tag}: link masks"
         assert len(phb.links.matcher) == len(_active_signatures(phb, model)), f"{tag}: index keys"
+        held = set().union(*(members.keys() for members in model.values()))
+        assert phb.links.members.keys() == held, f"{tag}: members"
         digests = {link: phb.child_engines[link].digest for link in LINKS}
         for link in LINKS:
-            assert digests[link] == union_digest(model[link].items()), f"{tag}: {link} digest"
+            assert phb.child_engines[link].keys() == model[link].keys(), f"{tag}: {link}"
+            assert digests[link] == union_digest(model[link].values()), f"{tag}: {link} digest"
         if step % 10 == 5:
             # A cold compiled-predicate memo changes no answer and no digest.
             engine_mod._compiled.clear()

@@ -100,10 +100,13 @@ class TestCollector:
         sim = Scheduler()
         eng = MatchingEngine()
         union = LinkIndex().new_union()  # the same set, as a child link's union
-        for registry in (eng, union):
-            registry.add("narrow", And([Eq("g", 1), Gt("x", 5)]))
-            registry.add("broad", Eq("g", 1))
-            registry.add("opaque", Or([Eq("g", 2), Gt("x", 8)]))  # scan bucket
+        for name, predicate in (
+            ("narrow", And([Eq("g", 1), Gt("x", 5)])),
+            ("broad", Eq("g", 1)),
+            ("opaque", Or([Eq("g", 2), Gt("x", 8)])),  # scan bucket
+        ):
+            eng.add(name, predicate)
+            union.add(predicate)
         col = MetricsCollector(sim, interval_ms=100.0)
         col.matcher("shb.match", eng)
         col.link_union("phb.link", union)

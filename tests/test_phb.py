@@ -48,7 +48,7 @@ class TestDissemination:
     def test_published_event_reaches_child(self, env):
         sim, phb, child = env
         # Child has a matching subscription below it.
-        phb.child_engines["child"].add("s1", Eq("g", 0))
+        phb.child_engines["child"].add(Eq("g", 0))
         phb.publish("P1", {"g": 0})
         sim.run_until(100)
         events = [e for u in child.knowledge() for e in u.d_events]
@@ -57,7 +57,7 @@ class TestDissemination:
 
     def test_non_matching_event_filtered_to_silence(self, env):
         sim, phb, child = env
-        phb.child_engines["child"].add("s1", Eq("g", 1))
+        phb.child_engines["child"].add(Eq("g", 1))
         phb.publish("P1", {"g": 0})
         sim.run_until(100)
         updates = child.knowledge()
@@ -71,12 +71,13 @@ class TestDissemination:
 
     def test_subscription_add_from_child_updates_filter(self, env):
         sim, phb, child = env
-        child.send_up(M.SubscriptionAdd("s1", Eq("g", 0)))
+        child.send_up(M.SubscriptionAdd(Eq("g", 0)))
         sim.run_until(10)
-        assert "s1" in phb.child_engines["child"]
-        child.send_up(M.SubscriptionRemove("s1"))
+        assert Eq("g", 0) in phb.child_engines["child"]
+        # Nothing but a full set narrows the copy.
+        child.send_up(M.SubscriptionSync(1, predicates=()))
         sim.run_until(20)
-        assert "s1" not in phb.child_engines["child"]
+        assert Eq("g", 0) not in phb.child_engines["child"]
 
     def test_silence_flows_without_events(self, env):
         sim, phb, child = env
@@ -94,9 +95,9 @@ class TestDigestRefresh:
 
     def test_matching_want_ack_digest_is_acked(self, env):
         sim, phb, child = env
-        child.send_up(M.SubscriptionAdd("s1", Eq("g", 0)))
-        digest = union_digest([("s1", Eq("g", 0))])
-        child.send_up(M.SubscriptionSync(1, 5, want_ack=True, digest=digest))
+        child.send_up(M.SubscriptionAdd(Eq("g", 0)))
+        digest = union_digest([Eq("g", 0)])
+        child.send_up(M.SubscriptionSync(5, want_ack=True, count=1, digest=digest))
         sim.run_until(10)
         assert phb.child_filter_ready["child"] is True
         assert self.synced(child) == [M.SubscriptionSynced(5)]
@@ -107,16 +108,17 @@ class TestDigestRefresh:
         # asks for the full set, and acking the full set's later epoch
         # covers the digest's — the install is finalized all the same.
         sim, phb, child = env
-        pairs = [("s1", Eq("g", 0))]
-        child.send_up(M.SubscriptionSync(1, 5, want_ack=True, digest=union_digest(pairs)))
+        predicates = (Eq("g", 0),)
+        child.send_up(M.SubscriptionSync(
+            5, want_ack=True, count=1, digest=union_digest(predicates)
+        ))
         sim.run_until(10)
         assert phb.child_filter_ready["child"] is False
         assert [m for m in child.received if isinstance(m, M.SubscriptionResend)] == [
             M.SubscriptionResend(5, want_ack=True)
         ]
         assert self.synced(child) == []
-        child.send_up(M.SubscriptionAdd("s1", Eq("g", 0), epoch=6))
-        child.send_up(M.SubscriptionSync(1, epoch=6, want_ack=True))
+        child.send_up(M.SubscriptionSync(6, want_ack=True, predicates=predicates))
         sim.run_until(20)
         assert phb.child_filter_ready["child"] is True
         (ack,) = self.synced(child)
@@ -126,7 +128,7 @@ class TestDigestRefresh:
 class TestNackService:
     def test_nack_answered_from_log(self, env):
         sim, phb, child = env
-        phb.child_engines["child"].add("s1", Eq("g", 0))
+        phb.child_engines["child"].add(Eq("g", 0))
         phb.publish("P1", {"g": 0})
         sim.run_until(100)
         child.received.clear()
@@ -199,7 +201,7 @@ class TestUnknownPubend:
 class TestReleaseProtocol:
     def test_release_chops_log(self, env):
         sim, phb, child = env
-        phb.child_engines["child"].add("s1", Eq("g", 0))
+        phb.child_engines["child"].add(Eq("g", 0))
         phb.publish("P1", {"g": 0})
         sim.run_until(100)
         t = phb.pubends["P1"].log.max_timestamp
@@ -247,7 +249,7 @@ class TestStructure:
         child = FakeChild(sim, "child")
         Broker.connect(phb, child)
         phb.register_release_child("P1", "child")
-        phb.child_engines["child"].add("s1", Eq("g", 0))
+        phb.child_engines["child"].add(Eq("g", 0))
         phb.publish("P1", {"g": 0})
         sim.run_until(1)     # publish CPU done; event staged for the log
         phb.crash()          # before the log sync: event lost

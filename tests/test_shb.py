@@ -12,6 +12,7 @@ from repro import (
     Scheduler,
     build_two_broker,
 )
+from repro.broker.base import SUBSCRIPTION_REFRESH_MS
 from repro.core import messages as M
 
 
@@ -81,7 +82,7 @@ class TestConnect:
         sub = make_sub(sim, machine, "s1", Eq("group", 1))
         sub.connect(shb)
         sim.run_until(10)
-        assert f"{shb.name}/s1" in overlay.phb.child_engines[shb.name]
+        assert Eq("group", 1) in overlay.phb.child_engines[shb.name]
 
     def test_unsubscribe_removes_everything(self, env):
         sim, overlay, machine = env
@@ -92,7 +93,14 @@ class TestConnect:
         shb.unsubscribe("s1")
         sim.run_until(20)
         assert "s1" not in shb.registry
-        assert f"{shb.name}/s1" not in overlay.phb.child_engines[shb.name]
+        assert Eq("group", 1) not in shb.distinct
+        # Nothing is sent upstream: the parent's copy narrows at the
+        # next refresh, whose digest no longer matches.
+        union = overlay.phb.child_engines[shb.name]
+        assert Eq("group", 1) in union
+        sim.run_until(SUBSCRIPTION_REFRESH_MS + 20)
+        assert Eq("group", 1) not in union
+        assert overlay.phb.child_filter_ready[shb.name] is True
 
 
 class TestDeliveryAndAcks:

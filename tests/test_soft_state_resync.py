@@ -38,7 +38,7 @@ class TestColdFilters:
         sub = DurableSubscriber(sim, "s1", Node(sim, "c"), Eq("group", 1))
         sub.connect(shb)
         sim.run_until(100)
-        assert "shb1/s1" in overlay.phb.child_engines["shb1"]
+        assert Eq("group", 1) in overlay.phb.child_engines["shb1"]
         overlay.phb.fail_for(100)
         sim.run_until(300)
         assert len(overlay.phb.child_engines["shb1"]) == 0
@@ -48,7 +48,7 @@ class TestColdFilters:
         sim.run_until(5_000)
         assert len(asked) == 1
         assert overlay.phb.child_filter_ready["shb1"] is True
-        assert "shb1/s1" in overlay.phb.child_engines["shb1"]
+        assert Eq("group", 1) in overlay.phb.child_engines["shb1"]
 
     def test_events_in_cold_window_not_lost(self):
         """Events published after PHB recovery but before the filter

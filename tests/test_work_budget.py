@@ -12,27 +12,40 @@ Link matching is budgeted per broker: every update a PHB or
 intermediate filters is classified once for all its child links, not
 once per child.  So is subscription intake: each broker's link index
 holds one key per distinct active signature, however many links it is
-active on; and each distinct predicate object is decomposed once per
-process, however many levels it crosses.
+active on; each distinct predicate object is decomposed once per
+process, however many levels it crosses; and each uplink carries one
+``SubscriptionAdd`` per distinct predicate below it, not one per
+subscription.
 """
+
+from collections import Counter
 
 from repro.broker.base import SUBSCRIPTION_REFRESH_MS
 from repro.broker.topology import build_deep_overlay, place_durable_subscribers
+from repro.core import messages as M
 from repro.matching import engine
 from repro.matching.predicates import In
-from repro.net.link import link_stats
+from repro.net.link import LinkEnd, link_stats
 from repro.net.node import Node
 from repro.net.simtime import Scheduler
 
 N_EVENTS = 200
 
-#: Measured on the code before link matching, which had to agree.
+#: With one add per subscription per level (before distinct-predicate
+#: unions) it was {link messages 4 940, jobs 9 623, busy 446.572 ms}:
+#: the 36 adds below now not sent, each one message, one receive job
+#: and 0.05 ms of receive CPU.
 BUDGET = {
-    "link messages": 4_940,
-    "jobs submitted": 9_623,
-    "modelled busy ms": 446.572,
+    "link messages": 4_904,
+    "jobs submitted": 9_587,
+    "modelled busy ms": 444.772,
     "pfs writes": 296,
 }
+
+#: Warm-up ``SubscriptionAdd``s by sending level: one per distinct
+#: (uplink, predicate) pair.  One per subscription per level, it was
+#: 100 + 100.
+ADDS = {"shb": 94, "intermediate": 70}
 
 #: Updates each filtering broker classified: those with D events and a
 #: warm child.  The spare has no children; the PHB keeps it cold.
@@ -59,6 +72,15 @@ def test_fanout_forest_work_budget(monkeypatch):
         return submit(self, cost_ms, fn)
 
     monkeypatch.setattr(Node, "submit", counting_submit)
+    adds = Counter()
+    link_send = LinkEnd.send
+
+    def counting_send(self, msg):
+        if isinstance(msg, M.SubscriptionAdd):
+            adds["shb" if self.sender.name.startswith("shb") else "intermediate"] += 1
+        return link_send(self, msg)
+
+    monkeypatch.setattr(LinkEnd, "send", counting_send)
     engine._compiled.clear()  # every predicate below starts uncompiled
     decompositions = engine.decompositions
     sim = Scheduler()
@@ -96,6 +118,7 @@ def test_fanout_forest_work_budget(monkeypatch):
         "pfs writes": sum(shb.pfs.writes for shb in tree.shbs),
     }
     assert measured == BUDGET
+    assert adds == ADDS
     classified = {broker.name: broker.links.classifications for broker in filtering}
     assert classified == filtered == CLASSIFIED
 
@@ -103,9 +126,9 @@ def test_fanout_forest_work_budget(monkeypatch):
     assert engine.decompositions - decompositions == len(predicates) == DECOMPOSITIONS
     active = {
         broker.name: len({
-            engine.compiled(union.filter_of(sub_id)).signature
+            engine.compiled(predicate).signature
             for union in broker.child_engines.values()
-            for sub_id in union.subscription_ids()
+            for predicate in union.predicates()
         })
         for broker in filtering
     }
