@@ -32,6 +32,10 @@ from .base import SUBSCRIPTION_REFRESH_MS, Broker, LinkFilter
 #: Releases are re-reported upstream at this period (see ``__init__``).
 RELEASE_RESEND_MS = 1_000.0
 
+#: Span of recent ticks each relay's knowledge cache keeps for
+#: answering nacks from below.
+RELAY_CACHE_SPAN_MS = 30_000
+
 
 class _PubendRelay:
     """Per-pubend relay state at an intermediate broker."""
@@ -68,10 +72,8 @@ class IntermediateBroker(Broker):
         scheduler: Clock,
         name: str,
         node: Optional[Executor] = None,
-        cache_span_ms: int = 30_000,
     ) -> None:
         super().__init__(scheduler, name, node)
-        self.cache_span_ms = cache_span_ms
         self._relays: Dict[str, _PubendRelay] = {}
         self.cache_hits = 0
         self.cache_miss_ticks = 0
@@ -163,7 +165,7 @@ class IntermediateBroker(Broker):
     def _on_knowledge(self, update: M.KnowledgeUpdate) -> None:
         relay = self._relay(update.pubend)
         relay.cache.absorb(update)  # cache everything (bounded)
-        relay.cache.keep_span(self.cache_span_ms)
+        relay.cache.keep_span(RELAY_CACHE_SPAN_MS)
         # The bounds are a property of the update, not of the child.
         bounds = update.tick_bounds()
         if bounds is None:

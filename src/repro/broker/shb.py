@@ -63,7 +63,6 @@ class SubscriberHostingBroker(Broker):
         node: Optional[Executor] = None,
         disk: Optional[SimDisk] = None,
         commit_interval_ms: float = 250.0,
-        catchup_buffer_qs: int = 5000,
         event_cache_span_ms: int = 120_000,
         use_pfs_for_catchup: bool = True,
         batch_window_ms: float = 0.0,
@@ -85,7 +84,6 @@ class SubscriberHostingBroker(Broker):
         #: DB2 plus the Log Volume on the same machine's SSA disks).
         self.disk = disk if disk is not None else SimDisk(scheduler, f"{name}-store")
         self.commit_interval_ms = commit_interval_ms
-        self.catchup_buffer_qs = catchup_buffer_qs
         self.event_cache_span_ms = event_cache_span_ms
         #: Ablation switch (benchmarks/bench_ablation_*.py): force
         #: catchup streams to recover by wholesale refiltering instead
@@ -809,7 +807,6 @@ class SubscriberHostingBroker(Broker):
             deliver=deliver,
             send_nack=send_nack,
             on_switchover=on_switchover,
-            buffer_qs=self.catchup_buffer_qs,
             run_costed=self._run_control,
             refilter_until=refilter_until,
             caches_valid=caches_valid,
@@ -913,30 +910,8 @@ class SubscriberHostingBroker(Broker):
         chan = self._sessions.get(sub_id)
         self.node.submit(
             cost,
-            lambda: self._do_send(sub_id, chan, msg, on_sent, via_catchup, enqueued_ms),
+            lambda: self._do_send(sub_id, chan, [msg], on_sent, via_catchup, enqueued_ms),
         )
-
-    def _do_send(
-        self,
-        sub_id: str,
-        chan: Optional[Connection],
-        msg: object,
-        on_sent,
-        via_catchup: bool,
-        enqueued_ms: float,
-    ) -> None:
-        # Session fence: a job queued for one session never goes out on
-        # the next, which catches these ticks up from its own checkpoint.
-        if chan is not None and self._sessions.get(sub_id) is chan:
-            chan.send(msg)
-            if isinstance(msg, M.EventMessage):
-                tracer = self._tracer
-                if tracer.tracing:
-                    tracer.on_deliver(
-                        msg.event.event_id, sub_id, via_catchup, enqueued_ms
-                    )
-        if on_sent is not None:
-            on_sent()
 
     def _deliver_batch(self, sub_id: str, msgs: List[M.EventMessage]) -> None:
         """Batched constream fan-out: one CPU job for a subscriber's
@@ -949,36 +924,66 @@ class SubscriberHostingBroker(Broker):
         enqueued_ms = self.scheduler.now
         chan = self._sessions.get(sub_id)
         self.node.submit(
-            cost, lambda: self._do_send_batch(sub_id, chan, msgs, enqueued_ms)
+            cost, lambda: self._do_send(sub_id, chan, msgs, None, False, enqueued_ms)
         )
 
-    def _do_send_batch(
+    def _do_send(
         self,
         sub_id: str,
         chan: Optional[Connection],
-        msgs: List[M.EventMessage],
+        msgs: List[object],
+        on_sent,
+        via_catchup: bool,
         enqueued_ms: float,
     ) -> None:
-        if chan is not None and self._sessions.get(sub_id) is chan:  # the fence
+        # Session fence: a job queued for one session never goes out on
+        # the next, which catches these ticks up from its own checkpoint.
+        if chan is not None and self._sessions.get(sub_id) is chan:
             tracer = self._tracer
             for msg in msgs:
                 chan.send(msg)
-                if tracer.tracing:
+                if isinstance(msg, M.EventMessage) and tracer.tracing:
                     tracer.on_deliver(
-                        msg.event.event_id, sub_id, via_catchup=False,
-                        start_ms=enqueued_ms,
+                        msg.event.event_id, sub_id, via_catchup, enqueued_ms
                     )
+        if on_sent is not None:
+            on_sent()
 
     # ------------------------------------------------------------------
     # Knowledge intake from the parent
     # ------------------------------------------------------------------
     def _handle_from_parent(self, msg: object) -> None:
-        if isinstance(msg, M.KnowledgeUpdate):
-            self._on_knowledge(msg)
-        elif isinstance(msg, M.SubscriptionSynced):
-            self._on_subscription_synced(msg.epoch)
-        elif isinstance(msg, M.SubscriptionResend):
-            self._on_subscription_resend(msg)
+        self._handle_from_parent_batch([msg])
+
+    def _handle_from_parent_batch(self, msgs: List[object]) -> None:
+        """The one intake from the parent: a batched link transmission,
+        or a single message.  Every knowledge update is folded into its
+        constream, then each constream pumps once over the combined
+        doubt-horizon advance (instead of once per update).
+        """
+        per_pubend: Dict[str, List[M.KnowledgeUpdate]] = {}
+        for msg in msgs:
+            if isinstance(msg, M.KnowledgeUpdate):
+                if msg.pubend in self.constreams:
+                    per_pubend.setdefault(msg.pubend, []).append(msg)
+            elif isinstance(msg, M.SubscriptionSynced):
+                self._on_subscription_synced(msg.epoch)
+            elif isinstance(msg, M.SubscriptionResend):
+                self._on_subscription_resend(msg)
+        for pubend, updates in per_pubend.items():
+            constream = self.constreams[pubend]
+            fresh: List[M.KnowledgeUpdate] = []
+            for update in updates:
+                self._cache_knowledge(pubend, update)
+                # The cursor is stable across the loop: it only advances
+                # in a pump, and the single pump happens below.
+                old, new = M.split_update(update, constream.delivered_cursor)
+                if not new.is_empty():
+                    fresh.append(new)
+                if not old.is_empty():
+                    self._route_to_catchups(pubend, old)
+            if fresh:
+                constream.accumulate_many(fresh)
 
     def _on_subscription_synced(self, acked_epoch: int) -> None:
         """Root coverage confirmation: finalize pending installs.
@@ -1030,48 +1035,10 @@ class SubscriberHostingBroker(Broker):
         self.meta_table.commit()
         self.registry.commit(installed_durable)
 
-    def _handle_from_parent_batch(self, msgs: List[object]) -> None:
-        """Batched uplink intake: fold every knowledge update of one
-        transmission into the constream, then pump once per pubend over
-        the combined doubt-horizon advance (instead of once per update).
-        """
-        per_pubend: Dict[str, List[M.KnowledgeUpdate]] = {}
-        for msg in msgs:
-            if isinstance(msg, M.KnowledgeUpdate) and msg.pubend in self.constreams:
-                per_pubend.setdefault(msg.pubend, []).append(msg)
-            else:
-                self._handle_from_parent(msg)
-        for pubend, updates in per_pubend.items():
-            constream = self.constreams[pubend]
-            fresh: List[M.KnowledgeUpdate] = []
-            for update in updates:
-                self._cache_knowledge(pubend, update)
-                # The cursor is stable across the loop: it only advances
-                # in a pump, and the single pump happens below.
-                old, new = M.split_update(update, constream.delivered_cursor)
-                if not new.is_empty():
-                    fresh.append(new)
-                if not old.is_empty():
-                    self._route_to_catchups(pubend, old)
-            if fresh:
-                constream.accumulate_many(fresh)
-
-    def _on_knowledge(self, update: M.KnowledgeUpdate) -> None:
-        pubend = update.pubend
-        constream = self.constreams.get(pubend)
-        if constream is None:
-            return
-        self._cache_knowledge(pubend, update)
-        old, new = M.split_update(update, constream.delivered_cursor)
-        if not new.is_empty():
-            constream.accumulate(new)
-        if not old.is_empty():
-            self._route_to_catchups(pubend, old)
-
     def _cache_knowledge(self, pubend: str, update: M.KnowledgeUpdate) -> None:
-        # Both intake paths (per-message and batched) come through here
-        # exactly once per update: memo traced-event arrival times so
-        # the constream's match span starts at SHB intake.
+        # Every update comes through here exactly once: memo
+        # traced-event arrival times so the constream's match span
+        # starts at SHB intake.
         tracer = self._tracer
         if tracer.tracing and update.d_events:
             for event in update.d_events:

@@ -90,14 +90,13 @@ class ConsolidatedStream:
         self.fanout_batches = 0  # deliver_batch calls issued
         self._pumping = False
         self._repump = False
-        # Frozen match-set reuse: the engine memoizes match results per
-        # event as shared frozensets, so consecutive ticks matching the
-        # same subscriber set hand back the *same* object — memoize the
-        # derived per-set work too.  ``_nums_cache`` (match set -> PFS
-        # nums, in the set's own iteration order) is guarded by the
-        # registry version, since drop/re-create can rebind a sub_id to
-        # a new num; ``_order_cache`` (match set -> sorted fan-out
-        # order) depends on nothing but the set itself.
+        # Per-match-set work, memoized by the set's value: the engine
+        # hands back a fresh frozenset per event, and equal sets recur
+        # across events.  ``_nums_cache`` (match set -> PFS nums, in the
+        # set's own iteration order) is guarded by the registry version,
+        # since drop/re-create can rebind a sub_id to a new num;
+        # ``_order_cache`` (match set -> sorted fan-out order) depends
+        # on nothing but the set itself.
         self._nums_cache: Dict[frozenset, List[int]] = {}
         self._nums_cache_version = registry.version
         self._order_cache: Dict[frozenset, List[str]] = {}
@@ -144,14 +143,11 @@ class ConsolidatedStream:
     def doubt_horizon(self) -> int:
         return self.knowledge.doubt_horizon
 
-    def accumulate(self, update: KnowledgeUpdate) -> None:
-        self.knowledge.accumulate(update)
-        self.pump()
-
     def accumulate_many(self, updates: Iterable[KnowledgeUpdate]) -> None:
-        """Fold a batch of updates, then pump once over the combined
-        advance — the intake half of batched delivery."""
-        self.knowledge.accumulate_many(updates)
+        """Fold every update of one intake, then pump once over the
+        combined advance."""
+        for update in updates:
+            self.knowledge.accumulate(update)
         self.pump()
 
     @property
@@ -227,17 +223,10 @@ class ConsolidatedStream:
         # write loop) and acknowledges each tick through
         # ``_pfs_durable`` as it becomes crash-safe.
         items: List = []
-        prev_set = None
-        nums: List[int] = []
         for (t, event), matched in zip(live, match_sets):
             if self._tracer.tracing:
                 self._tracer.on_match(event.event_id, self.pubend)
-            if matched is not prev_set:
-                # The engine memoizes match sets per attribute set, so a
-                # run of ticks hands back the same frozenset object —
-                # resolve it to PFS nums once per run, not per tick.
-                prev_set = matched
-                nums = self._nums_for(matched)
+            nums = self._nums_for(matched)
             if nums:
                 # The PFS logs the Q tick for every matching durable
                 # subscriber, connected or not.
@@ -245,31 +234,35 @@ class ConsolidatedStream:
         if items:
             self._pending_pfs.extend(t for t, _nums in items)
             self.pfs.write_batch(self.pubend, items, on_durable=self._pfs_durable)
-        # Pass 3 — deliver: per tick in order, exactly the pre-batch
-        # sequence of subscriber handoffs.  Event messages carry no
-        # per-subscriber state and nothing on the delivery path mutates
-        # a payload (see Frame), so one shared message per tick fans
-        # out to every subscriber.
+        # Pass 3 — deliver: per tick in order, per subscriber in the
+        # match set's order.  Unbatched, each (tick, subscriber) is one
+        # ``deliver`` call, in the set's own iteration order; batched,
+        # the subscribers are visited sorted and each one's events
+        # gather into one list, handed to ``deliver_batch`` per
+        # subscriber in first-touch order after the advance.  Event
+        # messages carry no per-subscriber state and nothing on the
+        # delivery path mutates a payload (see Frame), so one shared
+        # message per tick fans out to every subscriber.
         batches: Optional[Dict[str, List[EventMessage]]] = (
             {} if self.deliver_batch is not None else None
         )
-        if batches is None:
-            for (t, event), matched in zip(live, match_sets):
-                msg: Optional[EventMessage] = None
-                for sub_id in matched:
-                    last_sent = self._non_catchup.get(sub_id)
-                    if last_sent is not None and t > last_sent:
-                        if msg is None:
-                            # Pooled across the fan-out loop: one shared
-                            # message per tick, and none at all when no
-                            # connected subscriber wants the tick (the
-                            # common case at scale — headless durables).
-                            msg = EventMessage(self.pubend, t, event)
+        for (t, event), matched in zip(live, match_sets):
+            msg: Optional[EventMessage] = None
+            for sub_id in matched if batches is None else self._order_for(matched):
+                last_sent = self._non_catchup.get(sub_id)
+                if last_sent is not None and t > last_sent:
+                    if msg is None:
+                        # Pooled across the fan-out loop: one shared
+                        # message per tick, and none at all when no
+                        # connected subscriber wants the tick (the
+                        # common case at scale — headless durables).
+                        msg = EventMessage(self.pubend, t, event)
+                    if batches is None:
                         self.deliver(sub_id, msg)
-                        self._non_catchup[sub_id] = t
-                        self.events_delivered += 1
-        else:
-            self._pump_batched(live, match_sets, batches)
+                    else:
+                        batches.setdefault(sub_id, []).append(msg)
+                    self._non_catchup[sub_id] = t
+                    self.events_delivered += 1
         if batches:
             assert self.deliver_batch is not None
             for sub_id, msgs in batches.items():
@@ -277,92 +270,11 @@ class ConsolidatedStream:
                 self.fanout_batches += 1
         self._recompute_latest_delivered()
 
-    def _pump_batched(
-        self,
-        live: List,
-        match_sets: List[frozenset],
-        batches: Dict[str, List[EventMessage]],
-    ) -> None:
-        """Batched fan-out of one advance, vectorized per matched-set run.
-
-        The engine memoizes match results per attribute set, so
-        consecutive ticks matching the same subscribers hand back the
-        *same* frozenset — group them into runs and fan each run out
-        with one membership lookup per subscriber instead of one per
-        (tick, subscriber).
-
-        Equivalence with the per-tick loop (this path feeds the pinned
-        determinism digests, so it must be exact):
-
-        * PFS writes, pending-PFS bookkeeping and trace notes already
-          happened in ``_pump_once``'s collection pass, per tick in
-          tick order — only the subscriber loop lives here.
-        * The fast path requires every listed subscriber to be strictly
-          behind the run (``last_sent < first tick``).  Then the
-          per-tick loop would touch each of them first at the run's
-          first tick, in ``_order_for`` order, and deliver every tick
-          of the run — so sub-major iteration reproduces both the
-          ``batches``-dict insertion order (= ``deliver_batch`` call
-          order) and each subscriber's message list exactly.  Any
-          subscriber mid-run (a fresh floor inside the run) falls the
-          whole run back to the per-tick loop.
-        * Membership can grow mid-run (a catchup switchover fired by a
-          synchronous PFS-durability callback calls
-          ``add_non_catchup``), but only with a floor at or above the
-          already-consumed advance — such a subscriber receives
-          nothing this pump under either loop.
-        """
-        n = len(live)
-        i = 0
-        while i < n:
-            matched = match_sets[i]
-            j = i + 1
-            while j < n and match_sets[j] is matched:
-                j += 1
-            run = live[i:j]
-            i = j
-            order = self._order_for(matched)
-            t0 = run[0][0]
-            plan = []
-            fast = True
-            for sub_id in order:
-                last_sent = self._non_catchup.get(sub_id)
-                if last_sent is None:
-                    continue
-                if last_sent >= t0:
-                    fast = False
-                    break
-                plan.append(sub_id)
-            if fast:
-                if plan:
-                    msgs = [EventMessage(self.pubend, t, event) for t, event in run]
-                    t_last = run[-1][0]
-                    delivered = len(msgs)
-                    for sub_id in plan:
-                        bucket = batches.get(sub_id)
-                        if bucket is None:
-                            batches[sub_id] = msgs.copy()
-                        else:
-                            bucket.extend(msgs)
-                        self._non_catchup[sub_id] = t_last
-                        self.events_delivered += delivered
-            else:
-                for t, event in run:
-                    msg: Optional[EventMessage] = None
-                    for sub_id in order:
-                        last_sent = self._non_catchup.get(sub_id)
-                        if last_sent is not None and t > last_sent:
-                            if msg is None:
-                                msg = EventMessage(self.pubend, t, event)
-                            batches.setdefault(sub_id, []).append(msg)
-                            self._non_catchup[sub_id] = t
-                            self.events_delivered += 1
-
     def _nums_for(self, matched: frozenset) -> List[int]:
         """PFS subscriber nums for a match set, memoized per set.
 
-        Iterates ``matched`` itself (not a sorted copy) so the PFS
-        record order is identical to the pre-cache implementation.
+        Iterates ``matched`` itself (not a sorted copy): the PFS record
+        order is the set's own iteration order.
         """
         if self._nums_cache_version != self.registry.version:
             # Any registry membership change may rebind sub_id -> num.

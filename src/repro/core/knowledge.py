@@ -11,7 +11,7 @@ cursor, and consumed storage is forgotten to keep memory bounded.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from ..util.intervals import IntervalSet
 from .messages import KnowledgeUpdate
@@ -39,16 +39,6 @@ class KnowledgeStream:
         if update.pubend != self.pubend:
             raise ValueError(f"update for {update.pubend} on stream {self.pubend}")
         self.tickmap.absorb(update)
-
-    def accumulate_many(self, updates: Iterable[KnowledgeUpdate]) -> None:
-        """Fold a whole batch of updates before any consumption.
-
-        Batched links hand a list of updates to one receiver callback;
-        folding them all first lets the consumer pump once over the
-        combined doubt-horizon advance instead of once per update.
-        """
-        for update in updates:
-            self.accumulate(update)
 
     def accumulate_silence(self, start: int, end: int) -> None:
         self.tickmap.set_s(start, end)

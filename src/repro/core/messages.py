@@ -33,9 +33,6 @@ from ..matching.predicates import Predicate
 from ..util.intervals import coalesce_ranges
 from .events import Event
 
-#: Estimated control-message framing bytes, used for CPU/disk cost models.
-CONTROL_HEADER_BYTES = 48
-
 
 # ---------------------------------------------------------------------------
 # Wire framing (CRC-checked transmission envelope)
@@ -137,14 +134,6 @@ class KnowledgeUpdate:
         bounds = self.tick_bounds()
         return None if bounds is None else bounds[1]
 
-    @property
-    def size_bytes(self) -> int:
-        return (
-            CONTROL_HEADER_BYTES
-            + sum(e.size_bytes for e in self.d_events)
-            + 16 * (len(self.s_ranges) + len(self.l_ranges))
-        )
-
     def coalesce(self) -> "KnowledgeUpdate":
         """Merge adjacent/overlapping S and L ranges in place.
 
@@ -177,10 +166,6 @@ class Nack:
     ranges: List[Tuple[int, int]]
     refilter_below: int = 0
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 16 * len(self.ranges)
-
 
 @dataclass
 class ReleaseUpdate:
@@ -206,10 +191,6 @@ class ReleaseUpdate:
     latest_delivered: int
     epoch: int = 0
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 16
-
 
 @dataclass
 class SubscriptionAdd:
@@ -222,10 +203,6 @@ class SubscriptionAdd:
     """
 
     predicate: Predicate
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 64
 
 
 @dataclass
@@ -262,10 +239,6 @@ class SubscriptionSync:
     digest: Optional[int] = None
     predicates: Tuple[Predicate, ...] = ()
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 64 * len(self.predicates)
-
 
 @dataclass
 class SubscriptionResend:
@@ -280,10 +253,6 @@ class SubscriptionResend:
 
     epoch: int
     want_ack: bool = False
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
 
 
 @dataclass
@@ -302,10 +271,6 @@ class SubscriptionSynced:
     """
 
     epoch: int
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
 
 
 def clip_update(update: KnowledgeUpdate, lo: int, hi: int) -> KnowledgeUpdate:
@@ -387,10 +352,6 @@ class EventMessage:
     t: int
     event: Event
 
-    @property
-    def size_bytes(self) -> int:
-        return self.event.size_bytes
-
 
 @dataclass(slots=True)
 class SilenceMessage:
@@ -399,10 +360,6 @@ class SilenceMessage:
     pubend: str
     t: int
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
-
 
 @dataclass(slots=True)
 class GapMessage:
@@ -410,10 +367,6 @@ class GapMessage:
 
     pubend: str
     t: int
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +387,6 @@ class ConnectRequest:
     checkpoint: Optional[Dict[str, int]] = None
     predicate: Optional[Predicate] = None
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 16 * len(self.checkpoint or {})
-
 
 @dataclass
 class ConnectAccept:
@@ -445,10 +394,6 @@ class ConnectAccept:
 
     sub_id: str
     checkpoint: Dict[str, int]
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 16 * len(self.checkpoint)
 
 
 @dataclass
@@ -458,20 +403,12 @@ class AckCheckpoint:
     sub_id: str
     checkpoint: Dict[str, int]
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 16 * len(self.checkpoint)
-
 
 @dataclass
 class DisconnectRequest:
     """A graceful disconnect (involuntary ones just drop the link)."""
 
     sub_id: str
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
 
 
 @dataclass
@@ -493,10 +430,6 @@ class PublishRequest:
     ttl_ms: Optional[int] = None
     client_ms: Optional[float] = None
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + self.payload_bytes
-
 
 @dataclass
 class PublishAck:
@@ -504,10 +437,6 @@ class PublishAck:
 
     publisher: str
     seq: int
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
 
 
 @dataclass
@@ -523,10 +452,6 @@ class ConnectRefused:
     sub_id: str
     reason: str
     redirect_to: Optional[str] = None
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +481,6 @@ class MigrateRequest:
     epoch: int
     dest: str
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
-
 
 @dataclass
 class MigrateOffer:
@@ -583,10 +504,6 @@ class MigrateOffer:
     pfs_from: Dict[str, int] = field(default_factory=dict)
     jms_ct: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 64 + 16 * (len(self.released_ct) + len(self.pfs_from))
-
 
 @dataclass
 class MigrateInstall:
@@ -601,10 +518,6 @@ class MigrateInstall:
     pfs_from: Dict[str, int] = field(default_factory=dict)
     jms_ct: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES + 64 + 16 * (len(self.released_ct) + len(self.pfs_from))
-
 
 @dataclass
 class MigrateInstalled:
@@ -613,10 +526,6 @@ class MigrateInstalled:
     handoff_id: str
     sub_id: str
     epoch: int
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
 
 
 @dataclass
@@ -628,10 +537,6 @@ class MigrateCommit:
     epoch: int
     dest: str
 
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES
-
 
 @dataclass
 class MigrateDone:
@@ -640,7 +545,3 @@ class MigrateDone:
     handoff_id: str
     sub_id: str
     epoch: int
-
-    @property
-    def size_bytes(self) -> int:
-        return CONTROL_HEADER_BYTES

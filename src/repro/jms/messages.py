@@ -23,10 +23,6 @@ class JMSCommitRequest:
     checkpoint: Dict[str, int]
     request_id: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 48 + 16 * len(self.checkpoint)
-
 
 @dataclass
 class JMSCommitDone:
@@ -34,10 +30,6 @@ class JMSCommitDone:
 
     sub_id: str
     request_id: int
-
-    @property
-    def size_bytes(self) -> int:
-        return 48
 
 
 @dataclass
@@ -47,10 +39,6 @@ class JMSCTLookup:
     sub_id: str
     request_id: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 48
-
 
 @dataclass
 class JMSCTLookupReply:
@@ -59,7 +47,3 @@ class JMSCTLookupReply:
     sub_id: str
     checkpoint: Dict[str, int]
     request_id: int
-
-    @property
-    def size_bytes(self) -> int:
-        return 48 + 16 * len(self.checkpoint)

@@ -15,7 +15,9 @@ bucket, as zero-atom entries that are candidates for every event.
 A broker handles *streams*: the SHB's constream pump hands over a whole
 live run.  The ``*_batch`` methods are therefore the algorithm;
 ``match`` / ``matches_any`` / ``match_at`` are the batch of one and
-share its probe cache, signature memo and counters.
+share its probe cache, signature memo and counters.  Nothing memoizes
+answers per event: the constream consumes each event once per engine
+life, so such a cache could never be hit.
 
 PHBs and intermediates ask a different question — which child links
 want this event — and answer it without a per-subscription index:
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from collections import OrderedDict
 from typing import (
     Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
     Sequence, Set, Tuple,
@@ -42,9 +43,6 @@ from typing import (
 from .counting import CountingMatcher
 from .predicates import Atom, Predicate
 
-
-#: Entries kept in the per-timestamp match cache before FIFO eviction.
-MATCH_CACHE_LIMIT = 4096
 
 #: Union digests are sums of per-predicate hashes modulo 2**64.
 DIGEST_MASK = (1 << 64) - 1
@@ -214,7 +212,7 @@ class PredicateSet:
 
 
 class MatchingEngine:
-    """Per-subscription matching: a counting index plus a match cache.
+    """Per-subscription matching over a counting index.
 
     The SHB's registry of ``subscription_id -> Predicate``; the only
     structure that names subscriptions.
@@ -223,11 +221,6 @@ class MatchingEngine:
     def __init__(self) -> None:
         self._filters: Dict[str, Predicate] = {}
         self._counting = CountingMatcher()
-        # event id -> (attributes, frozen match result).  FIFO-bounded;
-        # add/remove repair entries in place instead of dropping them.
-        self._match_cache: "OrderedDict[str, Tuple[Mapping[str, Any], FrozenSet[str]]]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def add(self, sub_id: str, predicate: Predicate) -> None:
         """Register (or replace) a subscription's filter."""
@@ -236,22 +229,12 @@ class MatchingEngine:
         self._filters[sub_id] = predicate
         record = compiled(predicate)
         self._counting.add(sub_id, record.atoms, record.residual)
-        # A new subscription can only *extend* cached match sets; one
-        # predicate evaluation per cached event keeps the cache warm.
-        for event_id, (attrs, result) in self._match_cache.items():
-            if predicate.matches(attrs):
-                self._match_cache[event_id] = (attrs, result | {sub_id})
 
     def remove(self, sub_id: str) -> None:
         """Unregister a subscription (no-op when absent)."""
         if self._filters.pop(sub_id, None) is None:
             return
         self._counting.remove(sub_id)
-        # Removal can only *shrink* cached match sets — no predicate
-        # evaluation needed at all.
-        for event_id, (attrs, result) in self._match_cache.items():
-            if sub_id in result:
-                self._match_cache[event_id] = (attrs, result - {sub_id})
 
     def __contains__(self, sub_id: str) -> bool:
         return sub_id in self._filters
@@ -276,16 +259,9 @@ class MatchingEngine:
         return self._counting.accepts_all()
 
     def match_at(self, event_id: str, attributes: Mapping[str, Any]) -> FrozenSet[str]:
-        """Like :meth:`match`, memoized by the event's identity.
-
-        ``event_id`` is ``pubend:timestamp`` — unique per event — and an
-        event's attributes never change, so it fully identifies the
-        match question; the same event re-entering the engine (nack
-        replies arriving behind head knowledge, cache-served catchup
-        ticks) reuses the stored answer.  The cache is FIFO-bounded and
-        repaired in place on add/remove, so a hot event's answer
-        survives subscription churn.  Returns a frozen set — callers
-        must not mutate it.
+        """Like :meth:`match` for the event ``event_id``
+        (``pubend:timestamp``), as a frozen set: the constream keys its
+        per-set memos (PFS nums, fan-out order) by value.
         """
         return self.match_at_batch([(event_id, attributes)])[0]
 
@@ -300,34 +276,10 @@ class MatchingEngine:
     def match_at_batch(
         self, items: Sequence[Tuple[str, Mapping[str, Any]]]
     ) -> List[FrozenSet[str]]:
-        """:meth:`match_at` over ``(event_id, attributes)`` pairs.
-
-        Cache hits are served first, then the misses are matched as
-        one batch and inserted in item order, each evicting (FIFO)
-        before it is stored.
-        """
-        results: List[Optional[FrozenSet[str]]] = [None] * len(items)
-        cache = self._match_cache
-        miss_indices: List[int] = []
-        miss_attrs: List[Mapping[str, Any]] = []
-        for i, (event_id, attributes) in enumerate(items):
-            cached = cache.get(event_id)
-            if cached is not None:
-                self.cache_hits += 1
-                results[i] = cached[1]
-            else:
-                self.cache_misses += 1
-                miss_indices.append(i)
-                miss_attrs.append(attributes)
-        if miss_indices:
-            for i, found in zip(miss_indices, self._counting.match_batch(miss_attrs)):
-                while len(cache) >= MATCH_CACHE_LIMIT:
-                    cache.popitem(last=False)
-                event_id, attributes = items[i]
-                result = frozenset(found)
-                cache[event_id] = (attributes, result)
-                results[i] = result
-        return results  # type: ignore[return-value]
+        """:meth:`match_at` over ``(event_id, attributes)`` pairs, matched
+        as one batch."""
+        found = self._counting.match_batch([attributes for _id, attributes in items])
+        return [frozenset(subs) for subs in found]
 
     def matches_subscription(self, sub_id: str, attributes: Mapping[str, Any]) -> bool:
         """Evaluate one specific subscription (catchup-stream filtering)."""

@@ -655,7 +655,6 @@ def run_shb_failure(
     n_subs: int = 40,
     subs_per_machine: int = 8,
     total_ms: float = 260_000.0,
-    catchup_buffer_qs: int = 5000,
     spec: Optional[PaperWorkloadSpec] = None,
 ) -> FailureResult:
     """Section 5.3: crash the SHB, delay reconnection until the
@@ -663,9 +662,7 @@ def run_shb_failure(
     """
     spec = spec or PaperWorkloadSpec()
     sim = Scheduler()
-    overlay = build_two_broker(
-        sim, spec.pubend_names(), catchup_buffer_qs=catchup_buffer_qs
-    )
+    overlay = build_two_broker(sim, spec.pubend_names())
     shb = overlay.shbs[0]
     publishers = make_publishers(sim, overlay.phb, spec)
     subscribers = make_subscribers(

@@ -54,7 +54,7 @@ class Env:
         self.switched = []
 
     def feed_constream(self, d=(), s=()):
-        self.cs.accumulate(upd(d=d, s=s))
+        self.cs.accumulate_many([upd(d=d, s=s)])
 
     def start_catchup(self, start_ts):
         self.catchup = CatchupStream(

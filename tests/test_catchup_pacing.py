@@ -151,9 +151,9 @@ class PacedEnv:
         silences = [
             (a + 1, b - 1) for a, b in zip([below, *ticks], ticks) if b > a + 1
         ]
-        self.cs.accumulate(KnowledgeUpdate(
+        self.cs.accumulate_many([KnowledgeUpdate(
             "P1", d_events=[self.events[t] for t in ticks], s_ranges=silences, l_ranges=[]
-        ))
+        )])
 
     def start_catchup(self, start_ts):
         self.catchup = CatchupStream(

@@ -55,23 +55,23 @@ class TestDelivery:
         env = Env()
         env.add_sub("s1", Eq("g", 0))
         env.add_sub("s2", Eq("g", 1))
-        env.cs.accumulate(upd(d=[ev(5, g=0)], s=[(1, 4)]))
+        env.cs.accumulate_many([upd(d=[ev(5, g=0)], s=[(1, 4)])])
         assert [(sid, m.t) for sid, m in env.delivered] == [("s1", 5)]
         assert env.cs.latest_delivered == 5
 
     def test_delivery_is_in_timestamp_order(self):
         env = Env()
         env.add_sub("s1", Everything())
-        env.cs.accumulate(upd(d=[ev(8)]))
+        env.cs.accumulate_many([upd(d=[ev(8)])])
         assert env.delivered == []         # 1..7 unknown
-        env.cs.accumulate(upd(d=[ev(3)], s=[(1, 2), (4, 7)]))
+        env.cs.accumulate_many([upd(d=[ev(3)], s=[(1, 2), (4, 7)])])
         ts = [m.t for _sid, m in env.delivered]
         assert ts == [3, 8]
 
     def test_disconnected_subscriber_not_delivered_but_pfs_logged(self):
         env = Env()
         env.add_sub("s1", Everything(), non_catchup=False)
-        env.cs.accumulate(upd(d=[ev(5)], s=[(1, 4)]))
+        env.cs.accumulate_many([upd(d=[ev(5)], s=[(1, 4)])])
         assert env.delivered == []
         result = env.pfs.read_batch("P1", 0, after=0)
         assert result.q_ticks == [5]
@@ -80,7 +80,7 @@ class TestDelivery:
         env = Env()
         a = env.add_sub("s1", Eq("g", 0))
         b = env.add_sub("s2", Everything(), non_catchup=False)
-        env.cs.accumulate(upd(d=[ev(5, g=0)], s=[(1, 4)]))
+        env.cs.accumulate_many([upd(d=[ev(5, g=0)], s=[(1, 4)])])
         result_a = env.pfs.read_batch("P1", a.num, after=0)
         result_b = env.pfs.read_batch("P1", b.num, after=0)
         assert result_a.q_ticks == [5]
@@ -89,7 +89,7 @@ class TestDelivery:
     def test_event_matching_nobody_writes_no_pfs_record(self):
         env = Env()
         env.add_sub("s1", Eq("g", 1))
-        env.cs.accumulate(upd(d=[ev(5, g=0)], s=[(1, 4)]))
+        env.cs.accumulate_many([upd(d=[ev(5, g=0)], s=[(1, 4)])])
         assert env.pfs.writes == 0
         assert env.cs.latest_delivered == 5
 
@@ -97,23 +97,23 @@ class TestDelivery:
         env = Env()
         env.add_sub("s1", Everything())
         env.cs.remove_subscriber("s1")
-        env.cs.accumulate(upd(d=[ev(5)], s=[(1, 4)]))
+        env.cs.accumulate_many([upd(d=[ev(5)], s=[(1, 4)])])
         assert env.delivered == []
 
     def test_l_tick_reaching_constream_is_protocol_error(self):
         env = Env()
         env.add_sub("s1", Everything())
         with pytest.raises(ProtocolError):
-            env.cs.accumulate(upd(l=[(1, 5)]))
+            env.cs.accumulate_many([upd(l=[(1, 5)])])
 
     def test_delivery_floor_suppresses_redelivery(self):
         env = Env()
         env.add_sub("s1", Everything())
-        env.cs.accumulate(upd(d=[ev(5)], s=[(1, 4)]))
+        env.cs.accumulate_many([upd(d=[ev(5)], s=[(1, 4)])])
         env.cs.remove_subscriber("s1")
         # Rejoin claiming CT=10: events <= 10 must not be redelivered.
         env.cs.add_non_catchup("s1", floor=10)
-        env.cs.accumulate(upd(d=[ev(8), ev(12)], s=[(6, 7), (9, 11)]))
+        env.cs.accumulate_many([upd(d=[ev(8), ev(12)], s=[(6, 7), (9, 11)])])
         ts = [m.t for sid, m in env.delivered if sid == "s1"]
         assert ts == [5, 12]
 
@@ -122,7 +122,7 @@ class TestLatestDelivered:
     def test_gated_on_pfs_durability(self):
         env = Env(with_disk=True)
         env.add_sub("s1", Everything())
-        env.cs.accumulate(upd(d=[ev(5)], s=[(1, 4)]))
+        env.cs.accumulate_many([upd(d=[ev(5)], s=[(1, 4)])])
         # Delivered to the sub immediately...
         assert [m.t for _s, m in env.delivered] == [5]
         # ...but latestDelivered waits for the PFS sync.
@@ -136,7 +136,7 @@ class TestLatestDelivered:
         env.add_sub("s1", Everything())
         seen = []
         env.cs.on_latest_delivered(seen.append)
-        env.cs.accumulate(upd(s=[(1, 9)]))
+        env.cs.accumulate_many([upd(s=[(1, 9)])])
         assert seen == [9]
 
     def test_listener_removal(self):
@@ -144,17 +144,17 @@ class TestLatestDelivered:
         seen = []
         env.cs.on_latest_delivered(seen.append)
         env.cs.remove_latest_delivered_listener(seen.append)
-        env.cs.accumulate(upd(s=[(1, 9)]))
+        env.cs.accumulate_many([upd(s=[(1, 9)])])
         assert seen == []
 
     def test_persisted_to_meta_table(self):
         env = Env()
-        env.cs.accumulate(upd(s=[(1, 9)]))
+        env.cs.accumulate_many([upd(s=[(1, 9)])])
         assert env.meta.get("latestDelivered:P1") == 9
 
     def test_resumes_from_committed_value(self):
         env = Env()
-        env.cs.accumulate(upd(s=[(1, 9)]))
+        env.cs.accumulate_many([upd(s=[(1, 9)])])
         env.meta.commit()
         cs2 = ConsolidatedStream(
             "P1", env.sim, env.registry, env.engine, env.pfs, env.meta,
@@ -168,7 +168,7 @@ class TestSilence:
     def test_lagging_subscriber_gets_silence(self):
         env = Env()
         env.add_sub("s1", Eq("g", 7))  # matches nothing
-        env.cs.accumulate(upd(s=[(1, 500)]))
+        env.cs.accumulate_many([upd(s=[(1, 500)])])
         env.sim.run_until(200)  # silence timer fires (interval 100ms)
         silences = [m for _s, m in env.delivered if isinstance(m, SilenceMessage)]
         assert silences
@@ -177,7 +177,7 @@ class TestSilence:
     def test_active_subscriber_gets_no_silence(self):
         env = Env()
         env.add_sub("s1", Everything())
-        env.cs.accumulate(upd(d=[ev(500)], s=[(1, 499)]))
+        env.cs.accumulate_many([upd(d=[ev(500)], s=[(1, 499)])])
         env.sim.run_until(200)
         silences = [m for _s, m in env.delivered if isinstance(m, SilenceMessage)]
         assert silences == []
@@ -188,7 +188,7 @@ class TestReleased:
         env = Env()
         env.add_sub("s1", Everything())
         env.add_sub("s2", Everything())
-        env.cs.accumulate(upd(s=[(1, 100)]))
+        env.cs.accumulate_many([upd(s=[(1, 100)])])
         env.registry.ack("s1", "P1", 80)
         env.registry.ack("s2", "P1", 60)
         assert env.cs.released == 60
@@ -196,18 +196,18 @@ class TestReleased:
     def test_released_capped_by_latest_delivered(self):
         env = Env()
         env.add_sub("s1", Everything())
-        env.cs.accumulate(upd(s=[(1, 50)]))
+        env.cs.accumulate_many([upd(s=[(1, 50)])])
         env.registry.ack("s1", "P1", 50)
         assert env.cs.released == 50
 
     def test_released_with_no_subs_is_latest(self):
         env = Env()
-        env.cs.accumulate(upd(s=[(1, 42)]))
+        env.cs.accumulate_many([upd(s=[(1, 42)])])
         assert env.cs.released == 42
 
     def test_committed_latest_delivered(self):
         env = Env()
-        env.cs.accumulate(upd(s=[(1, 9)]))
+        env.cs.accumulate_many([upd(s=[(1, 9)])])
         assert env.cs.committed_latest_delivered == 0
         env.meta.commit()
         assert env.cs.committed_latest_delivered == 9
@@ -242,22 +242,22 @@ class TestBatchedVsNonBatchedExpiration:
         env.sim.run_until(50.0)
         # Mixed advance: live, already-expired, never-expiring events,
         # interleaved with silence; one event expires mid-workload.
-        env.cs.accumulate(upd(
+        env.cs.accumulate_many([upd(
             d=[
                 Event("P1", 2, {"g": 0}, expires_at=10),   # expired
                 Event("P1", 4, {"g": 0}),                  # live
                 Event("P1", 5, {"g": 1}, expires_at=40),   # expired
             ],
             s=[(1, 1), (3, 3)],
-        ))
+        )])
         env.sim.run_until(80.0)
-        env.cs.accumulate(upd(
+        env.cs.accumulate_many([upd(
             d=[
                 Event("P1", 7, {"g": 1}, expires_at=1000), # live
                 Event("P1", 9, {"g": 0}, expires_at=60),   # expired
             ],
             s=[(6, 6), (8, 8)],
-        ))
+        )])
         env.sim.run_until(120.0)
         return env
 
@@ -307,8 +307,8 @@ class TestMidAdvanceRegistration:
                 late["s3"] = env.cs._non_catchup["s3"]
 
         env.cs.on_latest_delivered(join_late)
-        env.cs.accumulate(upd(d=[ev(3), ev(5), ev(8)], s=[(1, 2), (4, 4), (6, 7)]))
-        env.cs.accumulate(upd(d=[ev(9)]))
+        env.cs.accumulate_many([upd(d=[ev(3), ev(5), ev(8)], s=[(1, 2), (4, 4), (6, 7)])])
+        env.cs.accumulate_many([upd(d=[ev(9)])])
         env.sim.run_until(100.0)
         return env, late["s3"]
 
@@ -334,9 +334,9 @@ class TestMidAdvanceRegistration:
         # both paths and s3's first delivery is the next advance.
         def drive(env):
             env, floor = self._drive(env)
-            env.sim.at(150.0, lambda: env.cs.accumulate(
+            env.sim.at(150.0, lambda: env.cs.accumulate_many([
                 upd(d=[ev(12)], s=[(10, 11)])
-            ))
+            ]))
             env.sim.run_until(300.0)
             return env, floor
 

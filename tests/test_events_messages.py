@@ -5,7 +5,6 @@ import pytest
 from repro.core.events import HEADER_BYTES, PAPER_PAYLOAD_BYTES, Event
 from repro.core import messages as M
 from repro.core.ticks import Tick
-from repro.matching.predicates import Eq
 
 
 class TestEvent:
@@ -35,39 +34,6 @@ class TestTick:
 
     def test_values(self):
         assert {t.value for t in Tick} == {"Q", "S", "D", "L"}
-
-
-class TestMessageSizes:
-    def test_knowledge_update_size_scales_with_events(self):
-        empty = M.KnowledgeUpdate("P1")
-        one = M.KnowledgeUpdate("P1", d_events=[Event("P1", 1)])
-        assert one.size_bytes - empty.size_bytes == 418
-
-    def test_nack_size_scales_with_ranges(self):
-        small = M.Nack("P1", [(1, 5)])
-        big = M.Nack("P1", [(1, 5), (7, 9), (11, 20)])
-        assert big.size_bytes - small.size_bytes == 32
-
-    def test_release_update_size(self):
-        assert M.ReleaseUpdate("P1", 1, 2).size_bytes > 0
-
-    def test_event_message_size_is_event_size(self):
-        event = Event("P1", 1)
-        assert M.EventMessage("P1", 1, event).size_bytes == event.size_bytes
-
-    def test_control_message_sizes(self):
-        assert M.SilenceMessage("P1", 5).size_bytes == M.CONTROL_HEADER_BYTES
-        assert M.GapMessage("P1", 5).size_bytes == M.CONTROL_HEADER_BYTES
-        ct = {"P1": 5, "P2": 9}
-        assert M.AckCheckpoint("s", ct).size_bytes == M.CONTROL_HEADER_BYTES + 32
-
-    def test_connect_request_fields(self):
-        req = M.ConnectRequest("s1", checkpoint={"P1": 5}, predicate=Eq("g", 1))
-        assert req.sub_id == "s1"
-        assert req.size_bytes > M.CONTROL_HEADER_BYTES
-
-    def test_publish_request_size(self):
-        assert M.PublishRequest({"g": 1}, 250).size_bytes == M.CONTROL_HEADER_BYTES + 250
 
 
 class TestNackRefilterField:

@@ -149,6 +149,10 @@ PAPER_DRIVERS = {
     "amplification": lambda: run_message_amplification(
         0.0, n_subs=4, duration_ms=2_000, spec=PaperWorkloadSpec(input_rate=200.0, groups_per_sub=4),
     ),
+    # Batched constream fan-out sends through the same _do_send.
+    "amplification_batched": lambda: run_message_amplification(
+        10.0, n_subs=4, duration_ms=2_000, spec=PaperWorkloadSpec(input_rate=200.0, groups_per_sub=4),
+    ),
 }
 
 
@@ -159,12 +163,13 @@ def test_a_planted_duplicate_fails_every_paper_driver(monkeypatch, driver):
     planted = []
     original = SubscriberHostingBroker._do_send
 
-    def do_send(self, sub_id, chan, msg, *rest):
-        original(self, sub_id, chan, msg, *rest)
-        if (not planted and isinstance(msg, M.EventMessage)
+    def do_send(self, sub_id, chan, msgs, *rest):
+        original(self, sub_id, chan, msgs, *rest)
+        events = [m for m in msgs if isinstance(m, M.EventMessage)]
+        if (not planted and events
                 and chan is not None and self._sessions.get(sub_id) is chan):
-            planted.append(msg)
-            chan.send(msg)
+            planted.append(events[0])
+            chan.send(events[0])
 
     monkeypatch.setattr(SubscriberHostingBroker, "_do_send", do_send)
     result = PAPER_DRIVERS[driver]()

@@ -86,7 +86,9 @@ def test_in_order_intake_does_no_set_algebra(monkeypatch):
 
     N in-order single-event updates through one intermediate with four
     filtering children into four SHB constreams: no update is clipped,
-    ``_on_knowledge`` builds no interval set while nobody has nacked,
+    knowledge intake (the intermediate's ``_on_knowledge``, the SHB's
+    ``_handle_from_parent_batch``) builds no interval set while nobody
+    has nacked,
     and ``advance`` reads each D tick out of the map exactly once.
     """
     n_events = 120
@@ -105,9 +107,10 @@ def test_in_order_intake_does_no_set_algebra(monkeypatch):
         M, "clip_update", lambda *a: clips.append(a) or real_clip(*a)
     )
 
-    # Interval sets built while a broker's _on_knowledge is on the stack.
+    # Interval sets built while a broker's knowledge intake is on the stack.
     depth = 0
     sets_built = []
+    hooked = set()
     real_init = IntervalSet.__init__
 
     def counting_init(self, intervals=()):
@@ -116,15 +119,19 @@ def test_in_order_intake_does_no_set_algebra(monkeypatch):
         real_init(self, intervals)
 
     monkeypatch.setattr(IntervalSet, "__init__", counting_init)
-    for cls in (IntermediateBroker, SubscriberHostingBroker):
-        def on_knowledge(self, update, _real=cls._on_knowledge):
+    for cls, name in (
+        (IntermediateBroker, "_on_knowledge"),
+        (SubscriberHostingBroker, "_handle_from_parent_batch"),
+    ):
+        def intake(self, arg, _real=getattr(cls, name), _name=name):
             nonlocal depth
+            hooked.add(_name)
             depth += 1
             try:
-                _real(self, update)
+                _real(self, arg)
             finally:
                 depth -= 1
-        monkeypatch.setattr(cls, "_on_knowledge", on_knowledge)
+        monkeypatch.setattr(cls, name, intake)
 
     # Reads and removals of D ticks in each constream's map.
     class CountingDict(dict):
@@ -165,6 +172,7 @@ def test_in_order_intake_does_no_set_algebra(monkeypatch):
     assert sum(r.consolidator.pending_requesters for r in mid._relays.values()) == 0
 
     assert clips == []
+    assert hooked == {"_on_knowledge", "_handle_from_parent_batch"}
     assert sets_built == []
     assert walks == []
     assert CountingDict.touched == d_ticks_consumed

@@ -284,10 +284,11 @@ class TestRelease:
 
 
 class TestCacheBound:
-    def test_cache_trimmed_to_span(self):
+    def test_cache_trimmed_to_span(self, monkeypatch):
+        monkeypatch.setattr("repro.broker.intermediate.RELAY_CACHE_SPAN_MS", 100)
         sim = Scheduler()
         root = FakeRoot(sim)
-        mid = IntermediateBroker(sim, "mid", cache_span_ms=100)
+        mid = IntermediateBroker(sim, "mid")
         leaf = FakeLeaf(sim, "a")
         Broker.connect(root, mid)
         Broker.connect(mid, leaf)

@@ -200,60 +200,6 @@ class TestEngine:
         assert eng.match({"a": [9]}) == set()
 
 
-class TestMatchCache:
-    def test_match_at_hits_and_misses(self):
-        eng = MatchingEngine()
-        eng.add("s1", Eq("g", 1))
-        r1 = eng.match_at("p:1", {"g": 1})
-        assert r1 == frozenset({"s1"})
-        assert (eng.cache_hits, eng.cache_misses) == (0, 1)
-        assert eng.match_at("p:1", {"g": 1}) is r1
-        assert (eng.cache_hits, eng.cache_misses) == (1, 1)
-
-    def test_fifo_eviction_order(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "MATCH_CACHE_LIMIT", 3)
-        eng = MatchingEngine()
-        eng.add("s1", Everything())
-        for i in range(3):
-            eng.match_at(f"p:{i}", {"g": i})
-        # A hit must NOT refresh recency: FIFO, not LRU.
-        eng.match_at("p:0", {"g": 0})
-        eng.match_at("p:3", {"g": 3})  # evicts p:0, the oldest insert
-        assert list(eng._match_cache) == ["p:1", "p:2", "p:3"]
-        misses = eng.cache_misses
-        eng.match_at("p:0", {"g": 0})  # re-inserted: was evicted
-        assert eng.cache_misses == misses + 1
-
-    def test_add_extends_cached_results_in_place(self):
-        eng = MatchingEngine()
-        eng.add("s1", Eq("g", 1))
-        assert eng.match_at("p:1", {"g": 1}) == frozenset({"s1"})
-        assert eng.match_at("p:2", {"g": 2}) == frozenset()
-        eng.add("s2", In("g", [1, 2]))
-        misses = eng.cache_misses
-        assert eng.match_at("p:1", {"g": 1}) == frozenset({"s1", "s2"})
-        assert eng.match_at("p:2", {"g": 2}) == frozenset({"s2"})
-        assert eng.cache_misses == misses  # repaired, not recomputed
-
-    def test_remove_shrinks_cached_results_in_place(self):
-        eng = MatchingEngine()
-        eng.add("s1", Eq("g", 1))
-        eng.add("s2", Everything())
-        assert eng.match_at("p:1", {"g": 1}) == frozenset({"s1", "s2"})
-        eng.remove("s1")
-        misses = eng.cache_misses
-        assert eng.match_at("p:1", {"g": 1}) == frozenset({"s2"})
-        assert eng.cache_misses == misses
-
-    def test_replace_resubscription_repairs_cache(self):
-        eng = MatchingEngine()
-        eng.add("s1", Eq("g", 1))
-        eng.match_at("p:1", {"g": 1})
-        eng.add("s1", Eq("g", 2))  # replace: remove then add
-        assert eng.match_at("p:1", {"g": 1}) == frozenset()
-        assert eng.match_at("p:2", {"g": 2}) == frozenset({"s1"})
-
-
 class TestDecomposition:
     def test_leaves(self):
         assert Eq("g", 1).decompose() == ((EqAtom("g", frozenset([1])),), None)

@@ -2,7 +2,7 @@
 
 The engine matches streams: ``match_batch``, ``matches_any_batch`` and
 ``match_at_batch`` are the algorithm, and ``match`` / ``matches_any`` /
-``match_at`` are the batch of one over the same caches.  These tests
+``match_at`` are the batch of one over the same matcher caches.  These tests
 drive seeded subscription churn (adds, removes, bulk refreshes)
 interleaved with event batches, asserting after every step
 that all six entry points agree with the naive model (evaluate every
@@ -53,7 +53,7 @@ from repro.broker.phb import PublisherHostingBroker
 from repro.core import messages as M
 from repro.core.events import Event
 from repro.matching import engine as engine_mod
-from repro.matching.engine import MATCH_CACHE_LIMIT, MatchingEngine, compiled, union_digest
+from repro.matching.engine import MatchingEngine, compiled, union_digest
 from repro.matching.predicates import (
     And, Between, Eq, Everything, Exists, Gt, In, Ne, Nothing, Or,
     Predicate, Prefix,
@@ -220,47 +220,14 @@ def test_single_event_calls_share_the_batch_caches():
     assert eng.atoms_examined > before
 
 
-def test_match_at_and_match_at_batch_share_the_cache():
-    """Same hit/miss counters, same stored answers, whichever of the
-    two first saw an event id."""
-    rng, eng, model = _warm_engine(SEEDS[1], 20)
-    events = [(f"p:{i}", _random_event(rng)) for i in range(8)]
-    eng.match_at_batch(events[:4])
-    assert (eng.cache_hits, eng.cache_misses) == (0, 4)
-    for eid, attrs in events:  # four stored by the batch, four new
-        assert eng.match_at(eid, attrs) == _model_match(model, attrs)
-    assert (eng.cache_hits, eng.cache_misses) == (4, 8)
-    assert eng.match_at_batch(events) == [_model_match(model, a) for _, a in events]
-    assert (eng.cache_hits, eng.cache_misses) == (12, 8)
-    assert list(eng._match_cache) == [eid for eid, _ in events]
-
-
 def test_match_at_batch_equals_match_at():
-    """Mixed hit/miss batches must return what the model says, and
-    leave the cache able to serve every event as a hit."""
+    """``match_at_batch`` and ``match_at`` both return what the model
+    says, whichever of the two saw an event first."""
     rng, eng, model = _warm_engine(SEEDS[2], 20)
     events = [(f"p:{i}", _random_event(rng)) for i in range(30)]
-    # Prime a prefix so the batch sees hits and misses interleaved.
-    for eid, attrs in events[:10][::2]:
-        eng.match_at(eid, attrs)
     expected = [_model_match(model, attrs) for _, attrs in events]
+    assert [eng.match_at(eid, attrs) for eid, attrs in events[:10]] == expected[:10]
     assert eng.match_at_batch(events) == expected
-    # Every id is now cached: a second pass is all hits.
-    hits_before = eng.cache_hits
-    assert eng.match_at_batch(events) == expected
-    assert eng.cache_hits == hits_before + len(events)
-
-
-def test_match_at_batch_under_eviction(monkeypatch):
-    """Eviction mid-batch must not corrupt answers: with the FIFO bound
-    shrunk below the batch size, every result still matches the model
-    even though early insertions are evicted by later ones."""
-    monkeypatch.setattr("repro.matching.engine.MATCH_CACHE_LIMIT", 4)
-    rng, eng, model = _warm_engine(SEEDS[0], 15)
-    events = [(f"p:{i}", _random_event(rng)) for i in range(12)]
-    expected = [_model_match(model, attrs) for _, attrs in events]
-    assert eng.match_at_batch(events) == expected
-    assert len(eng._match_cache) <= 4
 
 
 def test_never_atom_only_engine_batches_empty():
@@ -276,12 +243,6 @@ def test_never_atom_only_engine_batches_empty():
     eng.add("all", Everything())
     assert eng.match_batch(batch) == [{"all"}, {"all"}]
     assert eng.matches_any_batch(batch) == [True, True]
-
-
-def test_module_limit_is_the_default():
-    # The eviction tests above monkeypatch the bound; pin the real one
-    # so an accidental production shrink is loud.
-    assert MATCH_CACHE_LIMIT == 4096
 
 
 # ---------------------------------------------------------------------------
