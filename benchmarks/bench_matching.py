@@ -12,7 +12,7 @@ bench measures it on two subscription forms:
 
 each at 1 000, 5 000 and 10 000 subscriptions, plus a PHB-style
 fan-out filtering experiment counting the per-subscription work items
-behind link matching over per-link aggregates.
+behind link matching over per-link signature sets.
 
 Every number is absolute.  The tables that raced this engine against
 the pre-PR-3 engine and against its own former single-event loop are
@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Tuple
 
 from conftest import full_scale, write_result
 
-from repro.matching.engine import MatchingEngine
+from repro.matching.engine import MatchingEngine, compiled
 from repro.matching.links import LinkIndex
 from repro.matching.predicates import And, Between, Eq, In, Predicate
 from repro.metrics.report import format_table
@@ -148,14 +148,14 @@ def run_fanout_filtering(
     :class:`~repro.matching.links.LinkIndex`, one link match per event.
     Subscribers draw from a shared predicate pool (many subscribers
     want the same content); each link's union holds the distinct
-    predicates among them, which its aggregate — signature dedup +
-    covering — reduces further.
+    predicates among them, and sets its bit on each of their distinct
+    signatures.
 
-    Work is counted in index-key units: the keys (distinct active
-    signatures, each shared by every link it is active on) the index's
-    counting loop touched, plus its residual evaluations.
-    ``active_signatures`` sums each link's covering antichain;
-    ``index_keys`` is the index's size, one key per distinct one.
+    Work is counted in index-key units: the keys (distinct signatures,
+    each shared by every link holding it) the index's counting loop
+    touched, plus its residual evaluations.  ``active_signatures``
+    sums each link's distinct signatures; ``index_keys`` is the
+    index's size, one key per distinct one.
     Deterministic for a seed.
     """
     rng = random.Random(seed)
@@ -176,7 +176,9 @@ def run_fanout_filtering(
         "n_links": n_children,
         "subs_total": n_children * subs_per_child,
         "pool_size": len(pool),
-        "active_signatures": sum(union.aggregate_active for union in unions),
+        "active_signatures": sum(
+            len({compiled(p).signature for p in union.predicates()}) for union in unions
+        ),
         "index_keys": len(matcher),
         "aggregate_evals": matcher.candidates_seen + matcher.residual_evals,
     }

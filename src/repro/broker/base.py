@@ -163,7 +163,7 @@ class Broker:
         self.parent_name: Optional[str] = None
         self._parent_send: Optional[LinkEnd] = None
         self._child_sends: Dict[str, LinkEnd] = {}
-        #: One index over every child union's active signatures: an
+        #: One index over every child union's signatures: an
         #: update is classified for all children in one match.
         self.links = LinkIndex()
         #: Per-child filter union: every distinct predicate propagated

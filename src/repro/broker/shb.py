@@ -810,7 +810,6 @@ class SubscriberHostingBroker(Broker):
             run_costed=self._run_control,
             refilter_until=refilter_until,
             caches_valid=caches_valid,
-            track_deliveries=True,
         )
         # A trivial catchup (e.g. a pure-silence span) can complete
         # synchronously inside the constructor; record its duration but

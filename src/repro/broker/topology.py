@@ -238,7 +238,6 @@ def attach_shb(
     name: str,
     parent: Optional[Broker] = None,
     batch_window_ms: float = 0.0,
-    fast_forward: bool = True,
     **shb_kwargs: object,
 ) -> SubscriberHostingBroker:
     """Admit a new SHB under ``parent`` (default: the PHB) mid-run.
@@ -256,10 +255,9 @@ def attach_shb(
     shb = SubscriberHostingBroker(
         overlay.scheduler, name, overlay.pubend_names, **shb_kwargs,
     )
-    if fast_forward:
-        shb.fast_forward(
-            {p: overlay.phb.pubends[p].disseminated for p in overlay.pubend_names}
-        )
+    shb.fast_forward(
+        {p: overlay.phb.pubends[p].disseminated for p in overlay.pubend_names}
+    )
     overlay.shbs.append(shb)
     overlay.links.append(
         Broker.connect(parent, shb, batch_window_ms=batch_window_ms)

@@ -73,7 +73,6 @@ class CatchupStream:
         run_costed: Optional[CostedRunner] = None,
         refilter_until: int = 0,
         caches_valid: bool = True,
-        track_deliveries: bool = False,
     ) -> None:
         self.scheduler = scheduler
         self.pubend = pubend
@@ -101,12 +100,11 @@ class CatchupStream:
         #: End-to-end flow control (the paper's "flow control scheme,
         #: between the SHB and the subscribing client, to control the
         #: rate of nacks initiated, so as not to overwhelm the client"):
-        #: when tracking is on, event messages count against the window
-        #: until the host reports them actually sent
-        #: (:meth:`on_delivery_sent`), so a congested broker/client
-        #: throttles this stream's requests.  With many simultaneous
-        #: catchup streams this self-balances them to fair shares.
-        self.track_deliveries = track_deliveries
+        #: event messages count against the window until the host
+        #: reports them actually sent (:meth:`on_delivery_sent`), so a
+        #: congested broker/client throttles this stream's requests.
+        #: With many simultaneous catchup streams this self-balances
+        #: them to fair shares.
         self.undelivered = 0
         # Client-rate pacing (the paper's congestion-control hook [14]):
         # requests are token-bucketed at ``RATE_BOOST`` times the
@@ -266,7 +264,7 @@ class CatchupStream:
 
         "In flight" spans the whole pipeline: ticks nacked upstream and
         not yet answered, plus answered events not yet actually sent to
-        the client (when delivery tracking is on).
+        the client.
         """
         if self.closed:
             return
@@ -342,7 +340,7 @@ class CatchupStream:
             self._kick()
 
     def on_delivery_sent(self) -> None:
-        """Host callback: one tracked event message left the broker."""
+        """Host callback: one event message left the broker."""
         if self.closed:
             return
         if self.undelivered > 0:
@@ -392,8 +390,7 @@ class CatchupStream:
                     self.events_refiltered_out += 1
                     self.deliver(SilenceMessage(self.pubend, run.end))
                     continue
-                if self.track_deliveries:
-                    self.undelivered += 1
+                self.undelivered += 1
                 if self._tracer.tracing:
                     self._tracer.on_catchup_resolve(run.event.event_id, self.pubend)
                 self.deliver(EventMessage(self.pubend, run.start, run.event))

@@ -14,10 +14,10 @@ changes protocol behaviour):
 * :class:`DurableSubscription` rows are ``__slots__`` dataclasses and
   their ``sub_id`` strings are interned, so 10^5 hosted subscriptions
   do not pay a per-row ``__dict__``.
-* Predicates are deduplicated through :func:`intern_predicate` — the
-  registry-side extension of the shared-predicate-signature scheme in
-  :mod:`repro.matching.aggregate`: 10k subscribers sharing 500 distinct
-  filters reference 500 predicate objects, not 10k equal copies.
+* Predicates are deduplicated through :func:`intern_predicate`: 10k
+  subscribers sharing 500 distinct filters reference 500 predicate
+  objects, not 10k equal copies (and so 500 compiled records, see
+  :func:`repro.matching.engine.compiled`).
 * Registration-cursor maps (``pfs_from``) are deduplicated through
   :func:`intern_cursor_map` and shared copy-on-write between the row
   and its persisted table value — most subscriptions registered at the
@@ -59,9 +59,9 @@ def intern_predicate(predicate: Predicate) -> Predicate:
     """Return the canonical shared instance for a value-equal predicate.
 
     Predicates are frozen dataclasses (hashable by value), so equal
-    filters can share one object.  Unhashable predicates — the same
-    fallback the aggregate's signature scheme uses — are returned
-    as-is, as is everything once the pool is full.
+    filters can share one object.  Unhashable predicates — which also
+    get no shared signature in :func:`repro.matching.engine.compiled` —
+    are returned as-is, as is everything once the pool is full.
     """
     try:
         pooled = _PREDICATE_POOL.get(predicate)

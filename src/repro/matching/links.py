@@ -10,28 +10,31 @@ Multicast Protocol for Content-Based Publish-Subscribe Systems",
 ICDCS 1999).
 
 Here that is one :class:`LinkIndex` per broker: a single
-:class:`~repro.matching.counting.CountingMatcher` keyed by signature,
-plus a ``signature -> link mask`` map with the bit of every link where
-the signature is active.  Each child link's union is a
-:class:`LinkUnion` — its set of distinct predicates, digest and
-:class:`~repro.matching.aggregate.SubscriptionAggregate` — and the
-aggregate sets its bit only on its covering antichain.  The index also
-counts, per distinct predicate, the links holding it: that count is an
-intermediate broker's own union, the set it announces upstream.
-Covering and parking stay per link, so a mask is exactly the per-link
-answer (an event matching a parked signature also matches its active
-coverer); :meth:`LinkIndex.links_of_batch` ORs the masks of the
-matched keys.
+:class:`~repro.matching.counting.CountingMatcher` keyed by signature
+(a predicate's deduplicated atoms plus opaque residual, from its
+:func:`~repro.matching.engine.compiled` record), plus a
+``signature -> link mask`` map with the bit of every link holding the
+signature.  Each child link's union is a :class:`LinkUnion` — its set
+of distinct predicates, digest and a refcount per signature — and it
+sets its bit on every signature it holds, so equal predicates that
+encode differently (``Eq("x", 1)``, ``Eq("x", 1.0)``) cost one key.
+The index also counts, per distinct predicate, the links holding it:
+that count is an intermediate broker's own union, the set it announces
+upstream.  :meth:`LinkIndex.links_of_batch` ORs the masks of the
+matched keys, so bit ``c`` of an event's mask is exactly "some
+predicate below link ``c`` matches".
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Sequence
 
-from .aggregate import SubscriptionAggregate
 from .counting import CountingMatcher
 from .engine import Compiled, PredicateSet, compiled
 from .predicates import Predicate
+
+#: The signature of a wildcard subscription: no atoms, no residual.
+_WILDCARD = ("sig", frozenset(), None)
 
 
 class LinkUnion(PredicateSet):
@@ -48,14 +51,31 @@ class LinkUnion(PredicateSet):
         super().__init__()
         self.bit = bit
         self._links = index
-        self._aggregate = SubscriptionAggregate(index, bit)
+        #: signature -> members holding it; its first sets ``bit`` in the index
+        self._sigs: Dict[Hashable, int] = {}
+
+    def _signature(self, record: Compiled) -> Hashable:
+        if record.signature is None:
+            # Unhashable residual: a key private to this member and to
+            # this link (the index is shared).
+            return ("sub", self.bit, record.canonical)
+        return record.signature
 
     def _index(self, record: Compiled) -> None:
-        self._aggregate.add(record)
+        key = self._signature(record)
+        refs = self._sigs.get(key, 0)
+        if not refs:
+            self._links.activate(key, self.bit, record)
+        self._sigs[key] = refs + 1
         self._links.members._add(record)
 
     def _unindex(self, record: Compiled) -> None:
-        self._aggregate.remove(record)
+        key = self._signature(record)
+        refs = self._sigs.pop(key) - 1
+        if refs:
+            self._sigs[key] = refs
+        else:
+            self._links.deactivate(key, self.bit)
         self._links.members._release(record.canonical)
 
     def add(self, predicate: Predicate) -> bool:
@@ -79,28 +99,17 @@ class LinkUnion(PredicateSet):
     def accepts_all(self) -> bool:
         """True when a wildcard subscription is below the link, so every
         event passes and per-event filtering can be skipped outright."""
-        return self._aggregate.accepts_all()
-
-    @property
-    def aggregate_signatures(self) -> int:
-        """Deduplicated subscription signatures below the link."""
-        return self._aggregate.signature_count
-
-    @property
-    def aggregate_active(self) -> int:
-        """Signatures registered in the link index (the covering
-        antichain); the rest are absorbed by broader ones."""
-        return self._aggregate.active_count
+        return _WILDCARD in self._sigs
 
 
 class LinkIndex:
-    """One counting index over every child link's active signatures."""
+    """One counting index over every child link's signatures."""
 
     def __init__(self) -> None:
         self.matcher = CountingMatcher()
         #: Every predicate some link holds, counted once per link.
         self.members = PredicateSet()
-        #: signature -> OR of the bits of the links where it is active
+        #: signature -> OR of the bits of the links holding it
         self._masks: Dict[Hashable, int] = {}
         self._bits_used = 0
         #: :meth:`links_of_batch` calls: one per classified update.

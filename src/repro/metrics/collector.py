@@ -178,20 +178,6 @@ class MetricsCollector:
             "link.msgs_per_event", lambda: stats.transmissions, events_published
         )
 
-    def link_faults(self, scheduler: Scheduler) -> None:
-        """Register the injected-fault counters from the scheduler's
-        shared :class:`~repro.net.link.LinkStats`: messages dropped by
-        fault injection, dropped for failing their frame CRC, duplicated
-        and reordered (plus teardown drops under ``link.dropped``)."""
-        from ..net.link import link_stats
-
-        stats = link_stats(scheduler)
-        self.gauge("link.fault_dropped", lambda: float(stats.fault_dropped))
-        self.gauge("link.corrupt_dropped", lambda: float(stats.corrupt_dropped))
-        self.gauge("link.duplicated", lambda: float(stats.duplicated))
-        self.gauge("link.reordered", lambda: float(stats.reordered))
-        self.gauge("link.dropped", lambda: float(stats.dropped))
-
     def matcher(self, prefix: str, engine) -> None:
         """Register the counting-matcher series for one engine:
 
@@ -219,14 +205,6 @@ class MetricsCollector:
             events,
         )
         self.gauge(f"{prefix}.scan_subs", lambda: float(engine.scan_count))
-
-    def link_union(self, prefix: str, union) -> None:
-        """Register ``<prefix>.aggregate_active`` for one child link's
-        union: the covering signatures it keeps in its broker's link
-        index (vs. the subscriptions registered below the link)."""
-        self.gauge(
-            f"{prefix}.aggregate_active", lambda: float(union.aggregate_active)
-        )
 
     # ------------------------------------------------------------------
     # Control

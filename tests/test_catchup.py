@@ -59,13 +59,20 @@ class Env:
     def start_catchup(self, start_ts):
         self.catchup = CatchupStream(
             self.sim, "P1", self.sub, start_ts, self.pfs, self.cs,
-            deliver=self.delivered.append,
+            deliver=self._deliver,
             send_nack=lambda r: self.nacks.append(r.copy()),
             on_switchover=lambda: self.switched.append(self.sim.now),
             buffer_qs=self.buffer_qs,
             nack_window_ticks=self.nack_window,
         )
         return self.catchup
+
+    def _deliver(self, msg):
+        """Record ``msg``; an event message is reported sent once the
+        scheduler runs, as the SHB reports it after its send job."""
+        self.delivered.append(msg)
+        if isinstance(msg, EventMessage):
+            self.sim.after(0.0, self.catchup.on_delivery_sent)
 
     def answer_nacks(self, events_by_ts, lost_below=0):
         """Act as the upstream: answer outstanding nacks from a dict."""

@@ -14,7 +14,7 @@ from repro import (
 from repro.core.catchup import CatchupStream
 from repro.core.constream import ConsolidatedStream
 from repro.core.events import Event
-from repro.core.messages import KnowledgeUpdate
+from repro.core.messages import EventMessage, KnowledgeUpdate
 from repro.core.subscription import SubscriptionRegistry
 from repro.matching.engine import MatchingEngine
 from repro.pfs.pfs import PersistentFilteringSubsystem
@@ -158,11 +158,17 @@ class PacedEnv:
     def start_catchup(self, start_ts):
         self.catchup = CatchupStream(
             self.sim, "P1", self.sub, start_ts, self.pfs, self.cs,
-            deliver=lambda msg: None,
+            deliver=self._deliver,
             send_nack=lambda r: self.nacks.append(r.copy()),
             on_switchover=lambda: self.switched.append(self.sim.now),
         )
         return self.catchup
+
+    def _deliver(self, msg):
+        """An event message is reported sent once the scheduler runs,
+        as the SHB reports it after its send job."""
+        if isinstance(msg, EventMessage):
+            self.sim.after(0.0, self.catchup.on_delivery_sent)
 
     def answer_nacks(self):
         while self.nacks:

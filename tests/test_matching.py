@@ -264,7 +264,10 @@ class TestDecomposition:
             for predicate in order:
                 assert union.add(predicate)
         engine_mod._compiled.clear()
-        assert len(unions[0]) == 2 and unions[0].aggregate_signatures == 1
+        # Two members each, one shared signature in the index.
+        assert len(unions[0]) == 2 and len(index.matcher) == 1
+        both = unions[0].bit | unions[1].bit
+        assert index.links_of_batch([{"x": 1}, {"x": 2}]) == [both, 0]
         assert unions[0].digest == unions[1].digest == union_digest([one, one_f])
         for predicate, kind in ((one, int), (one_f, float)):
             (atom,) = compiled(predicate).atoms
@@ -285,7 +288,9 @@ class TestDecomposition:
 
 
 class TestAggregate:
-    """One link's aggregate, read through its broker's link index."""
+    """One link's union, read through its broker's link index: the
+    index holds each distinct signature once, and a link's bit is set
+    on every signature it holds."""
 
     @staticmethod
     def _link():
@@ -302,8 +307,7 @@ class TestAggregate:
             assert agg.add(predicate)
             assert not agg.add(predicate)  # a set: re-adding is a no-op
         assert len(agg) == 3  # distinct canonical bytes
-        assert agg.aggregate_signatures == 1
-        assert agg.aggregate_active == 1
+        assert len(index.matcher) == 1
         assert self._matches(index, agg, {"g": 1})
         assert not self._matches(index, agg, {"g": 2})
 
@@ -311,8 +315,7 @@ class TestAggregate:
         index, agg = self._link()
         agg.add(Eq("g", 1))
         agg.add(And([Eq("g", 1), Eq("h", 2)]))
-        assert agg.aggregate_signatures == 2
-        assert agg.aggregate_active == 1  # only the broad one is consulted
+        assert len(index.matcher) == 2
         assert self._matches(index, agg, {"g": 1})
         assert self._matches(index, agg, {"g": 1, "h": 9})
 
@@ -321,7 +324,7 @@ class TestAggregate:
         agg.add(Eq("g", 1))
         agg.add(And([Eq("g", 1), Eq("h", 2)]))
         agg.remove(Eq("g", 1))
-        assert agg.aggregate_active == 1
+        assert len(index.matcher) == 1
         assert self._matches(index, agg, {"g": 1, "h": 2})
         assert not self._matches(index, agg, {"g": 1, "h": 9})
 
@@ -331,7 +334,7 @@ class TestAggregate:
         agg.add(Eq("g", 1))
         agg.add(Everything())
         assert agg.accepts_all()
-        assert agg.aggregate_active == 1
+        assert len(index.matcher) == 2
         assert self._matches(index, agg, {"anything": 0})
         agg.remove(Everything())
         assert not agg.accepts_all()
@@ -339,14 +342,13 @@ class TestAggregate:
 
     def test_engine_exposes_aggregate_counters(self):
         eng = MatchingEngine()
-        _index, union = self._link()
+        index, union = self._link()
         for i in range(10):
             eng.add(f"s{i}", Eq("g", 1))
             union.add(Eq("g", 1))
         eng.add("narrow", And([Eq("g", 1), Gt("x", 5)]))
         union.add(And([Eq("g", 1), Gt("x", 5)]))
-        assert union.aggregate_signatures == 2
-        assert union.aggregate_active == 1  # Eq("g", 1) covers the And
+        assert len(index.matcher) == 2
         assert eng.accepts_all() is False and union.accepts_all() is False
         eng.add("wild", Everything())
         union.add(Everything())

@@ -21,10 +21,11 @@ only widen (duplicates included), full sets, which also narrow, and
 digest mismatches that turn a link cold — through a PHB's own
 subscription intake over five child links (a wildcard link, an opaque-residual
 link with unhashable predicates among them, an empty link, a link
-whose narrow signatures are parked under broader ones, and a mixed
-one).  After every step, the mask of ``LinkIndex.links_of_batch`` must
-equal the OR of the bits of the links with a matching predicate, the
-index must hold one key per signature active on some link and count
+mixing broad ``Eq`` predicates with narrower conjunctions over them,
+and a mixed one).  After every step, the mask of
+``LinkIndex.links_of_batch`` must equal the OR of the bits of the links
+with a matching predicate, the index must hold one key per distinct
+signature some link holds and count
 every predicate some link holds, every union's digest must equal its
 from-scratch digest (also across a
 cleared compiled-predicate memo), and each child's filtered update
@@ -259,7 +260,7 @@ def _link_predicate(rng: random.Random, link: str) -> Predicate:
             ~Exists("opt"),
             Eq("x", [1, 2]),  # unhashable: a signature private to its sub
         ])
-    if link == "parked":  # narrow conjunctions under Eq("g", k) coverers
+    if link == "parked":  # narrow conjunctions next to the Eq("g", k) they refine
         if rng.random() < 0.2:
             return Eq("g", rng.randrange(3))
         return And([Eq("g", rng.randrange(3)), Between("x", rng.randrange(4), rng.randrange(4, 9))])
@@ -310,24 +311,16 @@ def _naive_filtered(update, predicates, warm: bool, keep_below: int):
     return out.coalesce()
 
 
-def _active_signatures(phb, model: Dict[str, Dict[bytes, Predicate]]) -> set:
-    """The naive covering antichain of every link, as one set: a
-    signature is active on a link unless another residual-free
-    signature there has a subset of its atoms."""
-    active = set()
+def _held_signatures(phb, model: Dict[str, Dict[bytes, Predicate]]) -> set:
+    """The distinct signatures some link holds, as one set; an
+    unhashable predicate's key is private to its link."""
+    held = set()
     for link, members in model.items():
         bit = phb.child_engines[link].bit
-        sigs = {}
         for pred in members.values():
             rec = compiled(pred)
-            sigs[rec.signature or ("sub", bit, rec.canonical)] = rec
-        for key, rec in sigs.items():
-            if not any(
-                other != key and c.residual is None and c.atom_set <= rec.atom_set
-                for other, c in sigs.items()
-            ):
-                active.add(key)
-    return active
+            held.add(rec.signature or ("sub", bit, rec.canonical))
+    return held
 
 
 def _drive_links(seed: int, n_steps: int) -> None:
@@ -389,7 +382,7 @@ def _drive_links(seed: int, n_steps: int) -> None:
         attrs = [e.attributes for e in update.d_events]
 
         # Index level: bit c of the mask is "any predicate below c
-        # matches", and the index holds each active signature once.
+        # matches", and the index holds each distinct signature once.
         masks = phb.links.links_of_batch(attrs)
         naive_masks = [0] * len(attrs)
         for link in LINKS:
@@ -398,7 +391,7 @@ def _drive_links(seed: int, n_steps: int) -> None:
                 if any(p.matches(a) for p in model[link].values()):
                     naive_masks[i] |= bit
         assert masks == naive_masks, f"{tag}: link masks"
-        assert len(phb.links.matcher) == len(_active_signatures(phb, model)), f"{tag}: index keys"
+        assert len(phb.links.matcher) == len(_held_signatures(phb, model)), f"{tag}: index keys"
         held = set().union(*(members.keys() for members in model.values()))
         assert phb.links.members.keys() == held, f"{tag}: members"
         digests = {link: phb.child_engines[link].digest for link in LINKS}

@@ -94,22 +94,18 @@ class TestCollector:
 
     def test_matcher_probe(self):
         from repro.matching.engine import MatchingEngine
-        from repro.matching.links import LinkIndex
         from repro.matching.predicates import And, Eq, Everything, Gt, Or
 
         sim = Scheduler()
         eng = MatchingEngine()
-        union = LinkIndex().new_union()  # the same set, as a child link's union
         for name, predicate in (
             ("narrow", And([Eq("g", 1), Gt("x", 5)])),
             ("broad", Eq("g", 1)),
             ("opaque", Or([Eq("g", 2), Gt("x", 8)])),  # scan bucket
         ):
             eng.add(name, predicate)
-            union.add(predicate)
         col = MetricsCollector(sim, interval_ms=100.0)
         col.matcher("shb.match", eng)
-        col.link_union("phb.link", union)
         state = {"i": 0}
 
         def pump():
@@ -124,9 +120,6 @@ class TestCollector:
         # eval per event on average (match + matches_any both count).
         assert col.get("shb.match.residual_evals_per_event").values()[-1] >= 0.5
         assert col.get("shb.match.scan_subs").values()[-1] == 1.0
-        # "broad" covers "narrow": the link's aggregate keeps 2
-        # signatures in the link index (broad + the opaque one), not 3.
-        assert col.get("phb.link.aggregate_active").values()[-1] == 2.0
         # The 13 distinct (attr, value) probes are all cached within
         # the first window, so index work shows up there and a steady
         # window may examine none; a registry change empties the

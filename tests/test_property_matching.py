@@ -1,4 +1,4 @@
-"""Model-based property test for the counting matcher and aggregates.
+"""Model-based property test for the counting matcher.
 
 The :class:`MatchingEngine` is a compact encoding of a simple object —
 a map ``sub_id -> Predicate`` queried by "which entries match this
@@ -10,9 +10,8 @@ bulk refreshes) and checks full agreement after every
 step, against a stream of randomized events.
 
 This exercises the machinery the unit tests can't reach exhaustively:
-atom interning/refcounting across shared predicates, sorted-bound-list
-maintenance under removal, and aggregate signature refcounts and
-covering activation/deactivation.
+atom interning/refcounting across shared predicates and sorted-bound-list
+maintenance under removal.
 Randomness comes from an explicitly seeded ``random.Random`` so
 failures replay exactly; the seeds are part of the test matrix.
 """
