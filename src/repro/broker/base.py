@@ -22,6 +22,11 @@ update to a child (:meth:`Broker._forward`), the subscription intake
 from children — widening adds, and epoch-numbered digest or full-set
 syncs — and the digest-or-full union refresh toward the parent
 (:meth:`Broker._send_union_up`), and crash/recovery plumbing.
+
+*Lazy silence*: a head update that filtering left with only S ticks for
+a child is held, not sent.  It rides with that child's next head update
+carrying a D or L tick, or goes out one
+:data:`~repro.core.pubend.SILENCE_INTERVAL_MS` later.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core import messages as M
+from ..core.pubend import SILENCE_INTERVAL_MS
 from ..matching.engine import PredicateSet
 from ..matching.links import LinkIndex, LinkUnion
 from ..metrics.trace import event_tracer
 from ..net.link import Link, LinkEnd
 from ..net.node import Node
-from ..port.clock import Clock
+from ..port.clock import Clock, TimerHandle
 from ..port.executor import Executor
 from ..util.errors import ConfigurationError
 from .costs import DEFAULT_COSTS
@@ -182,6 +188,13 @@ class Broker:
         #: digest with SubscriptionResend: None, or the ``want_ack`` to
         #: send it with.  Kept until a refresh actually goes out.
         self._resend_owed: Optional[bool] = None
+        #: Lazy silence: per child, per pubend, the S ranges of head
+        #: updates that carried nothing else for that child, held until
+        #: its next head update with a D or L tick or the flush timer.
+        #: Classified under the child's current union, so they are
+        #: voided (never sent) when that union changes.
+        self._held_silence: Dict[str, Dict[str, List[Tuple[int, int]]]] = {}
+        self._silence_flush: Optional[TimerHandle] = None
         #: Shared per-scheduler event tracer (disabled by default; see
         #: repro.metrics.trace).  Hop sites guard on ``tracing`` so an
         #: idle tracer costs one attribute check per forwarded batch.
@@ -246,6 +259,7 @@ class Broker:
         intermediate) because it is keyed per pubend.
         """
         self._child_sends.pop(child, None)
+        self._void_held_silence(child)
         union = self.child_engines.pop(child, None)
         if union is not None:
             self.links.drop_union(union)
@@ -298,7 +312,7 @@ class Broker:
 
     def _forward(
         self, child: str, update: M.KnowledgeUpdate, cost_ms: float,
-        start_ms: float, span: str,
+        start_ms: float, span: str, head: bool = False,
     ) -> None:
         """Send ``update`` to ``child`` once ``cost_ms`` of CPU is paid.
 
@@ -308,8 +322,33 @@ class Broker:
         ``span`` recorded for every traced event in it closes as the
         update is handed to the downlink, so it covers this broker's CPU
         queue.
-        """
 
+        ``head``: the update is head knowledge (dissemination, not a
+        nack reply or old knowledge), so silence in it may wait.  With
+        no D and no L tick its S ranges are held for the child; the
+        child's next head update with a D or L tick carries them at no
+        extra cost, or the flush timer sends them.  Every other message
+        to the child goes out behind the held ranges.
+        """
+        held = self._held_silence.get(child)
+        if head:
+            if not update.d_events and not update.l_ranges:
+                self._hold_silence(child, update)
+                return
+            ranges = held.pop(update.pubend, None) if held else None
+            if ranges:
+                update = M.KnowledgeUpdate(
+                    update.pubend, update.d_events,
+                    ranges + update.s_ranges, update.l_ranges,
+                ).coalesce()
+        elif held:
+            self._release_held_silence(child)
+        self._submit_send(child, update, cost_ms, start_ms, span)
+
+    def _submit_send(
+        self, child: str, update: M.KnowledgeUpdate, cost_ms: float,
+        start_ms: float, span: str,
+    ) -> None:
         # Arguments bound as defaults: one closure cell per queued send
         # (``self``) rather than five, each a collector-tracked
         # allocation on the busiest path.  Closing over ``self`` keeps
@@ -321,6 +360,41 @@ class Broker:
             self.send_to_child(child, update)
 
         self.node.submit(cost_ms, send)
+
+    def _hold_silence(self, child: str, update: M.KnowledgeUpdate) -> None:
+        held = self._held_silence.setdefault(child, {})
+        held.setdefault(update.pubend, []).extend(update.s_ranges)
+        if self._silence_flush is None:
+            self._silence_flush = self.scheduler.after(
+                SILENCE_INTERVAL_MS, self._flush_held_silence
+            )
+
+    def _release_held_silence(self, child: str) -> None:
+        """Send ``child``'s held S ranges now, one forwarded S update
+        per pubend."""
+        held = self._held_silence.pop(child, None)
+        if not held:
+            return
+        now = self.scheduler.now
+        for pubend, ranges in held.items():
+            update = M.KnowledgeUpdate(pubend, s_ranges=ranges).coalesce()
+            self._submit_send(
+                child, update, self.costs.forward_per_link_event_ms, now, ""
+            )
+
+    def _void_held_silence(self, child: str) -> None:
+        """Drop ``child``'s held S ranges unsent: they were classified
+        under a union that no longer holds.  The child's curiosity nacks
+        the hole, and the reply is classified under the new union."""
+        self._held_silence.pop(child, None)
+
+    def _flush_held_silence(self) -> None:
+        self._silence_flush = None
+        if self.node.is_down:
+            self._held_silence.clear()
+            return
+        for child in list(self._held_silence):
+            self._release_held_silence(child)
 
     def _link_filter(self, update: M.KnowledgeUpdate) -> LinkFilter:
         """The D→S filter of ``update`` for this broker's children."""
@@ -346,7 +420,8 @@ class Broker:
         copy is harmless.
         """
         fresh = msg.predicate not in self.links.members
-        self.child_engines[child].add(msg.predicate)
+        if self.child_engines[child].add(msg.predicate):
+            self._void_held_silence(child)
         return fresh
 
     def _on_subscription_sync(self, child: str, msg: M.SubscriptionSync) -> bool:
@@ -366,7 +441,9 @@ class Broker:
         union = self.child_engines[child]
         if msg.digest is None:
             union.replace_all(msg.predicates)
+            self._void_held_silence(child)
         elif (len(union), union.digest) != (msg.count, msg.digest):
+            self._void_held_silence(child)
             self.child_filter_ready[child] = False
             self.send_to_child(child, M.SubscriptionResend(msg.epoch, msg.want_ack))
             return False
@@ -441,8 +518,10 @@ class Broker:
         Queued through the CPU queue: dissemination classifies
         synchronously but *sends* via submitted jobs, so the ack must
         not overtake knowledge classified under the pre-refresh union
-        (see :class:`~repro.core.messages.SubscriptionSynced`).
+        (see :class:`~repro.core.messages.SubscriptionSynced`) — held
+        silence included, which goes out first.
         """
+        self._release_held_silence(child)
         ack = M.SubscriptionSynced(epoch)
         self.node.submit(0.02, lambda: self.send_to_child(child, ack))
 
@@ -474,6 +553,11 @@ class Broker:
         self.node.fail_for(duration_ms)
 
     def _mark_children_cold(self) -> None:
+        # Held silence was volatile too.
+        self._held_silence.clear()
+        if self._silence_flush is not None:
+            self._silence_flush.cancel()
+            self._silence_flush = None
         for child in self.child_filter_ready:
             self.child_filter_ready[child] = False
             # The unions were volatile: emptied, as a real restart

@@ -186,7 +186,9 @@ class IntermediateBroker(Broker):
                 filtered = links.for_child(child, new)
                 relay.sent_cursor[child] = max(cursor, hi)
                 cost = self.costs.forward_per_link_event_ms * max(1, len(new.d_events))
-                self._forward(child, filtered, cost, t0, SPAN_INTERMEDIATE_FORWARD)
+                self._forward(
+                    child, filtered, cost, t0, SPAN_INTERMEDIATE_FORWARD, head=True
+                )
             if not old.is_empty():
                 self._route_old_knowledge(relay, child, old, links)
         # Interest satisfied for everything this update covered.

@@ -211,7 +211,7 @@ class PublisherHostingBroker(Broker):
         for child in self.child_names:
             filtered = links.for_child(child)
             if not filtered.is_empty():
-                self._forward(child, filtered, cost, t0, SPAN_PHB_FORWARD)
+                self._forward(child, filtered, cost, t0, SPAN_PHB_FORWARD, head=True)
 
     # ------------------------------------------------------------------
     # Upstream traffic from children

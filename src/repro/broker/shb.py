@@ -332,10 +332,10 @@ class SubscriberHostingBroker(Broker):
         if sub is None:
             if req.predicate is None:
                 raise ProtocolError(f"first connect of {req.sub_id} must carry a predicate")
-            sub = self._register(req.sub_id, req.predicate)
             if req.checkpoint is None:
                 # A new subscriber starts at the constream's cursor and
                 # is therefore immediately in non-catchup mode (§4.1).
+                sub = self._register(req.sub_id, req.predicate)
                 checkpoint = self._delivered_cursors()
             else:
                 # Reconnect-anywhere (the paper's feature 5): a durable
@@ -346,7 +346,16 @@ class SubscriberHostingBroker(Broker):
                 # PFS has no records for it below the registration
                 # point, so that span is recovered by refiltering
                 # nacked events; from here on the PFS covers it like
-                # any local subscription.
+                # any local subscription.  Silence still held upstream
+                # (lazy silence) was classified before the subscription
+                # existed; event timestamps never exceed their publish
+                # time, so the local clock bounds it, as in
+                # _on_subscription_synced.
+                now = int(self.scheduler.now)
+                sub = self._register(
+                    req.sub_id, req.predicate,
+                    floor={p: now for p in self.pubend_names},
+                )
                 checkpoint = dict(req.checkpoint)
                 refilter_until = dict(sub.pfs_from)
             for pubend, t in checkpoint.items():

@@ -154,7 +154,7 @@ class TestScaleScenario:
         ]
 
     def test_census_fingerprint_is_pinned(self, scale_census):
-        assert census_fingerprint(scale_census) == (11978, "95b327b82d3e")
+        assert census_fingerprint(scale_census) == (11954, "9f7cb77e87ac")
 
     def test_smoke_sweep_recovers(self):
         summary = cp.explore(max_points=6, scenario="scale")
@@ -166,7 +166,7 @@ class TestScaleScenario:
 
 def test_migration_census_fingerprint_is_pinned():
     # The migration scenario's sweeps live in tests/test_migration_soak.py.
-    assert census_fingerprint(cp.census("migration")) == (8026, "8d23edc1f018")
+    assert census_fingerprint(cp.census("migration")) == (8010, "b399ff4be9af")
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ class TestDecomposition:
     def test_unhashable_predicate_is_not_cached_and_scans(self):
         p = Eq("a", [1, 2])
         eng = MatchingEngine()
-        index, union = TestAggregate._link()
+        index, union = TestLinkUnion._link()
         before = engine_mod.decompositions
         eng.add("s", p)
         union.add(p)
@@ -287,7 +287,7 @@ class TestDecomposition:
         assert index.links_of_batch([{"a": [1, 2]}, {"a": 1}]) == [union.bit, 0]
 
 
-class TestAggregate:
+class TestLinkUnion:
     """One link's union, read through its broker's link index: the
     index holds each distinct signature once, and a link's bit is set
     on every signature it holds."""
@@ -302,45 +302,45 @@ class TestAggregate:
         return bool(index.links_of_batch([attributes])[0] & union.bit)
 
     def test_equal_predicates_share_a_signature(self):
-        index, agg = self._link()
+        index, union = self._link()
         for predicate in (Eq("g", 1), Eq("g", 1.0), In("g", [1])):
-            assert agg.add(predicate)
-            assert not agg.add(predicate)  # a set: re-adding is a no-op
-        assert len(agg) == 3  # distinct canonical bytes
+            assert union.add(predicate)
+            assert not union.add(predicate)  # a set: re-adding is a no-op
+        assert len(union) == 3  # distinct canonical bytes
         assert len(index.matcher) == 1
-        assert self._matches(index, agg, {"g": 1})
-        assert not self._matches(index, agg, {"g": 2})
+        assert self._matches(index, union, {"g": 1})
+        assert not self._matches(index, union, {"g": 2})
 
-    def test_broader_signature_absorbs_narrower(self):
-        index, agg = self._link()
-        agg.add(Eq("g", 1))
-        agg.add(And([Eq("g", 1), Eq("h", 2)]))
+    def test_broader_and_narrower_signatures_are_both_keyed(self):
+        index, union = self._link()
+        union.add(Eq("g", 1))
+        union.add(And([Eq("g", 1), Eq("h", 2)]))
         assert len(index.matcher) == 2
-        assert self._matches(index, agg, {"g": 1})
-        assert self._matches(index, agg, {"g": 1, "h": 9})
+        assert self._matches(index, union, {"g": 1})
+        assert self._matches(index, union, {"g": 1, "h": 9})
 
-    def test_removing_coverer_reactivates_ward(self):
-        index, agg = self._link()
-        agg.add(Eq("g", 1))
-        agg.add(And([Eq("g", 1), Eq("h", 2)]))
-        agg.remove(Eq("g", 1))
+    def test_removing_one_signature_keeps_the_other(self):
+        index, union = self._link()
+        union.add(Eq("g", 1))
+        union.add(And([Eq("g", 1), Eq("h", 2)]))
+        union.remove(Eq("g", 1))
         assert len(index.matcher) == 1
-        assert self._matches(index, agg, {"g": 1, "h": 2})
-        assert not self._matches(index, agg, {"g": 1, "h": 9})
+        assert self._matches(index, union, {"g": 1, "h": 2})
+        assert not self._matches(index, union, {"g": 1, "h": 9})
 
     def test_wildcard_accepts_all(self):
-        index, agg = self._link()
-        assert not agg.accepts_all()
-        agg.add(Eq("g", 1))
-        agg.add(Everything())
-        assert agg.accepts_all()
+        index, union = self._link()
+        assert not union.accepts_all()
+        union.add(Eq("g", 1))
+        union.add(Everything())
+        assert union.accepts_all()
         assert len(index.matcher) == 2
-        assert self._matches(index, agg, {"anything": 0})
-        agg.remove(Everything())
-        assert not agg.accepts_all()
-        assert not self._matches(index, agg, {"anything": 0})
+        assert self._matches(index, union, {"anything": 0})
+        union.remove(Everything())
+        assert not union.accepts_all()
+        assert not self._matches(index, union, {"anything": 0})
 
-    def test_engine_exposes_aggregate_counters(self):
+    def test_union_keys_distinct_signatures_and_sees_wildcards(self):
         eng = MatchingEngine()
         index, union = self._link()
         for i in range(10):

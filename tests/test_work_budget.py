@@ -11,9 +11,9 @@ then 200 events, one every 5 ms, after the first subscription refresh.
 Link matching is budgeted per broker: every update a PHB or
 intermediate filters is classified once for all its child links, not
 once per child.  So is subscription intake: each broker's link index
-holds one key per distinct active signature, however many links it is
-active on; each distinct predicate object is decomposed once per
-process, however many levels it crosses; and each uplink carries one
+holds one key per distinct signature its links hold, however many links
+hold it; each distinct predicate object is decomposed once per process,
+however many levels it crosses; and each uplink carries one
 ``SubscriptionAdd`` per distinct predicate below it, not one per
 subscription.
 """
@@ -30,15 +30,19 @@ from repro.net.node import Node
 from repro.net.simtime import Scheduler
 
 N_EVENTS = 200
+#: The first publish: after the first subscription refresh.
+T0 = SUBSCRIPTION_REFRESH_MS + 500.0
 
 #: With one add per subscription per level (before distinct-predicate
 #: unions) it was {link messages 4 940, jobs 9 623, busy 446.572 ms}:
-#: the 36 adds below now not sent, each one message, one receive job
-#: and 0.05 ms of receive CPU.
+#: the 36 adds not sent, each one message, one receive job and 0.05 ms
+#: of receive CPU.  Before lazy silence, when every S-only update went
+#: to its child at once as its own message, it was {link messages
+#: 4 904, jobs 9 587, busy 444.772 ms}.
 BUDGET = {
-    "link messages": 4_904,
-    "jobs submitted": 9_587,
-    "modelled busy ms": 444.772,
+    "link messages": 3_232,
+    "jobs submitted": 6_244,
+    "modelled busy ms": 311.072,
     "pfs writes": 296,
 }
 
@@ -51,9 +55,9 @@ ADDS = {"shb": 94, "intermediate": 70}
 #: warm child.  The spare has no children; the PHB keeps it cold.
 CLASSIFIED = {"phb": 200, "ib1": 96, "ib2": 124, "spare1.1": 0}
 
-#: Link-index keys per filtering broker: its distinct active signatures
-#: (no group predicate covers another).  Keyed per (link, signature),
-#: the index held {phb 70, ib1 42, ib2 52, spare1.1 0}.
+#: Link-index keys per filtering broker: the distinct signatures its
+#: child links hold.  Keyed per (link, signature), the index held
+#: {phb 70, ib1 42, ib2 52, spare1.1 0}.
 INDEX_KEYS = {"phb": 49, "ib1": 31, "ib2": 39, "spare1.1": 0}
 
 #: Distinct predicate objects placed, each decomposed once.  Before the
@@ -61,6 +65,25 @@ INDEX_KEYS = {"phb": 49, "ib1": 31, "ib2": 39, "spare1.1": 0}
 #: predicate again: 300 (100 subscriptions at the SHB, its intermediate
 #: and the PHB).
 DECOMPOSITIONS = 49
+
+
+def fanout_forest():
+    """The fixed forest with its 100 subscriptions placed."""
+    sim = Scheduler()
+    federation = build_deep_overlay(
+        sim, n_trees=1, fanout=(2,), shbs_per_leaf=4, spares_per_level=1
+    )
+    place_durable_subscribers(
+        federation, 100, [In("group", (g,)) for g in range(64)], seed=0
+    )
+    return sim, federation
+
+
+def publish_events(sim, tree):
+    """One event every 5 ms after the first refresh, then a drain."""
+    for i in range(N_EVENTS):
+        sim.at(T0 + 5.0 * i, lambda i=i: tree.phb.publish("p1", {"group": i % 64}))
+    sim.run_until(T0 + 3_000.0)
 
 
 def test_fanout_forest_work_budget(monkeypatch):
@@ -83,13 +106,7 @@ def test_fanout_forest_work_budget(monkeypatch):
     monkeypatch.setattr(LinkEnd, "send", counting_send)
     engine._compiled.clear()  # every predicate below starts uncompiled
     decompositions = engine.decompositions
-    sim = Scheduler()
-    federation = build_deep_overlay(
-        sim, n_trees=1, fanout=(2,), shbs_per_leaf=4, spares_per_level=1
-    )
-    place_durable_subscribers(
-        federation, 100, [In("group", (g,)) for g in range(64)], seed=0
-    )
+    sim, federation = fanout_forest()
     tree = federation.trees[0]
     filtering = [tree.phb, *tree.intermediates]
     filtered = {broker.name: 0 for broker in filtering}
@@ -105,10 +122,7 @@ def test_fanout_forest_work_budget(monkeypatch):
 
         broker._link_filter = counting_filter
 
-    t0 = SUBSCRIPTION_REFRESH_MS + 500.0
-    for i in range(N_EVENTS):
-        sim.at(t0 + 5.0 * i, lambda i=i: tree.phb.publish("p1", {"group": i % 64}))
-    sim.run_until(t0 + 3_000.0)
+    publish_events(sim, tree)
 
     nodes = {broker.node for broker in federation.all_brokers()}
     measured = {
@@ -124,7 +138,7 @@ def test_fanout_forest_work_budget(monkeypatch):
 
     predicates = {id(s.predicate) for shb in tree.shbs for s in shb.registry.all()}
     assert engine.decompositions - decompositions == len(predicates) == DECOMPOSITIONS
-    active = {
+    held = {
         broker.name: len({
             engine.compiled(predicate).signature
             for union in broker.child_engines.values()
@@ -133,4 +147,4 @@ def test_fanout_forest_work_budget(monkeypatch):
         for broker in filtering
     }
     index_keys = {broker.name: len(broker.links.matcher) for broker in filtering}
-    assert index_keys == active == INDEX_KEYS
+    assert index_keys == held == INDEX_KEYS
