@@ -280,15 +280,12 @@ def attach_intermediate(
     overlay.links.append(
         Broker.connect(parent, mid, batch_window_ms=batch_window_ms)
     )
-    # Unlike a fresh SHB (which owes nothing until it registers a
-    # subscription itself), a fresh intermediate may acquire a subtree
-    # at any moment via reparenting — and the parent filtering against
-    # its empty-but-warm union would convert that subtree's events to
-    # *final* silence until the intermediate's first upstream refresh.
-    # Cold passes knowledge unfiltered until the epoch sync warms it.
+    # Cold until its first sync, sent now: a childless intermediate
+    # announces a wildcard (IntermediateBroker._upstream_set).
     parent.child_filter_ready[mid.name] = False
     for pubend in overlay.pubend_names:
         parent.register_release_child(pubend, mid.name)  # type: ignore[union-attr]
+    mid._refresh_upstream()
     return mid
 
 
@@ -461,8 +458,8 @@ def build_deep_overlay(
 
     ``spares_per_level`` attaches that many *childless* intermediates
     at each level (round-robin over the level's parents): redundant
-    paths kept cold (``child_filter_ready=False``) until a failover
-    moves a subtree onto them via :meth:`Federation.fail_over`.
+    paths that filter nothing (each announces a wildcard) until a
+    failover moves a subtree onto them via :meth:`Federation.fail_over`.
 
     ``build_deep_overlay(s, n_trees=2, fanout=(2, 3), shbs_per_leaf=4)``
     yields 2 trees × (1 PHB + 2 + 6 intermediates + 24 SHBs).  The

@@ -80,6 +80,9 @@ class DurableSubscriber:
         self.connect_retry_ms = connect_retry_ms
         self.ct = CheckpointToken()
         self.committed_ct = CheckpointToken()
+        #: The CT the SHB assigned at the first accept: the subscription
+        #: is owed every matching event above it.
+        self.first_ct: Optional[Dict[str, int]] = None
         self._since_commit = 0
         #: The current session's channel — or, after a graceful
         #: disconnect, the last one, still consuming its in-flight tail
@@ -128,7 +131,10 @@ class DurableSubscriber:
         old, self._send = self._send, chan
         if old is not None:
             old.close()
-        chan.on_message(self._on_message)
+        # Client-side session fence: what the old session delivered but
+        # this process had not yet consumed is dropped, not consumed
+        # past the CT this request presents (the new session resends it).
+        chan.on_message(lambda msg: self._on_message(msg) if chan is self._send else None)
         chan.on_close(lambda: self._on_close(chan))
         if self._first_connect_done:
             # The predicate rides along so a reconnect to a *different*
@@ -223,6 +229,7 @@ class DurableSubscriber:
             # The SHB assigned our starting point; adopt it wholesale.
             self.ct = CheckpointToken(msg.checkpoint)
             self.committed_ct = self.ct.copy()
+            self.first_ct = dict(msg.checkpoint)
             self._first_connect_done = True
 
     def _consume_event(self, msg: M.EventMessage) -> None:

@@ -84,18 +84,17 @@ class CatchupStream:
         self.buffer_qs = buffer_qs
         self.nack_window_ticks = nack_window_ticks
         self._run_costed = run_costed if run_costed is not None else (lambda _cost, fn: fn())
-        #: Reconnect-anywhere support (the paper's feature 5): this
-        #: SHB's PFS has no records for the subscriber below this tick
-        #: (the subscription was registered here mid-stream), so that
-        #: span is recovered by nacking *everything* and refiltering
-        #: the returned events against the subscription's own predicate.
+        #: This SHB's PFS does not speak for the subscriber up to this
+        #: tick (its registration's coverage confirmation: silence
+        #: below it may have been classified without it), so that span
+        #: is recovered by nacking *everything* and refiltering the
+        #: returned events against the subscription's own predicate.
         self.refilter_until = refilter_until
-        #: False only for reconnect-anywhere streams: broker knowledge
-        #: caches were filtered under a subscription union that did not
-        #: include this subscriber, so their S ticks cannot be trusted
-        #: for the refilter span.  A refiltering stream whose
-        #: subscription *was* registered (the no-PFS ablation) keeps
-        #: cache service.
+        #: False for such a span: broker knowledge caches were filtered
+        #: under a subscription union that did not include this
+        #: subscriber, so their S ticks cannot be trusted for it.  A
+        #: refiltering stream whose subscription *was* registered (the
+        #: no-PFS ablation) keeps cache service.
         self.caches_valid = caches_valid
         #: End-to-end flow control (the paper's "flow control scheme,
         #: between the SHB and the subscribing client, to control the
@@ -171,18 +170,22 @@ class CatchupStream:
             return
         if self._buffer_exhausted() and self._covered_to < min(self.refilter_until, self.target):
             # Refiltering span: the PFS cannot answer for this
-            # subscriber here.  Request the next window of ticks
-            # wholesale; D replies are filtered in _pump_once.
-            if self.undelivered >= self.nack_window_ticks:
+            # subscriber here.  Request the next window wholesale; D
+            # replies are filtered in _pump_once.  The window counts
+            # events, not ticks: after the first one, each spans the
+            # ticks that the events seen so far say hold a window's
+            # worth, and a span that held none is requested whole (an
+            # empty log on an epoch-ms clock is one nack).  The PHB's
+            # reply cap bounds what any one reply brings.
+            window = self.nack_window_ticks
+            if self.undelivered >= window:
                 return  # window full; resume when deliveries drain
-            span_end = min(
-                self._covered_to + self.nack_window_ticks,
-                self.refilter_until,
-                self.target,
-            )
-            if span_end > self._covered_to:
-                self.curiosity.want(self._covered_to + 1, span_end)
-                self._covered_to = span_end
+            covered = self._covered_to - self.start_ts
+            seen = self.events_delivered + self.events_refiltered_out
+            span = covered * window // seen if seen else (self.refilter_until if covered else window)
+            span_end = min(self._covered_to + span, self.refilter_until, self.target)
+            self.curiosity.want(self._covered_to + 1, span_end)
+            self._covered_to = span_end
             return
         if not self._read_in_flight and self._buffer_exhausted() and self._covered_to < self.target:
             self._read_in_flight = True
@@ -408,7 +411,9 @@ class CatchupStream:
     # Switchover / teardown
     # ------------------------------------------------------------------
     def _maybe_switchover(self) -> bool:
-        if self.cursor >= self.target:
+        # A refilter span (silence there may lack this subscription)
+        # ends before the constream takes over.
+        if self.cursor >= self.target and (self.caches_valid or self.cursor >= self.refilter_until):
             self.close()
             self.on_switchover()
             return True

@@ -105,10 +105,13 @@ class CuriosityStream:
         self._ensure_timer()
 
     def want_set(self, ranges: IntervalSet) -> None:
+        """Declare curiosity about ``ranges``, nacked at once: a catchup
+        window must keep pace with a live stream to meet its target."""
         self._wanted.update(ranges)
         self._dirty = True
         if self._wanted:
             self._ensure_timer()
+            self.scheduler.post(self.scheduler.now, self._poll)
 
     def set_want(self, ranges: IntervalSet) -> None:
         """Replace the wanted set wholesale.

@@ -16,9 +16,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from ..broker.base import SUBSCRIPTION_REFRESH_MS, Broker
+from ..broker.shb import SubscriberHostingBroker
 from ..broker.topology import (
     Federation,
     build_chain,
@@ -160,6 +161,13 @@ def prepare_scalability(
     )
 
 
+def _reconnect_catchups(shbs: Sequence[SubscriberHostingBroker], since_ms: float) -> List[float]:
+    """Durations of the catchups begun at ``since_ms`` or later: the
+    reconnects, when every first connect (which catches up to its
+    registration's confirmation) is served before it."""
+    return [d for s in shbs for end, d in s.catchup_durations_ms if end - d >= since_ms]
+
+
 def drive_scalability(setup: ScalabilitySetup) -> ScalabilityResult:
     """Run a prepared Figure-4 scenario: warmup, measure, judge, report."""
     sim = setup.sim
@@ -198,7 +206,8 @@ def drive_scalability(setup: ScalabilitySetup) -> ScalabilityResult:
         shb_idle_mean=sum(shb_idles) / len(shb_idles),
         single_broker=setup.single_broker,
         disconnects=setup.schedule.disconnects if setup.schedule else 0,
-        catchup_count=sum(len(s.catchup_durations_ms) for s in overlay.shbs),
+        catchup_count=len(_reconnect_catchups(
+            overlay.shbs, setup.schedule.down_ms if setup.schedule else float("inf"))),
     ))
 
 
@@ -623,7 +632,7 @@ def run_stream_rates(
     churn.stop()
     collector.stop()
     return _judged(scn, StreamRatesResult(
-        catchup_durations_ms=[d for _t, d in shb.catchup_durations_ms],
+        catchup_durations_ms=_reconnect_catchups([shb], churn_down_ms),
         latest_delivered_rate=collector.get("latestDelivered_rate"),
         released_rate=collector.get("released_rate"),
         latest_delivered_value=collector.get("latestDelivered"),
@@ -729,7 +738,7 @@ def run_shb_failure(
         machine_rates=[collector.get(f"machine{i + 1}_rate") for i in range(len(machines))],
         phb_idle=collector.get("phb_idle"),
         shb_idle=collector.get("shb_idle"),
-        catchup_durations_ms=[d for _t, d in shb.catchup_durations_ms],
+        catchup_durations_ms=_reconnect_catchups([shb], crash_at_ms),
         disconnected_ms=disconnected_ms,
         normal_slope=normal_slope,
         recovery_slope=float(recovery_slope),

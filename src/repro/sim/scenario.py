@@ -82,11 +82,12 @@ class Scenario:
         #: Reliable publishers whose windows must drain before the run
         #: counts as settled.
         self.publishers: List[ReliablePublisher] = []
-        #: event_id -> (tick, attributes) of everything durably logged.
-        self.truth: Dict[str, Tuple[int, Dict[str, object]]] = {}
+        #: event_id -> (pubend, tick, attributes) of all durably logged.
+        self.truth: Dict[str, Tuple[str, int, Dict[str, object]]] = {}
         #: PHB event log -> the highest tick ``record_truth`` has read.
         self._truth_cursor: Dict[object, int] = {}
-        #: predicate -> (len(truth) when computed, ``expected`` of it).
+        #: (predicate, first CT) -> (len(truth) when computed,
+        #: ``expected`` of it).
         self._expected: Dict[object, Tuple[int, Dict[str, int]]] = {}
         self.probes: List[KnowledgeMonotonicityProbe] = []
         #: Set by ``start(watch_ms=...)``.
@@ -161,7 +162,7 @@ class Scenario:
                 for ev in log.read_range(cursor + 1, 2 ** 60):
                     assert ev.timestamp > cursor, (pubend.name, ev.timestamp, cursor)
                     cursor = ev.timestamp
-                    self.truth.setdefault(ev.event_id, (ev.timestamp, ev.attributes))
+                    self.truth.setdefault(ev.event_id, (pubend.name, ev.timestamp, ev.attributes))
                 assert log.max_timestamp in (None, cursor), (
                     f"{pubend.name}: durable tick {log.max_timestamp} "
                     f"logged out of order (read up to {cursor})"
@@ -169,19 +170,22 @@ class Scenario:
                 self._truth_cursor[log] = cursor
 
     def expected(self, sub: DurableSubscriber) -> Dict[str, int]:
-        """event_id -> tick of every durably logged event matching sub.
+        """event_id -> tick of every durably logged event matching sub
+        above its first accepted CT (all of them until it has one).
 
-        Shared by every subscriber with the same predicate until truth
-        grows; callers must not mutate it."""
+        Shared by every subscriber with the same predicate and first CT
+        until truth grows; callers must not mutate it."""
         size = len(self.truth)
-        memo = self._expected.get(sub.predicate)
+        start = sub.first_ct or {}
+        key = (sub.predicate, tuple(sorted(start.items())))
+        memo = self._expected.get(key)
         if memo is None or memo[0] != size:
             memo = size, {
                 eid: tick
-                for eid, (tick, attrs) in self.truth.items()
-                if sub.predicate.matches(attrs)
+                for eid, (pubend, tick, attrs) in self.truth.items()
+                if tick > start.get(pubend, 0) and sub.predicate.matches(attrs)
             }
-            self._expected[sub.predicate] = memo
+            self._expected[key] = memo
         return memo[1]
 
     def behind(self) -> Set[str]:

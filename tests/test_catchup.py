@@ -212,6 +212,64 @@ class TestFlowControl:
         assert got == sorted(events)
 
 
+class TestRefilterPacing:
+    def test_empty_epoch_ms_span_takes_a_bounded_number_of_nacks(self):
+        """On an epoch-ms clock a subscriber whose CT is 0 refilters up
+        to about 1.8e12.  The window counts events, not ticks: over an
+        empty log that is a couple of nacks, not 7e9 of 256 ticks."""
+        env = Env()
+        until = 1_800_000_000_000
+        env.feed_constream(s=[(1, until + 50)])
+        env.catchup = stream = CatchupStream(
+            env.sim, "P1", env.sub, 0, env.pfs, env.cs,
+            deliver=env._deliver,
+            send_nack=lambda r: env.nacks.append(r.copy()),
+            on_switchover=lambda: env.switched.append(env.sim.now),
+            refilter_until=until,
+            caches_valid=False,
+        )
+        for _ in range(10):
+            env.sim.run_until(env.sim.now + 50)
+            while env.nacks:
+                ranges = env.nacks.pop(0)
+                stream.on_knowledge(upd(s=[(iv.start, iv.end) for iv in ranges]))
+        assert env.switched
+        assert stream.curiosity.nacks_sent <= 3
+
+    def test_window_counts_events(self):
+        """A dense span is requested in windows of about the window's
+        worth of events, whatever their tick spacing."""
+        env = Env(nack_window=16)
+        events = {t: ev(t) for t in range(10, 1_000, 10)}
+        env.feed_constream(d=list(events.values()), s=[
+            (t + 1, t + 9) for t in range(0, 1_000, 10)
+        ])
+        env.catchup = stream = CatchupStream(
+            env.sim, "P1", env.sub, 0, env.pfs, env.cs,
+            deliver=env._deliver,
+            send_nack=lambda r: env.nacks.append(r.copy()),
+            on_switchover=lambda: env.switched.append(env.sim.now),
+            nack_window_ticks=16,
+            refilter_until=999,
+            caches_valid=False,
+        )
+        spans = []
+        for _ in range(200):
+            env.sim.run_until(env.sim.now + 50)
+            for ranges in env.nacks:
+                spans.extend(iv.end - iv.start + 1 for iv in ranges)
+            env.answer_nacks(events)
+            if env.switched:
+                break
+        assert env.switched
+        got = [m.t for m in env.delivered if isinstance(m, EventMessage)]
+        assert got == sorted(events)
+        # One tick in ten holds an event: after a first window of 16
+        # ticks that held one, the estimate settles at about 160.
+        assert spans[:2] == [16, 256]
+        assert all(150 <= span <= 170 for span in spans[2:-1])
+
+
 class TestClose:
     def test_close_stops_nacking(self):
         env = Env()

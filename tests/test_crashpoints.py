@@ -77,7 +77,7 @@ class TestCensus:
         ]
 
     def test_census_fingerprint_is_pinned(self, census_points):
-        assert census_fingerprint(census_points) == (4315, "318271171adf")
+        assert census_fingerprint(census_points) == (4315, "fdb6543ea00f")
 
     def test_every_point_has_an_owner(self, census_points):
         # A boundary with no owner cannot be crashed meaningfully; all
@@ -154,7 +154,7 @@ class TestScaleScenario:
         ]
 
     def test_census_fingerprint_is_pinned(self, scale_census):
-        assert census_fingerprint(scale_census) == (11954, "9f7cb77e87ac")
+        assert census_fingerprint(scale_census) == (11931, "dbf8a2a5510c")
 
     def test_smoke_sweep_recovers(self):
         summary = cp.explore(max_points=6, scenario="scale")
@@ -166,7 +166,7 @@ class TestScaleScenario:
 
 def test_migration_census_fingerprint_is_pinned():
     # The migration scenario's sweeps live in tests/test_migration_soak.py.
-    assert census_fingerprint(cp.census("migration")) == (8010, "b399ff4be9af")
+    assert census_fingerprint(cp.census("migration")) == (8017, "905af4ab8929")
 
 
 # ---------------------------------------------------------------------------

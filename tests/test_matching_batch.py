@@ -269,12 +269,14 @@ def _link_predicate(rng: random.Random, link: str) -> Predicate:
 
 def _link_phb():
     """A PHB with one intermediate child per entry of :data:`LINKS`;
-    the children have no children of their own, so they never send a
-    subscription refresh that would disturb the model."""
+    the children have no uplink to send on, so no subscription refresh
+    of theirs disturbs the model."""
     sim = Scheduler()
     phb = PublisherHostingBroker(sim, "phb")
     for link in LINKS:
-        Broker.connect(phb, IntermediateBroker(sim, link))
+        child = IntermediateBroker(sim, link)
+        Broker.connect(phb, child)
+        child.unwire_parent()
     return sim, phb
 
 

@@ -241,6 +241,104 @@ class TestFailOver:
 # ---------------------------------------------------------------------------
 # Determinism on generated topologies
 # ---------------------------------------------------------------------------
+class TestWarmForest:
+    """Every link of the generated forest warms, spares included, and no
+    link filters a subtree failed over onto a spare before its union
+    arrives."""
+
+    def test_scale_registrations_confirmed_before_warmup_ends(self, monkeypatch):
+        from collections import Counter
+
+        from repro.broker.base import Broker
+        from repro.broker.shb import SubscriberHostingBroker
+        from repro.sim.experiments import prepare_scale
+
+        rounds = Counter()
+        send_union_up = Broker._send_union_up
+
+        def counting(self, want_ack=False):
+            epoch = send_union_up(self, want_ack)
+            if want_ack and epoch is not None and isinstance(self, SubscriberHostingBroker):
+                rounds[self.name] += 1
+            return epoch
+
+        monkeypatch.setattr(Broker, "_send_union_up", counting)
+        setup = prepare_scale(20_000, seed=3)
+        fed = setup.federation
+        setup.sim.run_until(setup.warmup_ms)
+        cold = [
+            f"{b.name}->{child}"
+            for b in fed.all_brokers()
+            for child, warm in b.child_filter_ready.items()
+            if not warm
+        ]
+        assert cold == []
+        assert all(not shb._cover_pending for shb in fed.shbs)
+        for client in setup.clients:
+            shb = next(s for s in fed.shbs if client.sub_id in s.registry)
+            assert client.connected
+            assert not any(shb.in_catchup(client.sub_id, p) for p in shb.pubend_names)
+        # One confirming refresh per SHB for the 19 976 placements made
+        # in one loop, and one per live client (their connects reach
+        # their SHBs at distinct instants).
+        assert len(rounds) == 64
+        assert sum(rounds.values()) == 64 + len(setup.clients)
+
+    def test_moved_subtree_is_never_filtered_before_its_union_arrives(self):
+        sim = Scheduler()
+        fed = build_deep_overlay(
+            sim, n_trees=1, fanout=(2, 2), shbs_per_leaf=1, spares_per_level=1,
+        )
+        tree = fed.trees[0]
+        spare = fed.spares[(0, 2)][0]
+        ib1 = tree.parent_of(spare)
+        # An SHB outside ib1's subtree, holding the only group-7 predicate.
+        shb = next(
+            s for s in tree.shbs if tree.parent_of(tree.parent_of(s)) is not ib1
+        )
+        sub = DurableSubscriber(
+            sim, "fo-moved", Node(sim, "fo-machine"), In("group", (7,)),
+            record_events=True,
+        )
+        sub.connect(shb)
+        pub = PeriodicPublisher(
+            sim, tree.phb, "p1", rate_per_s=200, attribute_fn=lambda i: {"group": i % 8},
+        )
+        pub.start()
+        sim.run_until(3_000.0)
+        # The childless spare announced a wildcard: it is warm, and so
+        # is its parent.
+        assert ib1.child_filter_ready[spare.name]
+        assert tree.phb.child_filter_ready[ib1.name]
+
+        fed.fail_over(shb, spare)
+        path = [(spare, shb), (ib1, spare), (tree.phb, ib1)]
+        filtered = []
+
+        def probe():
+            for parent, child in path:
+                union = parent.child_engines[child.name]
+                if (
+                    parent.child_filter_ready[child.name]
+                    and not union.accepts_all()
+                    and sub.predicate not in union
+                ):
+                    filtered.append((sim.now, parent.name, child.name))
+
+        probe()
+        timer = sim.every(0.5, probe)
+        sim.run_until(3_000.0 + 2 * 2_000.0)
+        timer.cancel()
+        assert filtered == []
+        assert all(parent.child_filter_ready[child.name] for parent, child in path)
+        pub.stop()
+        sim.run_until(10_000.0)
+        assert sub.stats.events == pub.published // 8
+        assert sub.duplicate_events == 0
+        assert sub.stats.order_violations == 0
+        assert sub.stats.gaps == 0
+
+
 def _record_transcript(sim: Scheduler, sub: DurableSubscriber, out: List[str]):
     inner = sub._on_message
 

@@ -27,6 +27,7 @@ from repro.adapters.rt.broker_main import BrokerProcess
 from repro.adapters.rt.transport import open_connection
 from repro.client.publisher import ReliablePublisher
 from repro.core import messages as M
+from repro.core.events import Event
 
 HOST = "127.0.0.1"
 PUBEND = "stream"
@@ -128,6 +129,9 @@ class _StubChannel:
     def on_close(self, fn) -> None:
         pass
 
+    def close(self) -> None:
+        pass
+
 
 def test_disconnect_request_read_off_a_replaced_session_is_ignored():
     sim = Scheduler()
@@ -136,6 +140,7 @@ def test_disconnect_request_read_off_a_replaced_session_is_ignored():
     shb.attach_client(a)
     shb.attach_client(b)
     a.deliver(M.ConnectRequest("s1", predicate=Everything()))
+    sim.run_until(50.0)  # the registration's coverage confirmation
     (accept,) = a.sent
     b.deliver(M.ConnectRequest("s1", checkpoint=accept.checkpoint, predicate=Everything()))
     a.deliver(M.DisconnectRequest("s1"))
@@ -144,6 +149,28 @@ def test_disconnect_request_read_off_a_replaced_session_is_ignored():
     assert shb._sessions["s1"] is b
     b.deliver(M.DisconnectRequest("s1"))
     assert shb.connected_count == 0
+
+
+def test_client_drops_what_a_replaced_session_delivers_late():
+    """The old session's tail that this process consumes only after the
+    reconnect went out would advance the CT past the one the reconnect
+    presented, and the new session resends from there: dropped.  Seen
+    as a duplicate in Fig. 4 churn past the saturation point, where a
+    backlogged client machine still held old-session messages."""
+    sim = Scheduler()
+    sub = DurableSubscriber(sim, "s1", node=None, predicate=Everything())
+    a, b = _StubChannel(), _StubChannel()
+    sub.connect_channel(a)
+    a.deliver(M.ConnectAccept("s1", {"P1": 0}))
+    a.deliver(M.EventMessage("P1", 5, Event("P1", 5, {})))
+    sub.disconnect()
+    a.deliver(M.EventMessage("P1", 6, Event("P1", 6, {})))  # the tail: consumed
+    sub.connect_channel(b)
+    (request,) = [m for m in b.sent if isinstance(m, M.ConnectRequest)]
+    assert request.checkpoint == {"P1": 6}
+    a.deliver(M.EventMessage("P1", 7, Event("P1", 7, {})))  # too late
+    assert sub.ct.as_dict() == {"P1": 6}
+    assert sub.stats.events == 2
 
 
 def test_rt_reconnect_right_after_a_graceful_disconnect(tmp_path):

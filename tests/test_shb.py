@@ -50,7 +50,9 @@ class TestConnect:
         shb = overlay.shbs[0]
         sub = make_sub(sim, machine, "s1", Everything())
         sub.connect(shb)
-        sim.run_until(10)
+        # Served once its registration is confirmed, it refilters up to
+        # the confirmation tick, then joins the constream.
+        sim.run_until(100)
         assert shb.active_catchup_count == 0
         assert not shb.in_catchup("s1", "P1")
         assert shb.connected_count == 1
@@ -183,8 +185,10 @@ class TestDisconnectReconnect:
         sim.run_until(9_000)
         assert sub.stats.events == pub.published
         assert sub.duplicate_events == 0
-        # One catchup stream per pubend (the overlay has P1 and P2).
-        assert len(shb.catchup_durations_ms) == 2
+        # One catchup stream per pubend (the overlay has P1 and P2) for
+        # the reconnect, after one per pubend for the first connect's
+        # refilter span up to its registration's confirmation.
+        assert len([end for end, _ in shb.catchup_durations_ms if end > 4_000]) == 2
 
     def test_client_crash_reconnect_with_stale_ct_duplicates_filtered(self, env):
         """A client that loses recent CT state re-receives only what it

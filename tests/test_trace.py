@@ -11,6 +11,10 @@ from repro.net.node import Node
 from repro.net.simtime import Scheduler
 
 
+#: When the two-broker runs start publishing.
+LIVE_AT_MS = 100.0
+
+
 def _run_two_broker(sample_rate, seed=0, duration_ms=4_000.0, install_late=False):
     sim = Scheduler()
     if not install_late:
@@ -25,10 +29,13 @@ def _run_two_broker(sample_rate, seed=0, duration_ms=4_000.0, install_late=False
         # The singleton is reconfigured in place, so installing after
         # the topology cached its reference must behave identically.
         T.install_tracer(sim, sample_rate, seed=seed)
+    # Publishing starts once the subscriber's registration is confirmed
+    # and its refilter span is behind it: every event is live.
+    sim.run_until(LIVE_AT_MS)
     pub.start()
-    sim.run_until(duration_ms)
+    sim.run_until(LIVE_AT_MS + duration_ms)
     pub.stop()
-    sim.run_until(duration_ms + 1_000.0)
+    sim.run_until(LIVE_AT_MS + duration_ms + 1_000.0)
     return sim, T.event_tracer(sim), pub, sub
 
 

@@ -38,11 +38,15 @@ T0 = SUBSCRIPTION_REFRESH_MS + 500.0
 #: the 36 adds not sent, each one message, one receive job and 0.05 ms
 #: of receive CPU.  Before lazy silence, when every S-only update went
 #: to its child at once as its own message, it was {link messages
-#: 4 904, jobs 9 587, busy 444.772 ms}.
+#: 4 904, jobs 9 587, busy 444.772 ms}.  Before every registration
+#: waited for coverage confirmation, it was {link messages 3 232, jobs
+#: 6 244, busy 311.072 ms}: each SHB now sends one confirming refresh,
+#: relayed and acked through its intermediate, and the spare announces
+#: its wildcard (a digest, the resend it draws, the full set).
 BUDGET = {
-    "link messages": 3_232,
-    "jobs submitted": 6_244,
-    "modelled busy ms": 311.072,
+    "link messages": 3_275,
+    "jobs submitted": 6_303,
+    "modelled busy ms": 315.802,
     "pfs writes": 296,
 }
 
@@ -52,13 +56,15 @@ BUDGET = {
 ADDS = {"shb": 94, "intermediate": 70}
 
 #: Updates each filtering broker classified: those with D events and a
-#: warm child.  The spare has no children; the PHB keeps it cold.
+#: warm child.  The spare has no children, so it classifies nothing;
+#: the PHB filters nothing toward its wildcard.
 CLASSIFIED = {"phb": 200, "ib1": 96, "ib2": 124, "spare1.1": 0}
 
 #: Link-index keys per filtering broker: the distinct signatures its
-#: child links hold.  Keyed per (link, signature), the index held
-#: {phb 70, ib1 42, ib2 52, spare1.1 0}.
-INDEX_KEYS = {"phb": 49, "ib1": 31, "ib2": 39, "spare1.1": 0}
+#: child links hold, the spare's wildcard among the PHB's.  Keyed per
+#: (link, signature), the index held {phb 70, ib1 42, ib2 52, spare1.1
+#: 0}; before the spare announced its wildcard, the PHB held 49.
+INDEX_KEYS = {"phb": 50, "ib1": 31, "ib2": 39, "spare1.1": 0}
 
 #: Distinct predicate objects placed, each decomposed once.  Before the
 #: shared compiled record, each add at each level decomposed its
@@ -137,7 +143,8 @@ def test_fanout_forest_work_budget(monkeypatch):
     assert classified == filtered == CLASSIFIED
 
     predicates = {id(s.predicate) for shb in tree.shbs for s in shb.registry.all()}
-    assert engine.decompositions - decompositions == len(predicates) == DECOMPOSITIONS
+    # And the spare's announced wildcard, once.
+    assert engine.decompositions - decompositions - 1 == len(predicates) == DECOMPOSITIONS
     held = {
         broker.name: len({
             engine.compiled(predicate).signature
