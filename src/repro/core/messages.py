@@ -263,14 +263,16 @@ class SubscriptionSynced:
     the whole upstream chain has applied.  The PHB replies directly
     when a ``want_ack`` sync warms; an intermediate broker forwards the
     ack to its child only after its *own* covering refresh was acked
-    from above.  Every hop queues the ack behind already-classified
-    knowledge (same CPU queue, same FIFO link), so by the time the ack
-    arrives, every D→S classification made under the pre-refresh union
-    has arrived too — the receiver can bound the span in which upstream
-    silence is untrustworthy by its local clock at ack receipt.
+    from above.  No hop turned a D tick of pubend ``p`` into S under a
+    union lacking what the refresh announced above ``max(hidden_to[p],
+    hidden_floor)``: each reports the highest D tick it had hidden from
+    the child at the child's last union change, and the time of its
+    last recovery or re-parenting; an intermediate merges both in.
     """
 
     epoch: int
+    hidden_to: Dict[str, int] = field(default_factory=dict)
+    hidden_floor: int = 0
 
 
 def clip_update(update: KnowledgeUpdate, lo: int, hi: int) -> KnowledgeUpdate:
@@ -489,10 +491,9 @@ class MigrateOffer:
     ``found`` is False when the subscription does not exist at the
     source (already migrated away, or never registered) — the payload
     fields are then empty.  ``released_ct`` is the per-pubend released
-    CT from the registry (the exactly-once floor); ``pfs_from`` the
-    per-pubend PFS registration cursor below which the destination must
-    not trust its own PFS; ``jms_ct`` the subscription's durable JMS
-    checkpoint vector (pubend → consumed-up-to tick).
+    CT from the registry (the exactly-once floor); ``jms_ct`` the
+    subscription's durable JMS checkpoint vector (pubend →
+    consumed-up-to tick).
     """
 
     handoff_id: str
@@ -501,7 +502,6 @@ class MigrateOffer:
     found: bool = True
     predicate: Optional[Predicate] = None
     released_ct: Dict[str, int] = field(default_factory=dict)
-    pfs_from: Dict[str, int] = field(default_factory=dict)
     jms_ct: Dict[str, int] = field(default_factory=dict)
 
 
@@ -515,7 +515,6 @@ class MigrateInstall:
     source: str
     predicate: Optional[Predicate] = None
     released_ct: Dict[str, int] = field(default_factory=dict)
-    pfs_from: Dict[str, int] = field(default_factory=dict)
     jms_ct: Dict[str, int] = field(default_factory=dict)
 
 

@@ -287,7 +287,6 @@ class Supervisor:
                     source=handle.source,
                     predicate=offer.predicate,
                     released_ct=dict(offer.released_ct),
-                    pfs_from=dict(offer.pfs_from),
                     jms_ct=dict(offer.jms_ct),
                 ),
             )
